@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,6 +25,8 @@ from .polynomial import Poly, RatFun
 from .spectral import (
     Grid,
     PoleOnGrid,
+    SpectrumReport,
+    SpectrumRow,
     quadrature_simpson,
     sample,
     verify_spectrum,
@@ -99,7 +99,6 @@ class RunConfig:
     n_points: int = 2401
     fmt: str = "json"
     out: str | None = None
-    parallel: bool = False
     corrupt_vn: Fraction | None = None
 
     def grid(self) -> Grid:
@@ -137,7 +136,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if levels_raw is None:
         raise ValueError("no levels given (use --levels or a config file)")
     corrupt = pick(getattr(args, "corrupt_vn", None), "corrupt_vn", None)
-    return RunConfig(
+    cfg = RunConfig(
         levels=_parse_levels(levels_raw),
         n_max=int(pick(args.nmax, "nmax", 8)),
         x_min=float(pick(args.xmin, "xmin", -12.0)),
@@ -145,9 +144,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         n_points=int(pick(args.points, "points", 2401)),
         fmt=str(pick(args.format, "format", "json")),
         out=pick(args.out, "out", None),
-        parallel=bool(pick(args.parallel or None, "parallel", False)),
         corrupt_vn=Fraction(str(corrupt)) if corrupt is not None else None,
     )
+    # Bounds on nmax, checked here so no command starts exact work on them.
+    if cfg.n_max < 0:
+        raise ValueError(f"--nmax {cfg.n_max} is below 0")
+    if args.command == "classify" and cfg.n_max < cfg.levels[-1]:
+        raise ValueError(
+            f"--nmax {cfg.n_max} is below the highest selected level {cfg.levels[-1]}"
+        )
+    if args.command == "spectrum" and cfg.n_max >= cfg.n_points:
+        raise ValueError(
+            f"--nmax {cfg.n_max} needs more than --points {cfg.n_points} grid points"
+        )
+    return cfg
 
 
 def _fmt17(value: float) -> str:
@@ -159,6 +169,14 @@ def _out_stem(path: str) -> str:
         if path.endswith(suffix):
             return path[: -len(suffix)]
     return path
+
+
+def _emit(text: str, files: dict[str, str]) -> None:
+    """Write each ``{path: content}`` entry, then print ``text``."""
+    for path, content in files.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    print(text)
 
 
 # -- transform ----------------------------------------------------------------
@@ -192,13 +210,11 @@ def cmd_transform(cfg: RunConfig) -> int:
     doc = transform_to_json(tr)
     json_text = json.dumps(doc, indent=2)
     csv_text = "\n".join(_transform_csv_lines(model, tr, cfg)) + "\n"
+    files = {}
     if cfg.out:
         stem = _out_stem(cfg.out)
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json_text + "\n")
-        with open(stem + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    print(csv_text if cfg.fmt == "csv" else json_text)
+        files = {stem + ".json": json_text + "\n", stem + ".csv": csv_text}
+    _emit(csv_text if cfg.fmt == "csv" else json_text, files)
     return EXIT_OK
 
 
@@ -211,131 +227,78 @@ class CheckResult:
     detail: str
 
 
-def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[tuple[str, Callable[[], CheckResult]]]:
+def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[CheckResult]:
+    """Run every check once, in report order."""
     levels = tr.selection.levels
     alphas = tr.selection.alphas
     n_max = cfg.n_max
     survivors = [n for n in range(n_max + 1) if n not in levels]
+    juxtaposed_pair = len(levels) == 2 and levels[1] == levels[0] + 1
+    skipped = "skipped (not a juxtaposed pair)"
+    h_partner = tr.hamiltonian_partner()
+    results: list[CheckResult] = []
 
-    from functools import lru_cache
+    def record(name: str, ok: bool, detail: str, failure: str | None = None) -> None:
+        results.append(CheckResult(name, ok, detail if ok or failure is None else failure))
 
-    @lru_cache(maxsize=1)
-    def factorization_report():
-        return factorization_identity_check(tr)
+    factorization = factorization_identity_check(tr)
+    record("L_dagger_L_factorization", factorization.base_ok, "exact-zero residual",
+           f"residual {factorization.residual_base!r}")
+    record("L_L_dagger_factorization", factorization.partner_ok, "exact-zero residual",
+           f"residual {factorization.residual_partner!r}")
 
-    def check_factorization_base() -> CheckResult:
-        report = factorization_report()
-        ok = report.base_ok
-        return CheckResult(
-            "L_dagger_L_factorization",
-            ok,
-            "exact-zero residual" if ok else f"residual {report.residual_base!r}",
-        )
+    bad = [k for k, u in zip(levels, tr.functions) if not crum_krein_apply(tr, u).is_zero]
+    record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
-    def check_factorization_partner() -> CheckResult:
-        report = factorization_report()
-        ok = report.partner_ok
-        return CheckResult(
-            "L_L_dagger_factorization",
-            ok,
-            "exact-zero residual" if ok else f"residual {report.residual_partner!r}",
-        )
+    adj = tr.operator.adjoint()
+    bad = []
+    for k, alpha, v in zip(levels, alphas, kernel_functions(tr)):
+        if not adj(v).is_zero:
+            bad.append(("adjoint", k))
+        if not (h_partner(v) - v * alpha).is_zero:
+            bad.append(("eigen", k))
+    record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 
-    def check_kernel() -> CheckResult:
-        bad = [k for k, u in zip(levels, tr.functions) if not crum_krein_apply(tr, u).is_zero]
-        return CheckResult(
-            "kernel_annihilation",
-            not bad,
-            "L u_i = 0 for all selected levels" if not bad else f"nonzero at {bad}",
-        )
+    bad = []
+    for n in survivors:
+        image = crum_krein_apply(tr, model.eigenfunction(n))
+        if image.is_zero or not (h_partner(image) - image * model.energy(n)).is_zero:
+            bad.append(n)
+    record("eigen_residuals", not bad, "(hN - E_n) L phi_n = 0 for all surviving levels",
+           f"failed levels {bad}")
 
-    def check_adjoint_kernel() -> CheckResult:
-        adj = tr.operator.adjoint()
-        h_partner = tr.hamiltonian_partner()
-        bad = []
-        for k, alpha, v in zip(levels, alphas, kernel_functions(tr)):
-            if not adj(v).is_zero:
-                bad.append(("adjoint", k))
-            if not (h_partner(v) - v * alpha).is_zero:
-                bad.append(("eigen", k))
-        return CheckResult(
-            "adjoint_kernel",
-            not bad,
-            "L+ v_k = 0 and (hN - alpha_k) v_k = 0" if not bad else f"failures: {bad}",
-        )
+    if juxtaposed_pair:
+        record("golden_closed_forms", golden_cross_check(tr, n_max).ok,
+               "partner potential and wave functions match the closed forms", "closed-form mismatch")
+    else:
+        record("golden_closed_forms", True, skipped)
 
-    def check_eigen_residuals() -> CheckResult:
-        h_partner = tr.hamiltonian_partner()
-        bad = []
-        for n in survivors:
-            image = crum_krein_apply(tr, model.eigenfunction(n))
-            if image.is_zero or not (h_partner(image) - image * model.energy(n)).is_zero:
-                bad.append(n)
-        return CheckResult(
-            "eigen_residuals",
-            not bad,
-            "(hN - E_n) L phi_n = 0 for all surviving levels" if not bad else f"failed levels {bad}",
-        )
+    record("superalgebra_anticommutator", anticommutator_check(model, tr, range(n_max + 1)).ok,
+           "factor prod(E - alpha_i) on every eigen-doublet", "mismatch")
 
-    def check_golden() -> CheckResult:
-        if len(levels) != 2 or levels[1] != levels[0] + 1:
-            return CheckResult("golden_closed_forms", True, "skipped (not a juxtaposed pair)")
-        report = golden_cross_check(tr, n_max)
-        return CheckResult(
-            "golden_closed_forms",
-            report.ok,
-            "partner potential and wave functions match the closed forms"
-            if report.ok
-            else "closed-form mismatch",
-        )
-
-    def check_normalization() -> CheckResult:
-        if len(levels) != 2 or levels[1] != levels[0] + 1:
-            return CheckResult("closed_form_normalization", True, "skipped (not a juxtaposed pair)")
-        grid = cfg.grid()
-        k = levels[0]
+    grid = cfg.grid()
+    if juxtaposed_pair:
         worst = 0.0
         for n in survivors:
-            bracket, norm = partner_eigenfunction_closed_form(k, n)
+            bracket, norm = partner_eigenfunction_closed_form(levels[0], n)
             values = sample(bracket, grid) / math.sqrt(norm.to_float())
             worst = max(worst, abs(quadrature_simpson(values**2, grid) - 1.0))
-        ok = worst <= 1e-4
-        return CheckResult("closed_form_normalization", ok, f"max |1 - norm| {worst:.3e}")
+        record("closed_form_normalization", worst <= 1e-4, f"max |1 - norm| {worst:.3e}")
+    else:
+        record("closed_form_normalization", True, skipped)
 
-    def check_norm_transport() -> CheckResult:
-        grid = cfg.grid()
-        sqrt_2pi = math.sqrt(2.0 * math.pi)
-        worst = 0.0
-        for n in survivors:
-            expected = 1.0
-            for alpha in alphas:
-                expected *= float(model.energy(n) - alpha)
-            image = crum_krein_apply(tr, model.eigenfunction(n))
-            num = quadrature_simpson(sample(image, grid) ** 2, grid)
-            got = num / (math.factorial(n) * sqrt_2pi)
-            worst = max(worst, abs(got - expected) / abs(expected))
-        ok = worst <= 1e-6
-        return CheckResult("norm_transport", ok, f"max relative error {worst:.3e}")
-
-    def check_anticommutator() -> CheckResult:
-        report = anticommutator_check(model, tr, range(n_max + 1))
-        return CheckResult(
-            "superalgebra_anticommutator",
-            report.ok,
-            "factor prod(E - alpha_i) on every eigen-doublet" if report.ok else "mismatch",
-        )
-
-    return [
-        ("L_dagger_L_factorization", check_factorization_base),
-        ("L_L_dagger_factorization", check_factorization_partner),
-        ("kernel_annihilation", check_kernel),
-        ("adjoint_kernel", check_adjoint_kernel),
-        ("eigen_residuals", check_eigen_residuals),
-        ("golden_closed_forms", check_golden),
-        ("superalgebra_anticommutator", check_anticommutator),
-        ("closed_form_normalization", check_normalization),
-        ("norm_transport", check_norm_transport),
-    ]
+    sqrt_2pi = math.sqrt(2.0 * math.pi)
+    worst = 0.0
+    for n in survivors:
+        expected = 1.0
+        for alpha in alphas:
+            expected *= float(model.energy(n) - alpha)
+        image = crum_krein_apply(tr, model.eigenfunction(n))
+        num = quadrature_simpson(sample(image, grid) ** 2, grid)
+        got = num / (math.factorial(n) * sqrt_2pi)
+        worst = max(worst, abs(got - expected) / abs(expected))
+    record("norm_transport", worst <= 1e-6, f"max relative error {worst:.3e}")
+    return results
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -346,12 +309,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         # potential must trip the residual checks.
         tr = replace(tr, partner_potential=tr.partner_potential + cfg.corrupt_vn)
 
-    checks = _verification_checks(model, tr, cfg)
-    if cfg.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda item: item[1](), checks))
-    else:
-        results = [run() for _, run in checks]
+    results = _verification_checks(model, tr, cfg)
 
     report = {
         "levels": list(cfg.levels),
@@ -361,10 +319,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
     }
     text = json.dumps(report, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"verification failed: {failures[0].name}", file=sys.stderr)
@@ -374,6 +329,43 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # -- spectrum --------------------------------------------------------------------
 
+def _partner_cells(row: SpectrumRow, fmt_err: Callable[[float], str]) -> tuple[str, str]:
+    """The hN and hN_err cells of a spectrum row; deleted levels say so."""
+    if row.partner_deleted:
+        return "deleted", ""
+    return _fmt17(row.partner_value), fmt_err(row.partner_error)
+
+
+def _spectrum_file_text(report: SpectrumReport, cfg: RunConfig) -> str:
+    if cfg.fmt == "csv":
+        csv_lines = ["level,predicted,h0,h0_err,hN,hN_err"]
+        for row in report.rows:
+            hn, hn_err = _partner_cells(row, _fmt17)
+            csv_lines.append(
+                f"{row.level},{row.predicted},{_fmt17(row.base_value)},"
+                f"{_fmt17(row.base_error)},{hn},{hn_err}"
+            )
+        return "\n".join(csv_lines) + "\n"
+    return json.dumps(
+        {
+            "levels": list(cfg.levels),
+            "max_error": report.max_error,
+            "rows": [
+                {
+                    "level": row.level,
+                    "predicted": fraction_to_json(row.predicted),
+                    "h0": row.base_value,
+                    "h0_err": row.base_error,
+                    "hN": "deleted" if row.partner_deleted else row.partner_value,
+                    "hN_err": row.partner_error,
+                }
+                for row in report.rows
+            ],
+        },
+        indent=2,
+    ) + "\n"
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     model = OscillatorModel()
     tr = build_transform(model, cfg.levels)
@@ -382,46 +374,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     header = f"{'level':>5} {'predicted':>10} {'h0':>22} {'h0_err':>12} {'hN':>22} {'hN_err':>12}"
     lines = [header]
     for row in report.rows:
-        hn = "deleted" if row.partner_deleted else _fmt17(row.partner_value)
-        hn_err = "" if row.partner_deleted else f"{row.partner_error:.3e}"
+        hn, hn_err = _partner_cells(row, lambda err: f"{err:.3e}")
         lines.append(
             f"{row.level:>5} {str(row.predicted):>10} {_fmt17(row.base_value):>22}"
             f" {row.base_error:>12.3e} {hn:>22} {hn_err:>12}"
         )
-    print("\n".join(lines))
-
-    if cfg.out:
-        if cfg.fmt == "csv":
-            csv_lines = ["level,predicted,h0,h0_err,hN,hN_err"]
-            for row in report.rows:
-                hn = "deleted" if row.partner_deleted else _fmt17(row.partner_value)
-                hn_err = "" if row.partner_deleted else _fmt17(row.partner_error)
-                csv_lines.append(
-                    f"{row.level},{row.predicted},{_fmt17(row.base_value)},"
-                    f"{_fmt17(row.base_error)},{hn},{hn_err}"
-                )
-            text = "\n".join(csv_lines) + "\n"
-        else:
-            text = json.dumps(
-                {
-                    "levels": list(cfg.levels),
-                    "max_error": report.max_error,
-                    "rows": [
-                        {
-                            "level": row.level,
-                            "predicted": fraction_to_json(row.predicted),
-                            "h0": row.base_value,
-                            "h0_err": row.base_error,
-                            "hN": "deleted" if row.partner_deleted else row.partner_value,
-                            "hN_err": row.partner_error,
-                        }
-                        for row in report.rows
-                    ],
-                },
-                indent=2,
-            ) + "\n"
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit("\n".join(lines), {cfg.out: _spectrum_file_text(report, cfg)} if cfg.out else {})
     return EXIT_OK
 
 
@@ -438,10 +396,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "below_vacuum": sorted(result.below_vacuum),
     }
     text = json.dumps(doc, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
     return EXIT_OK
 
 
@@ -468,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, help="grid point count (default 2401)")
         p.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
         p.add_argument("--out", help="output path")
-        p.add_argument("--parallel", action="store_true", help="run independent checks concurrently")
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         if name == "verify":
             p.add_argument(
@@ -488,7 +442,6 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    os.environ.get("DARBOUX_SEED")  # reserved; deterministic suites ignore it
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

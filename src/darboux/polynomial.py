@@ -60,10 +60,6 @@ class Poly:
     def constant(cls, c: Scalar) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "Poly":
-        return cls((0,) * power + (coeff,))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -190,24 +186,6 @@ class Poly:
         lc = self.lead()
         return self if lc == 1 else self * (1 / lc)
 
-    def primitive_scaled(self) -> "Poly":
-        """Scale by a positive rational so coefficients are coprime integers.
-
-        Positive scaling preserves signs everywhere, which is all the Sturm
-        machinery needs; it keeps coefficient growth in the remainder
-        sequences under control.
-        """
-        if self.is_zero:
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        return Poly(Fraction(v, g) for v in ints)
-
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -251,35 +229,40 @@ def _as_poly(value) -> "Poly":
     return NotImplemented
 
 
+def _int_content_free(ints: list[int]) -> list[int]:
+    """Divide integer coefficients by their (positive) content."""
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _int_primitive(p: Poly) -> list[int]:
     """Coprime integer coefficients of a positive rational multiple of p."""
     den_lcm = 1
     for c in p.coeffs:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [c.numerator * (den_lcm // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
+    return _int_content_free([c.numerator * (den_lcm // c.denominator) for c in p.coeffs])
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of integer coefficient lists (b nonzero).
 
-    Each step replaces r by lead(b)*r - top(r)*x^shift*b, so the loop stays
-    in integer arithmetic; the accumulated lead(b) powers wash out in the
-    primitive reduction done by the caller.
+    Each step replaces r by |lead(b)|*r - sign(lead(b))*top(r)*x^shift*b, so
+    the loop stays in integer arithmetic and the result is a positive
+    multiple of the Euclidean remainder: Sturm chains rely on that sign, and
+    the accumulated |lead(b)| powers wash out in the caller's content
+    reduction.
     """
     d = len(b) - 1
-    lead = b[-1]
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
     r = list(a)
     while len(r) > d:
         if r[-1] == 0:
             r.pop()
             continue
-        top = r[-1]
-        if lead != 1:
-            r = [c * lead for c in r]
+        top = sign * r[-1]
+        if scale != 1:
+            r = [c * scale for c in r]
         shift = len(r) - 1 - d
         for i in range(d):
             r[shift + i] -= top * b[i]
@@ -299,13 +282,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     x = _int_primitive(a)
     y = _int_primitive(b)
     while y:
-        r = _int_pseudo_rem(x, y)
-        g = 0
-        for v in r:
-            g = math.gcd(g, v)
-        if g > 1:
-            r = [v // g for v in r]
-        x, y = y, r
+        x, y = y, _int_content_free(_int_pseudo_rem(x, y))
     lead = x[-1]
     return Poly(Fraction(c, lead) for c in x)
 
@@ -340,21 +317,19 @@ def hermite_he(n: int) -> Poly:
 # Sturm sequences and real-root counting
 # ---------------------------------------------------------------------------
 
-def _sturm_chain(p: Poly) -> list[Poly]:
+def _sturm_chain(p: Poly) -> list[list[int]]:
     # Square-free reduction first so the classical sign-variation count
-    # applies verbatim; primitive scaling keeps the integers small.
+    # applies verbatim.  Every member is a positive multiple of the classical
+    # Sturm polynomial, held as coprime integer coefficients.
     g = poly_gcd(p, p.derivative())
     if g.degree() > 0:
         p = p.exact_div(g)
-    p = p.primitive_scaled()
-    chain = [p]
-    if p.degree() > 0:
-        chain.append(p.derivative().primitive_scaled())
-        while chain[-1].degree() > 0:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero:
-                break
-            chain.append((-rem).primitive_scaled())
+    chain = [_int_primitive(p)]
+    chain.append(_int_content_free([i * c for i, c in enumerate(chain[0]) if i]))
+    # p is square-free, so the sequence ends at a nonzero constant.
+    while len(chain[-1]) > 1:
+        rem = _int_pseudo_rem(chain[-2], chain[-1])
+        chain.append(_int_content_free([-c for c in rem]))
     return chain
 
 
@@ -363,16 +338,19 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
-def _sign_at(p: Poly, x: Fraction) -> int:
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _sign_at(q: list[int], x: Fraction) -> int:
+    # Sign of den(x)^deg(q) * q(x), a homogeneous integer Horner sum.
+    num, den = x.numerator, x.denominator
+    acc, den_pow = 0, 1
+    for c in reversed(q):
+        acc = acc * num + c * den_pow
+        den_pow *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_at_inf(p: Poly, positive: bool) -> int:
-    if p.is_zero:
-        return 0
-    s = 1 if p.lead() > 0 else -1
-    if not positive and p.degree() % 2 == 1:
+def _sign_at_inf(q: list[int], positive: bool) -> int:
+    s = 1 if q[-1] > 0 else -1
+    if not positive and len(q) % 2 == 0:  # odd degree
         s = -s
     return s
 
@@ -406,7 +384,7 @@ def sturm_real_root_count(
     v_b = _variations(_sign_at(q, b) for q in chain)
     # V(a) - V(b) counts roots in (a, b]; the left endpoint is patched in.
     count = v_a - v_b
-    if chain[0](a) == 0:
+    if _sign_at(chain[0], a) == 0:
         count += 1
     return count
 

@@ -129,9 +129,6 @@ class TransformResult:
     def order(self) -> int:
         return self.selection.order
 
-    def hamiltonian_base(self) -> DiffOp:
-        return DiffOp.schroedinger(self.base_potential)
-
     def hamiltonian_partner(self) -> DiffOp:
         return DiffOp.schroedinger(self.partner_potential)
 

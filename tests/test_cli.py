@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         doc = json.loads(report_path.read_text())
+        assert [c["name"] for c in doc["checks"]] == [
+            "L_dagger_L_factorization",
+            "L_L_dagger_factorization",
+            "kernel_annihilation",
+            "adjoint_kernel",
+            "eigen_residuals",
+            "golden_closed_forms",
+            "superalgebra_anticommutator",
+            "closed_form_normalization",
+            "norm_transport",
+        ]
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["L_dagger_L_factorization"]["status"] == "pass"
         assert by_name["L_dagger_L_factorization"]["detail"] == "exact-zero residual"
@@ -95,12 +107,9 @@ class TestVerifyCommand:
         code = run("verify", "--levels", "1,2,5,6", "--nmax", "8", "--points", "601")
         assert code == 0
 
-    def test_parallel_flag_same_report(self, capsys):
-        assert run("verify", "--levels", "0,1", "--nmax", "3", "--points", "601") == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert run("verify", "--levels", "0,1", "--nmax", "3", "--points", "601", "--parallel") == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial == parallel
+    def test_negative_nmax_rejected(self, capsys):
+        assert run("verify", "--levels", "1,2", "--nmax", "-1") == 2
+        assert "--nmax -1 is below 0" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -111,6 +120,13 @@ class TestSpectrumCommand:
             "--points", "1201", "--format", "csv", "--out", str(out),
         )
         assert code == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0] == (
+            "level  predicted                     h0       h0_err"
+            "                     hN       hN_err"
+        )
+        # level 1 is deleted: blank-padded hN_err, fixed column widths
+        assert re.fullmatch(r"    1          1 [ \d.e+-]{22} [ \d.e+-]{12} {16}deleted {13}", table[2])
         lines = out.read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert rows[1][4] == "deleted" and rows[2][4] == "deleted"
@@ -129,6 +145,14 @@ class TestSpectrumCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert [r["hN"] for r in doc["rows"][:2]] == ["deleted", "deleted"]
+
+    def test_nmax_beyond_grid_rejected(self, capsys):
+        assert run("spectrum", "--levels", "1,2", "--nmax", "3000") == 2
+        assert "--nmax 3000 needs more than --points 2401" in capsys.readouterr().err
+
+    def test_negative_nmax_rejected(self, capsys):
+        assert run("spectrum", "--levels", "1,2", "--nmax", "-1") == 2
+        assert "--nmax -1 is below 0" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -152,6 +176,10 @@ class TestClassifyCommand:
 
     def test_inadmissible(self, capsys):
         assert run("classify", "--levels", "3") == 2
+
+    def test_nmax_below_selection_rejected(self, capsys):
+        assert run("classify", "--levels", "3,4", "--nmax", "2") == 2
+        assert "--nmax 2 is below the highest selected level 4" in capsys.readouterr().err
 
 
 class TestConfigHandling:

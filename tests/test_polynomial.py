@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darboux.polynomial import (
     NormValue,
@@ -18,6 +21,27 @@ from darboux.polynomial import (
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+# Integer polynomials of degree >= 1 with either sign of leading coefficient,
+# plus products a * b^2 that carry repeated roots.
+_int_polys = (
+    st.lists(st.integers(-12, 12), min_size=2, max_size=7)
+    .filter(lambda cs: cs[-1] != 0)
+    .map(Poly)
+)
+_sturm_polys = st.one_of(
+    _int_polys, st.tuples(_int_polys, _int_polys).map(lambda ab: ab[0] * ab[1] ** 2)
+)
+_endpoints = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def _sympy_rational(f: Fraction) -> sympy.Rational:
+    return sympy.Rational(f.numerator, f.denominator)
+
+
+def _sympy_poly(p: Poly) -> sympy.Poly:
+    return sympy.Poly([_sympy_rational(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
 
 
 class TestPoly:
@@ -168,6 +192,20 @@ class TestSturm:
             p = Poly([rng.randint(-6, 6) for _ in range(degree)] + [rng.randint(1, 6)])
             assert sturm_real_root_count(p) == _numeric_real_root_count(p)
             checked += 1
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(_sturm_polys)
+    def test_whole_line_against_sympy(self, p):
+        assert sturm_real_root_count(p) == _sympy_poly(p).count_roots()
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(_sturm_polys, _endpoints, _endpoints, st.booleans())
+    def test_closed_interval_against_sympy(self, p, a, b, root_at_endpoint):
+        lo, hi = min(a, b), max(a, b)
+        if root_at_endpoint:  # put a root exactly on each closed end
+            p = p * P(-lo.numerator, lo.denominator) * P(-hi.numerator, hi.denominator)
+        expected = _sympy_poly(p).count_roots(_sympy_rational(lo), _sympy_rational(hi))
+        assert sturm_real_root_count(p, lo, hi) == expected
 
 
 class TestRatFun:
