@@ -24,6 +24,7 @@ from .oscillator import (
 from .polynomial import Poly, RatFun
 from .spectral import (
     Grid,
+    LevelCountMismatch,
     PoleOnGrid,
     SpectrumReport,
     SpectrumRow,
@@ -146,7 +147,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         out=pick(args.out, "out", None),
         corrupt_vn=Fraction(str(corrupt)) if corrupt is not None else None,
     )
-    # Bounds on nmax, checked here so no command starts exact work on them.
+    # Bounds on the grid and nmax, checked here so no command starts exact
+    # work on them.
+    cfg.grid()
     if cfg.n_max < 0:
         raise ValueError(f"--nmax {cfg.n_max} is below 0")
     if args.command == "classify" and cfg.n_max < cfg.levels[-1]:
@@ -171,12 +174,21 @@ def _out_stem(path: str) -> str:
     return path
 
 
-def _emit(text: str, files: dict[str, str]) -> None:
-    """Write each ``{path: content}`` entry, then print ``text``."""
+def _emit(text: str, files: dict[str, str]) -> int:
+    """Write each ``{path: content}`` entry, then print ``text``.
+
+    An unwritable path is bad input: it is reported, nothing is printed and
+    the exit code says so.
+    """
     for path, content in files.items():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            print(f"cannot write --out file: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     print(text)
+    return EXIT_OK
 
 
 # -- transform ----------------------------------------------------------------
@@ -214,8 +226,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     if cfg.out:
         stem = _out_stem(cfg.out)
         files = {stem + ".json": json_text + "\n", stem + ".csv": csv_text}
-    _emit(csv_text if cfg.fmt == "csv" else json_text, files)
-    return EXIT_OK
+    return _emit(csv_text if cfg.fmt == "csv" else json_text, files)
 
 
 # -- verify ---------------------------------------------------------------------
@@ -319,7 +330,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
     }
     text = json.dumps(report, indent=2)
-    _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
+    if _emit(text, {cfg.out: text + "\n"} if cfg.out else {}) != EXIT_OK:
+        return EXIT_BAD_INPUT
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"verification failed: {failures[0].name}", file=sys.stderr)
@@ -379,8 +391,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             f"{row.level:>5} {str(row.predicted):>10} {_fmt17(row.base_value):>22}"
             f" {row.base_error:>12.3e} {hn:>22} {hn_err:>12}"
         )
-    _emit("\n".join(lines), {cfg.out: _spectrum_file_text(report, cfg)} if cfg.out else {})
-    return EXIT_OK
+    return _emit("\n".join(lines), {cfg.out: _spectrum_file_text(report, cfg)} if cfg.out else {})
 
 
 # -- classify --------------------------------------------------------------------
@@ -396,8 +407,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "below_vacuum": sorted(result.below_vacuum),
     }
     text = json.dumps(doc, indent=2)
-    _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
-    return EXIT_OK
+    return _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
 
 
 # -- entry point --------------------------------------------------------------------
@@ -459,6 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except PoleOnGrid as exc:
         print(f"grid failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except LevelCountMismatch as exc:
+        print(f"spectrum check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -7,6 +7,7 @@ between the two layers is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -26,6 +27,10 @@ class NonConvergence(RuntimeError):
     """Inverse iteration failed to reach the residual target."""
 
 
+class LevelCountMismatch(RuntimeError):
+    """A Sturm count between predicted levels disagrees with the prediction."""
+
+
 GridFunction = np.ndarray
 Sampleable = Union[Poly, RatFun, GaussFun]
 
@@ -39,6 +44,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid ends must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if self.n_points < 3:
@@ -133,22 +140,34 @@ def build_hamiltonian(potential: GridFunction, grid: Grid) -> TridiagMatrix:
 _PIVMIN = 1e-200
 
 
-def _count_below(t: TridiagMatrix, lam: float) -> int:
-    # Sturm count: negative pivots of the LDL^T factorisation of T - lam*I.
-    # Vanishing pivots are fenced to -pivmin (they signal an eigenvalue of a
-    # leading minor at lam and must count as negative for monotonicity).
+def _sturm_rows(t: TridiagMatrix) -> tuple[list[float], list[float]]:
+    """The diagonal and the squared off-diagonal as Python floats.
+
+    The squares are led by a 0.0, so row 0 takes the same recurrence step as
+    every other row: ``diag[0] - lam - 0.0 / d`` is ``diag[0] - lam`` exactly.
+    """
+    return t.diag.tolist(), [0.0] + (t.off * t.off).tolist()
+
+
+def _count_below(diag: list[float], off_sq: list[float], lam: float, cap: int | None = None) -> int:
+    """Eigenvalues below ``lam`` (Sturm count), or ``cap`` once that many are found.
+
+    Counts the negative pivots of the LDL^T factorisation of T - lam*I, with
+    rows from ``_sturm_rows``.  Vanishing pivots are fenced to -pivmin (they
+    signal an eigenvalue of a leading minor at lam and must count as negative
+    for monotonicity).  Plain floats round as numpy float64 scalars do, so the
+    count is that of the same recurrence run on the arrays.
+    """
     count = 0
-    d = t.diag[0] - lam
-    if abs(d) < _PIVMIN:
-        d = -_PIVMIN
-    if d < 0.0:
-        count += 1
-    for i in range(1, t.size):
-        d = t.diag[i] - lam - (t.off[i - 1] * t.off[i - 1]) / d
+    d = 1.0
+    for di, osq in zip(diag, off_sq):
+        d = di - lam - osq / d
         if abs(d) < _PIVMIN:
             d = -_PIVMIN
         if d < 0.0:
             count += 1
+            if count == cap:
+                break
     return count
 
 
@@ -159,13 +178,15 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
     radius = np.abs(t.off)
     lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
     hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
+    diag, off_sq = _sturm_rows(t)
     out = []
     lo_start = lo_bound
     for j in range(1, k_lowest + 1):
         lo, hi = lo_start, hi_bound
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if _count_below(t, mid) >= j:
+            # Only "at least j below mid?" matters, so the count may stop at j.
+            if _count_below(diag, off_sq, mid, cap=j) >= j:
                 hi = mid
             else:
                 lo = mid
@@ -297,7 +318,10 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     """Numerically confirm that exactly the selected levels are deleted.
 
     The base spectrum is compared against {0..n_max}; the partner spectrum
-    against the same set minus the selection, matched in order.
+    against the same set minus the selection, matched in order.  Matching in
+    order is only sound when no level is missing or spurious, so the Sturm
+    count at every m + 1/2 must equal the number of predicted levels up to m;
+    LevelCountMismatch names the first sector and m where it does not.
     """
     v0 = sample(tr.base_potential, grid)
     vn = sample(tr.partner_potential, grid)
@@ -309,6 +333,15 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     base_eigs = eigenvalues_bisection(t0, n_max + 1)
     partner_eigs = eigenvalues_bisection(tn, len(survivors)) if survivors else []
     partner_by_level = dict(zip(survivors, partner_eigs))
+    for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
+        diag, off_sq = _sturm_rows(t)
+        for m in range(n_max + 1):
+            expected = sum(1 for n in levels if n <= m)
+            found = _count_below(diag, off_sq, m + 0.5)
+            if found != expected:
+                raise LevelCountMismatch(
+                    f"{sector} sector has {found} levels below m + 1/2 at m = {m}, expected {expected}"
+                )
 
     rows = []
     max_err = 0.0

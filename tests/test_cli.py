@@ -154,6 +154,14 @@ class TestSpectrumCommand:
         assert run("spectrum", "--levels", "1,2", "--nmax", "-1") == 2
         assert "--nmax -1 is below 0" in capsys.readouterr().err
 
+    def test_too_coarse_grid_fails_level_count(self, capsys):
+        code = run(
+            "spectrum", "--levels", "1,2", "--nmax", "8",
+            "--xmin", "-3", "--xmax", "3", "--points", "101",
+        )
+        assert code == 1
+        assert "base sector" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_excited_pair(self, capsys):
@@ -208,3 +216,37 @@ class TestConfigHandling:
     def test_seed_env_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("DARBOUX_SEED", "12345")
         assert run("classify", "--levels", "1,2", "--nmax", "3") == 0
+
+
+class TestGridAndOutputErrors:
+    @pytest.fixture
+    def no_exact_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact work started")
+
+        monkeypatch.setattr("darboux.cli.build_transform", refuse)
+
+    def test_too_few_points_rejected(self, no_exact_work, capsys):
+        assert run("verify", "--levels", "1,2", "--points", "2") == 2
+        assert "need at least 3 grid points" in capsys.readouterr().err
+
+    def test_empty_interval_rejected(self, no_exact_work, capsys):
+        assert run("verify", "--levels", "1,2", "--xmin", "3", "--xmax", "3") == 2
+        assert "x_min must be below x_max" in capsys.readouterr().err
+
+    def test_infinite_end_rejected(self, no_exact_work, capsys):
+        assert run("spectrum", "--levels", "1,2", "--xmin=-inf") == 2
+        assert "grid ends must be finite" in capsys.readouterr().err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "run"
+        assert run("transform", "--levels", "1,2", "--nmax", "3", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "cannot write --out file" in captured.err
+        assert captured.out == ""
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        assert run("classify", "--levels", "1,2", "--nmax", "3", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert "cannot write --out file" in captured.err
+        assert captured.out == ""

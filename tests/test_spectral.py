@@ -1,15 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from darboux.polynomial import Poly, RatFun
 from darboux.spectral import (
     Grid,
+    LevelCountMismatch,
     NonConvergence,
     PoleOnGrid,
     REFERENCE_GRID,
     TridiagMatrix,
+    _count_below,
+    _sturm_rows,
     build_hamiltonian,
     eigenvalues_bisection,
     eigenvector_inverse_iteration,
@@ -98,6 +104,39 @@ class TestBisection:
             eigenvalues_bisection(laplacian3, 4)
 
 
+@st.composite
+def integer_tridiagonals(draw):
+    # Small integer entries make zero pivots common, so the fence is exercised.
+    n = draw(st.integers(1, 7))
+    diag = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    off = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    return TridiagMatrix(np.array(diag, dtype=float), np.array(off, dtype=float))
+
+
+class TestSturmCount:
+    @settings(max_examples=300, deadline=None)
+    @given(t=integer_tridiagonals(), twice_lam=st.integers(-16, 16), cap=st.integers(1, 8))
+    @example(  # first pivot is exactly zero at lam = 1
+        t=TridiagMatrix(np.array([1.0, 1.0]), np.array([1.0])), twice_lam=2, cap=1
+    )
+    def test_count_matches_dense_eigenvalues(self, t, twice_lam, cap):
+        lam = twice_lam / 2
+        eigs = np.linalg.eigvalsh(t.dense())
+        assume(np.min(np.abs(eigs - lam)) >= 1e-6)
+        rows = _sturm_rows(t)
+        full = _count_below(*rows, lam)
+        assert full == int(np.sum(eigs < lam))
+        assert _count_below(*rows, lam, cap=cap) == min(full, cap)
+
+    def test_reference_partner_against_lapack(self, tr12):
+        linalg = pytest.importorskip("scipy.linalg")
+        g = REFERENCE_GRID
+        tn = build_hamiltonian(sample(tr12.partner_potential, g), g)
+        mine = eigenvalues_bisection(tn, 17)
+        oracle = linalg.eigvalsh_tridiagonal(tn.diag, tn.off, select="i", select_range=(0, 16))
+        assert np.max(np.abs(np.array(mine) - oracle)) < 1e-9
+
+
 class TestInverseIteration:
     def test_laplacian_middle_mode(self, laplacian3):
         v = eigenvector_inverse_iteration(laplacian3, 2.0)
@@ -180,3 +219,13 @@ class TestVerifySpectrum:
             errors.append([abs(eigs[n] - n) for n in range(4)])
         for coarse, fine in zip(*errors):
             assert 3.5 < coarse / fine < 4.5
+
+    def test_coarse_grid_fails_base_level_count(self, tr12):
+        with pytest.raises(LevelCountMismatch, match="base sector .* m = 2"):
+            verify_spectrum(tr12, 8, Grid(-3.0, 3.0, 101))
+
+    def test_spurious_partner_level_detected(self, tr12):
+        # The base potential keeps levels 1 and 2 the partner must not have.
+        undeleted = replace(tr12, partner_potential=tr12.base_potential)
+        with pytest.raises(LevelCountMismatch, match="partner sector .* m = 1"):
+            verify_spectrum(undeleted, 5, Grid(-12.0, 12.0, 1201))
