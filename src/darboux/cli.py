@@ -261,18 +261,17 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     bad = [k for k, u in zip(levels, tr.functions) if not crum_krein_apply(tr, u).is_zero]
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
-    adj = tr.operator.adjoint()
     bad = []
     for k, alpha, v in zip(levels, alphas, kernel_functions(tr)):
-        if not adj(v).is_zero:
+        if not tr.adjoint(v).is_zero:
             bad.append(("adjoint", k))
         if not (h_partner(v) - v * alpha).is_zero:
             bad.append(("eigen", k))
     record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 
+    images = {n: crum_krein_apply(tr, model.eigenfunction(n)) for n in survivors}
     bad = []
-    for n in survivors:
-        image = crum_krein_apply(tr, model.eigenfunction(n))
+    for n, image in images.items():
         if image.is_zero or not (h_partner(image) - image * model.energy(n)).is_zero:
             bad.append(n)
     record("eigen_residuals", not bad, "(hN - E_n) L phi_n = 0 for all surviving levels",
@@ -300,11 +299,10 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
 
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     worst = 0.0
-    for n in survivors:
+    for n, image in images.items():
         expected = 1.0
         for alpha in alphas:
             expected *= float(model.energy(n) - alpha)
-        image = crum_krein_apply(tr, model.eigenfunction(n))
         num = quadrature_simpson(sample(image, grid) ** 2, grid)
         got = num / (math.factorial(n) * sqrt_2pi)
         worst = max(worst, abs(got - expected) / abs(expected))
@@ -466,6 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg)
     except InadmissibleSelection as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except FloatingPointError as exc:
+        print(f"invalid grid: samples on [{cfg.x_min}, {cfg.x_max}] are not finite ({exc})",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     except PoleOnGrid as exc:
         print(f"grid failure: {exc}", file=sys.stderr)

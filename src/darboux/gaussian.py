@@ -270,12 +270,9 @@ def derivative_table(funcs: Sequence[GaussFun], max_order: int) -> list[list[Rat
     the shared exp(s x^2/4) factor is kept out of the matrix so determinants
     stay in the rational-function field.
     """
-    weight = common_weight(funcs)
-    table: list[list[RatFun]] = [[f.r for f in funcs]]
-    half = Fraction(weight, 2)
-    for _ in range(max_order):
-        table.append([r.derivative() + RatFun.x() * r * half for r in table[-1]])
-    return table
+    common_weight(funcs)  # a mixed-weight family raises MixedWeightError
+    columns = [f.derivatives(max_order) for f in funcs]
+    return [[col[m].r for col in columns] for m in range(max_order + 1)]
 
 
 def common_weight(funcs: Sequence[GaussFun]) -> Fraction:

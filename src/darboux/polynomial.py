@@ -153,12 +153,6 @@ class Poly:
                 r.pop()
         return Poly(q), Poly(r)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Division that must leave no remainder (raises otherwise)."""
         q, r = divmod(self, other)

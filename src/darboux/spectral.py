@@ -78,17 +78,22 @@ def _check_pole_free(den: Poly, grid: Grid) -> None:
 
 
 def sample(f: Sampleable, grid: Grid) -> GridFunction:
-    """Pointwise float samples of an exact object; poles are rejected exactly."""
+    """Pointwise float samples of an exact object; poles are rejected exactly.
+
+    An overflow or an invalid operation raises numpy's FloatingPointError
+    instead of leaving an inf or a nan in the samples.
+    """
     xs = grid.points()
-    if isinstance(f, Poly):
-        return _poly_values(f, xs)
-    if isinstance(f, RatFun):
-        _check_pole_free(f.den, grid)
-        return _poly_values(f.num, xs) / _poly_values(f.den, xs)
-    if isinstance(f, GaussFun):
-        _check_pole_free(f.r.den, grid)
-        base = _poly_values(f.r.num, xs) / _poly_values(f.r.den, xs)
-        return base * np.exp(float(f.s) * xs * xs / 4.0)
+    with np.errstate(over="raise", invalid="raise"):
+        if isinstance(f, Poly):
+            return _poly_values(f, xs)
+        if isinstance(f, RatFun):
+            _check_pole_free(f.den, grid)
+            return _poly_values(f.num, xs) / _poly_values(f.den, xs)
+        if isinstance(f, GaussFun):
+            _check_pole_free(f.r.den, grid)
+            base = _poly_values(f.r.num, xs) / _poly_values(f.r.den, xs)
+            return base * np.exp(float(f.s) * xs * xs / 4.0)
     raise TypeError(f"cannot sample {type(f).__name__}")
 
 
@@ -321,7 +326,8 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     against the same set minus the selection, matched in order.  Matching in
     order is only sound when no level is missing or spurious, so the Sturm
     count at every m + 1/2 must equal the number of predicted levels up to m;
-    LevelCountMismatch names the first sector and m where it does not.
+    LevelCountMismatch names the first sector and m where it does not.  The
+    counts are cheap, so they run before the eigenvalue solves.
     """
     v0 = sample(tr.base_potential, grid)
     vn = sample(tr.partner_potential, grid)
@@ -330,9 +336,6 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
 
     deleted = set(tr.selection.levels)
     survivors = [n for n in range(n_max + 1) if n not in deleted]
-    base_eigs = eigenvalues_bisection(t0, n_max + 1)
-    partner_eigs = eigenvalues_bisection(tn, len(survivors)) if survivors else []
-    partner_by_level = dict(zip(survivors, partner_eigs))
     for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
         diag, off_sq = _sturm_rows(t)
         for m in range(n_max + 1):
@@ -342,6 +345,9 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
                 raise LevelCountMismatch(
                     f"{sector} sector has {found} levels below m + 1/2 at m = {m}, expected {expected}"
                 )
+    base_eigs = eigenvalues_bisection(t0, n_max + 1)
+    partner_eigs = eigenvalues_bisection(tn, len(survivors)) if survivors else []
+    partner_by_level = dict(zip(survivors, partner_eigs))
 
     rows = []
     max_err = 0.0

@@ -98,7 +98,7 @@ def supercharge_apply(side: Literal["Q", "Q+"], tr: TransformResult, state: Doub
     if side == "Q":
         return Doublet(GaussFun.zero(), crum_krein_apply(tr, state.upper), state.energy)
     if side == "Q+":
-        return Doublet(tr.operator.adjoint()(state.lower), GaussFun.zero(), state.energy)
+        return Doublet(tr.adjoint(state.lower), GaussFun.zero(), state.energy)
     raise ValueError(f"unknown supercharge side {side!r}")
 
 
@@ -141,13 +141,10 @@ def anticommutator_check(
         for alpha in alphas:
             factor *= energy - alpha
 
-        via_q = supercharge_apply("Q+", tr, supercharge_apply("Q", tr, state))
-        via_qdag = supercharge_apply("Q", tr, supercharge_apply("Q+", tr, state))
-        acomm = Doublet(via_q.upper + via_qdag.upper, via_q.lower + via_qdag.lower, energy)
-        expected = state.scaled(factor)
-        acomm_ok = (
-            acomm.upper == expected.upper and acomm.lower == expected.lower
-        )
+        # state.lower is L phi already: {Q, Q+} state = (L+ L phi, L L+ L phi).
+        back = supercharge_apply("Q+", tr, state)
+        acomm = Doublet(back.upper, supercharge_apply("Q", tr, back).lower, energy)
+        acomm_ok = acomm == state.scaled(factor)
 
         residual = h_partner(state.lower) - state.lower * energy
         checks.append(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Protocol, Sequence
 
 from .gaussian import DiffOp, GaussFun, common_weight, derivative_table, wronskian
@@ -128,6 +129,11 @@ class TransformResult:
     @property
     def order(self) -> int:
         return self.selection.order
+
+    @cached_property
+    def adjoint(self) -> DiffOp:
+        """L+, built on first use and kept: every check reads this one."""
+        return self.operator.adjoint()
 
     def hamiltonian_partner(self) -> DiffOp:
         return DiffOp.schroedinger(self.partner_potential)
@@ -274,12 +280,11 @@ def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     residuals (zero operators on success) rather than raising.
     """
     op = tr.operator
-    adj = op.adjoint()
     alphas = tr.selection.alphas
 
-    product_base = adj.compose(op)
+    product_base = tr.adjoint.compose(op)
     expected_base = _hamiltonian_product(tr.base_potential, alphas)
-    product_partner = op.compose(adj)
+    product_partner = op.compose(tr.adjoint)
     expected_partner = _hamiltonian_product(tr.partner_potential, alphas)
 
     return FactorizationReport(

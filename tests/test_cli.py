@@ -1,9 +1,12 @@
 import json
 import re
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from darboux import cli, susy
 from darboux.cli import (
     fraction_from_json,
     main,
@@ -12,8 +15,9 @@ from darboux.cli import (
     transform_to_json,
 )
 from darboux.oscillator import OscillatorModel
+from darboux.gaussian import DiffOp
 from darboux.polynomial import Poly
-from darboux.transform import build_transform
+from darboux.transform import build_transform, crum_krein_apply
 
 
 def run(*argv):
@@ -110,6 +114,26 @@ class TestVerifyCommand:
     def test_negative_nmax_rejected(self, capsys):
         assert run("verify", "--levels", "1,2", "--nmax", "-1") == 2
         assert "--nmax -1 is below 0" in capsys.readouterr().err
+
+
+    def test_each_exact_object_built_once(self, monkeypatch, capsys):
+        # L+ has one owner, the transform, and each image L phi_n is built
+        # once per check that needs it: 2 kernel + 7 survivor + 2 * 9 doublet.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(DiffOp, "adjoint", counted("adjoint", DiffOp.adjoint))
+        apply = counted("apply", crum_krein_apply)
+        for module in (cli, susy):
+            monkeypatch.setattr(module, "crum_krein_apply", apply)
+        assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
+        capsys.readouterr()
+        assert calls == {"adjoint": 1, "apply": 27}
 
 
 class TestSpectrumCommand:
@@ -250,3 +274,31 @@ class TestGridAndOutputErrors:
         captured = capsys.readouterr()
         assert "cannot write --out file" in captured.err
         assert captured.out == ""
+
+
+class TestUnsampleableGrid:
+    @pytest.mark.parametrize("command", [
+        ("verify", "--nmax", "2"),
+        ("transform", "--format", "csv"),
+    ])
+    def test_overflowing_grid_is_bad_input(self, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(*command, "--levels", "1,2", "--xmin=-1e300", "--xmax=1e300",
+                       "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "[-1e+300, 1e+300]" in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ends, code", [(("-100", "100"), 0), (("-1e10", "1e10"), 1)])
+    def test_wide_finite_grids_keep_their_codes(self, ends, code, capsys):
+        xmin, xmax = ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("verify", "--levels", "1,2", "--nmax", "2",
+                       f"--xmin={xmin}", f"--xmax={xmax}") == code
+        capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,19 @@ class TestGridAndSampling:
         g = Grid(-2.0, 2.0, 5)
         vals = sample(model.eigenfunction(0), g)
         assert vals[-1] == pytest.approx(math.exp(-1.0), abs=1e-15)
+
+    def test_overflow_raises_instead_of_inf(self, model, tr12):
+        huge = Grid(-1e300, 1e300, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for f in (model.potential, tr12.partner_potential, model.eigenfunction(3)):
+                with pytest.raises(FloatingPointError):
+                    sample(f, huge)
+
+    def test_underflow_samples_to_zero(self, model):
+        values = sample(model.eigenfunction(2), Grid(-1e10, 1e10, 101))
+        assert np.all(np.isfinite(values))
+        assert values[0] == 0.0
 
     def test_pole_rejected(self):
         f = RatFun(Poly.one(), Poly((0, 1)))  # 1/x
@@ -221,6 +235,14 @@ class TestVerifySpectrum:
             assert 3.5 < coarse / fine < 4.5
 
     def test_coarse_grid_fails_base_level_count(self, tr12):
+        with pytest.raises(LevelCountMismatch, match="base sector .* m = 2"):
+            verify_spectrum(tr12, 8, Grid(-3.0, 3.0, 101))
+
+    def test_level_count_gate_runs_before_the_solves(self, tr12, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvalue solve started")
+
+        monkeypatch.setattr("darboux.spectral.eigenvalues_bisection", refuse)
         with pytest.raises(LevelCountMismatch, match="base sector .* m = 2"):
             verify_spectrum(tr12, 8, Grid(-3.0, 3.0, 101))
 

@@ -85,3 +85,41 @@ class TestAnticommutator:
     def test_intertwining_residuals(self, model, tr12):
         report = anticommutator_check(model, tr12, range(6))
         assert all(c.intertwining_ok for c in report.checks)
+
+    @pytest.mark.parametrize("levels", [(1, 2), (0, 1, 6, 7)])
+    def test_agrees_with_four_supercharge_oracle(self, model, levels):
+        # The oracle sums Q+ Q and Q Q+ from four separate applications.
+        tr = build_transform(model, levels)
+        report = anticommutator_check(model, tr, range(6))
+        assert report.ok
+        for n, check in zip(range(6), report.checks):
+            state = eigen_doublet(model, tr, n)
+            via_q = supercharge_apply("Q+", tr, supercharge_apply("Q", tr, state))
+            via_qdag = supercharge_apply("Q", tr, supercharge_apply("Q+", tr, state))
+            acomm = Doublet(
+                via_q.upper + via_qdag.upper, via_q.lower + via_qdag.lower, state.energy
+            )
+            factor = Fraction(1)
+            for alpha in tr.selection.alphas:
+                factor *= model.energy(n) - alpha
+            assert check.factor == factor
+            assert acomm == state.scaled(factor)
+
+    def test_two_supercharge_applications_per_level(self, model, tr12, monkeypatch):
+        sides = []
+
+        def counted(side, tr, state):
+            sides.append(side)
+            return supercharge_apply(side, tr, state)
+
+        monkeypatch.setattr("darboux.susy.supercharge_apply", counted)
+        assert anticommutator_check(model, tr12, range(4)).ok
+        assert sides == ["Q+", "Q"] * 4
+
+    def test_wrong_adjoint_fails_every_doublet(self, model):
+        tr = build_transform(model, (1, 2))
+        tr.__dict__["adjoint"] = tr.operator.adjoint() * 2
+        report = anticommutator_check(model, tr, range(5))
+        assert {c.level: c.anticommutator_ok for c in report.checks} == {
+            0: False, 1: True, 2: True, 3: False, 4: False,
+        }

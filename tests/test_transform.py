@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -178,6 +179,15 @@ class TestFactorization:
         report = factorization_identity_check(tr12)
         assert report.base_ok and report.partner_ok
         assert report.residual_base.is_zero
+
+    def test_adjoint_is_built_once_per_transform(self, tr12):
+        assert tr12.adjoint is tr12.adjoint
+        assert tr12.adjoint == tr12.operator.adjoint()
+
+    def test_replaced_transform_gets_its_own_adjoint(self, tr12):
+        tr12.adjoint
+        first_order = replace(tr12, operator=DiffOp.d())
+        assert first_order.adjoint == -DiffOp.d()
 
     def test_action_on_ground_state(self, tr12):
         # L+ L phi_0 = (0-1)(0-2) phi_0 = 2 phi_0
