@@ -28,7 +28,14 @@ from .spectral import (
     sample,
     verify_spectrum,
 )
-from .susy import Doublet, SusyClassification, anticommutator_check, classify, supercharge_apply
+from .susy import (
+    Doublet,
+    SusyClassification,
+    anticommutator_check,
+    classify,
+    eigen_doublet,
+    supercharge_apply,
+)
 from .transform import (
     DegenerateTransformation,
     InadmissibleSelection,
@@ -76,6 +83,7 @@ __all__ = [
     "SusyClassification",
     "anticommutator_check",
     "classify",
+    "eigen_doublet",
     "supercharge_apply",
     "DegenerateTransformation",
     "InadmissibleSelection",

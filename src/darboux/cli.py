@@ -32,7 +32,7 @@ from .spectral import (
     sample,
     verify_spectrum,
 )
-from .susy import anticommutator_check, classify
+from .susy import anticommutator_check, classify, eigen_doublet
 from .transform import (
     InadmissibleSelection,
     TransformResult,
@@ -106,9 +106,49 @@ class RunConfig:
         return Grid(self.x_min, self.x_max, self.n_points)
 
 
+_FORMATS = ("json", "csv")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Config-file keys (the flags' destinations) and what each value must be.
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "levels": ("a list of integers or a comma-separated string",
+               lambda v: isinstance(v, str) or (isinstance(v, list) and all(map(_is_int, v)))),
+    "nmax": ("an integer", _is_int),
+    "xmin": ("a number", _is_number),
+    "xmax": ("a number", _is_number),
+    "points": ("an integer", _is_int),
+    "format": (" or ".join(f'"{f}"' for f in _FORMATS), lambda v: isinstance(v, str) and v in _FORMATS),
+    "out": ("a string", lambda v: isinstance(v, str)),
+    "corrupt_vn": ("a number or a string", lambda v: isinstance(v, str) or _is_number(v)),
+}
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``, every key known and every value typed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {json.dumps(cfg)}")
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r} in {path}; known keys: {', '.join(_CONFIG_KEYS)}")
+        what, valid = _CONFIG_KEYS[key]
+        if not valid(value):
+            raise ValueError(f"{key!r} in {path} must be {what}, got {json.dumps(value)}")
+    return cfg
+
+
 def _parse_levels(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        values = [int(v) for v in raw]
+    if isinstance(raw, list):
+        values = list(raw)
     else:
         values = [int(part) for part in str(raw).split(",") if part.strip() != ""]
     if not values:
@@ -123,10 +163,7 @@ def _parse_levels(raw) -> tuple[int, ...]:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File config first, flags win on conflict."""
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+    file_cfg = _read_config(args.config) if args.config else {}
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -139,11 +176,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     corrupt = pick(getattr(args, "corrupt_vn", None), "corrupt_vn", None)
     cfg = RunConfig(
         levels=_parse_levels(levels_raw),
-        n_max=int(pick(args.nmax, "nmax", 8)),
+        n_max=pick(args.nmax, "nmax", 8),
         x_min=float(pick(args.xmin, "xmin", -12.0)),
         x_max=float(pick(args.xmax, "xmax", 12.0)),
-        n_points=int(pick(args.points, "points", 2401)),
-        fmt=str(pick(args.format, "format", "json")),
+        n_points=pick(args.points, "points", 2401),
+        fmt=pick(args.format, "format", "json"),
         out=pick(args.out, "out", None),
         corrupt_vn=Fraction(str(corrupt)) if corrupt is not None else None,
     )
@@ -258,7 +295,10 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     record("L_L_dagger_factorization", factorization.partner_ok, "exact-zero residual",
            f"residual {factorization.residual_partner!r}")
 
-    bad = [k for k, u in zip(levels, tr.functions) if not crum_krein_apply(tr, u).is_zero]
+    # Each image L phi_n is built once: the kernel check reads the selected
+    # levels, the partner-side checks read the survivors.
+    doublets = {n: eigen_doublet(model, tr, n) for n in sorted({*range(n_max + 1), *levels})}
+    bad = [k for k in levels if not doublets[k].lower.is_zero]
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
     bad = []
@@ -269,7 +309,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
             bad.append(("eigen", k))
     record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 
-    images = {n: crum_krein_apply(tr, model.eigenfunction(n)) for n in survivors}
+    images = {n: doublets[n].lower for n in survivors}
     bad = []
     for n, image in images.items():
         if image.is_zero or not (h_partner(image) - image * model.energy(n)).is_zero:
@@ -283,7 +323,8 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     else:
         record("golden_closed_forms", True, skipped)
 
-    record("superalgebra_anticommutator", anticommutator_check(model, tr, range(n_max + 1)).ok,
+    acomm = anticommutator_check(tr, {n: doublets[n] for n in range(n_max + 1)})
+    record("superalgebra_anticommutator", acomm.ok,
            "factor prod(E - alpha_i) on every eigen-doublet", "mismatch")
 
     grid = cfg.grid()
@@ -429,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xmin", type=float, help="grid left end (default -12)")
         p.add_argument("--xmax", type=float, help="grid right end (default 12)")
         p.add_argument("--points", type=int, help="grid point count (default 2401)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
+        p.add_argument("--format", choices=_FORMATS, help="output format (default json)")
         p.add_argument("--out", help="output path")
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         if name == "verify":
@@ -457,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         cfg = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

@@ -1,11 +1,15 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``), so
-every operation in this module is exact and deterministic.  All values are
-canonical: polynomials carry no trailing zero coefficients, rational
-functions are gcd-reduced with a monic denominator.  Structural equality
-therefore coincides with value equality, which is what lets the operator
-identity checks elsewhere reduce to ``==``.
+A ``Poly`` holds integer numerators over one positive common denominator, so
+every ring operation (sums, products, derivatives, division) runs in ``int``
+arithmetic and ends in a single reduction; ``Poly.coeffs`` presents the
+same values as ``fractions.Fraction`` coefficients.  Everything in this
+module is exact and deterministic.  All values are canonical: a polynomial's
+denominator is positive and coprime to the content of its numerators, with
+no trailing zero coefficient, and rational functions are gcd-reduced with a
+monic denominator.  Structural equality therefore coincides with value
+equality, which is what lets the operator identity checks elsewhere reduce
+to ``==``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -28,29 +34,39 @@ def _frac(value: Scalar) -> Fraction:
 
 
 class Poly:
-    """Dense polynomial over the rationals, coefficients lowest degree first.
+    """Dense polynomial over the rationals: ``nums[i] / den`` is the
+    coefficient of x^i, lowest degree first.
 
-    The zero polynomial is canonically the empty coefficient tuple; any
-    nonzero polynomial has a nonzero leading coefficient.
+    Canonical form: ``den > 0``, gcd(den, nums) = 1 and no trailing zero in
+    ``nums``; the zero polynomial is ``nums == ()`` with ``den == 1``.  Each
+    value has exactly one such form.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = 1
+        for c in cs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        self.nums, self.den = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial with coefficients nums[i] / den (den nonzero)."""
+        p = object.__new__(cls)
+        p.nums, p.den = _canonical(nums, den)
+        return p
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return cls._of([], 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._of([1], 1)
 
     @classmethod
     def x(cls) -> "Poly":
@@ -63,20 +79,26 @@ class Poly:
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def lead(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     # -- ring operations ----------------------------------------------
 
@@ -84,13 +106,19 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self[i] + other[i] for i in range(n))
+        da, db = self.den, other.den
+        if da == db:
+            out = [a + b for a, b in zip_longest(self.nums, other.nums, fillvalue=0)]
+            return Poly._of(out, da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        out = [a * sa + b * sb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return Poly._of(out, da * sa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._of([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -102,19 +130,14 @@ class Poly:
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+        if isinstance(other, int):
+            return Poly._of([c * other for c in self.nums], self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return Poly._of([c * n for c in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly._of(_int_mul(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -131,27 +154,19 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division; exact over the rational coefficient field."""
+        """Euclidean division over the rationals, by integer pseudo-division.
+
+        With a = A/da and b = B/db, lead(B)^e A = Q B + R gives
+        q = Q db / (lead(B)^e da) and r = R / (lead(B)^e da).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if other.degree() == 0:
-            inv = 1 / other.coeffs[0]
-            return Poly(c * inv for c in self.coeffs), Poly.zero()
-        d = other.degree()
-        lead = other.lead()
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(len(r) - d, 1)
-        while len(r) > d:
-            c = r[-1] / lead
-            shift = len(r) - 1 - d
-            q[shift] = c
-            if c != 0:
-                for i in range(d):
-                    r[shift + i] -= c * other.coeffs[i]
-            r.pop()
-            while r and r[-1] == 0 and len(r) > d:
-                r.pop()
-        return Poly(q), Poly(r)
+        b = other.nums
+        if len(b) == 1:
+            return Poly._of([c * other.den for c in self.nums], self.den * b[0]), Poly.zero()
+        q, r, e = _int_pseudo_divmod(self.nums, b)
+        scale = self.den * b[-1] ** e
+        return Poly._of([c * other.den for c in q], scale), Poly._of(r, scale)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Division that must leave no remainder (raises otherwise)."""
@@ -163,7 +178,7 @@ class Poly:
     # -- calculus and evaluation ---------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly._of([i * c for i, c in enumerate(self.nums[1:], 1)], self.den)
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and float arguments alike."""
@@ -175,10 +190,9 @@ class Poly:
     # -- normal forms ---------------------------------------------------
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if self.is_zero or self.nums[-1] == self.den:
             return self
-        lc = self.lead()
-        return self if lc == 1 else self * (1 / lc)
+        return Poly._of(list(self.nums), self.nums[-1])
 
     # -- comparison / display -------------------------------------------
 
@@ -186,10 +200,10 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -215,12 +229,78 @@ class Poly:
         return out
 
 
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (nums, den) for the coefficients nums[i] / den."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den < 0:
+        den = -den
+        nums = [-c for c in nums]
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
+
+
 def _as_poly(value) -> "Poly":
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly((value,))
+    if isinstance(value, int):
+        return Poly._of([value], 1)
+    if isinstance(value, Fraction):
+        return Poly._of([value.numerator], value.denominator)
     return NotImplemented
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient sequences, one dot product per
+    output coefficient."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= 1:
+        return [a[0] * y for y in b] if a else []
+    rb = b[::-1]
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(la + lb - 1):
+        lo = k - lb + 1 if k >= lb else 0
+        hi = k + 1 if k < la else la
+        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    return out
+
+
+def _int_pseudo_divmod(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Integer q, r and e >= 0 with lead(b)^e * a = q*b + r, deg r < deg b.
+
+    A step whose top coefficient lead(b) divides needs no scaling, so e
+    counts only the steps that do.  r carries no trailing zero.
+    """
+    d = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(len(r) - d, 0)
+    e = 0
+    for k in range(len(r) - 1 - d, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        c, rem = divmod(top, lead)
+        if rem:
+            r = [x * lead for x in r]
+            q = [x * lead for x in q]
+            e += 1
+            c = top
+        q[k] = c
+        r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, e
 
 
 def _int_content_free(ints: list[int]) -> list[int]:
@@ -231,54 +311,23 @@ def _int_content_free(ints: list[int]) -> list[int]:
 
 def _int_primitive(p: Poly) -> list[int]:
     """Coprime integer coefficients of a positive rational multiple of p."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return _int_content_free([c.numerator * (den_lcm // c.denominator) for c in p.coeffs])
-
-
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (b nonzero).
-
-    Each step replaces r by |lead(b)|*r - sign(lead(b))*top(r)*x^shift*b, so
-    the loop stays in integer arithmetic and the result is a positive
-    multiple of the Euclidean remainder: Sturm chains rely on that sign, and
-    the accumulated |lead(b)| powers wash out in the caller's content
-    reduction.
-    """
-    d = len(b) - 1
-    scale = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    r = list(a)
-    while len(r) > d:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        top = sign * r[-1]
-        if scale != 1:
-            r = [c * scale for c in r]
-        shift = len(r) - 1 - d
-        for i in range(d):
-            r[shift + i] -= top * b[i]
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return _int_content_free(list(p.nums))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, computed by a primitive integer
-    pseudo-remainder sequence (no rational arithmetic in the loop)."""
+    pseudo-remainder sequence on the numerators."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    if a.degree() == 0 or b.degree() == 0:
+        return Poly.one()
     x = _int_primitive(a)
     y = _int_primitive(b)
     while y:
-        x, y = y, _int_content_free(_int_pseudo_rem(x, y))
-    lead = x[-1]
-    return Poly(Fraction(c, lead) for c in x)
+        x, y = y, _int_content_free(_int_pseudo_divmod(x, y)[1])
+    return Poly._of(x, x[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -314,7 +363,8 @@ def hermite_he(n: int) -> Poly:
 def _sturm_chain(p: Poly) -> list[list[int]]:
     # Square-free reduction first so the classical sign-variation count
     # applies verbatim.  Every member is a positive multiple of the classical
-    # Sturm polynomial, held as coprime integer coefficients.
+    # Sturm polynomial, held as coprime integer coefficients: a remainder
+    # scaled by lead^e with lead < 0 and e odd has its sign restored.
     g = poly_gcd(p, p.derivative())
     if g.degree() > 0:
         p = p.exact_div(g)
@@ -322,8 +372,9 @@ def _sturm_chain(p: Poly) -> list[list[int]]:
     chain.append(_int_content_free([i * c for i, c in enumerate(chain[0]) if i]))
     # p is square-free, so the sequence ends at a nonzero constant.
     while len(chain[-1]) > 1:
-        rem = _int_pseudo_rem(chain[-2], chain[-1])
-        chain.append(_int_content_free([-c for c in rem]))
+        _, rem, e = _int_pseudo_divmod(chain[-2], chain[-1])
+        sign = -1 if chain[-1][-1] > 0 or e % 2 == 0 else 1
+        chain.append(_int_content_free([sign * c for c in rem]))
     return chain
 
 
@@ -555,7 +606,7 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFun", self.num, self.den))
 
     def __repr__(self) -> str:
         if self.den == Poly.one():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Literal, Mapping
 
 from .gaussian import GaussFun
 from .transform import SolvableModel, TransformResult, crum_krein_apply
@@ -123,19 +123,18 @@ class AnticommutatorReport:
         return all(c.ok for c in self.checks)
 
 
-def anticommutator_check(
-    model: SolvableModel, tr: TransformResult, levels: Iterable[int]
-) -> AnticommutatorReport:
+def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -> AnticommutatorReport:
     """Verify {Q, Q+} = prod_i (E - alpha_i) on exact eigen-doublets.
 
-    Also confirms that Q commutes with the super-Hamiltonian by checking the
-    intertwining residual (hN - E)(L phi_n) = 0 exactly.
+    ``doublets`` maps each level n to its eigen-doublet (phi_n, L phi_n),
+    as built by ``eigen_doublet``.  Also confirms that Q commutes with the
+    super-Hamiltonian by checking the intertwining residual
+    (hN - E)(L phi_n) = 0 exactly.
     """
     alphas = tr.selection.alphas
     h_partner = tr.hamiltonian_partner()
     checks = []
-    for n in levels:
-        state = eigen_doublet(model, tr, n)
+    for n, state in doublets.items():
         energy = state.energy
         factor = Fraction(1)
         for alpha in alphas:

@@ -11,7 +11,8 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   quotient (the two routes are asserted against each other),
 * the kernel functions of the adjoint operator, and
 * exact checks of the factorisation identities
-  L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i).
+  L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
+  the first expanded and the second derived from it and L h0 = hN L.
 
 Deleting an admissible selection removes exactly those levels from the
 partner spectrum while every other level survives with the same energy.
@@ -243,13 +244,9 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Outcome of the exact operator factorisation identities."""
+    """Residuals of the exact operator factorisation identities."""
 
-    product_base: DiffOp
-    expected_base: DiffOp
     residual_base: DiffOp
-    product_partner: DiffOp
-    expected_partner: DiffOp
     residual_partner: DiffOp
 
     @property
@@ -276,22 +273,29 @@ def _hamiltonian_product(potential: RatFun, alphas: Sequence[Fraction]) -> DiffO
 def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i).
 
-    Both sides are expanded to canonical operators; the report carries the
-    residuals (zero operators on success) rather than raising.
+    The base identity is expanded to a canonical residual.  The partner
+    identity is derived (Crum 1955): with P(h) = prod (h - alpha_i),
+
+        (L L+ - P(hN)) L = L (L+ L - P(h0)) + (L P(h0) - P(hN) L),
+
+    and the last term vanishes once L h0 = hN L.  Operators with rational
+    coefficients have no zero divisors, so an exact zero base residual and
+    an exact intertwining prove the partner identity.  When either is
+    nonzero, L L+ is expanded so the report carries the actual partner
+    residual.  The report carries residuals (zero operators on success)
+    rather than raising.
     """
     op = tr.operator
     alphas = tr.selection.alphas
-
-    product_base = tr.adjoint.compose(op)
-    expected_base = _hamiltonian_product(tr.base_potential, alphas)
-    product_partner = op.compose(tr.adjoint)
-    expected_partner = _hamiltonian_product(tr.partner_potential, alphas)
-
-    return FactorizationReport(
-        product_base=product_base,
-        expected_base=expected_base,
-        residual_base=product_base - expected_base,
-        product_partner=product_partner,
-        expected_partner=expected_partner,
-        residual_partner=product_partner - expected_partner,
+    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(tr.base_potential, alphas)
+    intertwining = (
+        op.compose(DiffOp.schroedinger(tr.base_potential))
+        - tr.hamiltonian_partner().compose(op)
     )
+    if residual_base.is_zero and intertwining.is_zero:
+        residual_partner = DiffOp.zero()
+    else:
+        residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(
+            tr.partner_potential, alphas
+        )
+    return FactorizationReport(residual_base=residual_base, residual_partner=residual_partner)

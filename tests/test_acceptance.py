@@ -30,7 +30,7 @@ from darboux.spectral import (
     quadrature_simpson,
     sample,
 )
-from darboux.susy import anticommutator_check, classify
+from darboux.susy import anticommutator_check, classify, eigen_doublet
 from darboux.transform import (
     InadmissibleSelection,
     build_transform,
@@ -148,7 +148,7 @@ def test_criterion_6_susy_classification(model, transforms):
     assert result.vacuum_energy == Fraction(1)
     assert singlets == {1, 2}
     assert result.tags[0] == "doublet" and 0 in result.below_vacuum
-    report = anticommutator_check(model, tr, [0])
+    report = anticommutator_check(tr, {0: eigen_doublet(model, tr, 0)})
     assert report.ok and report.checks[0].factor == 2
     _report(
         6,

@@ -117,8 +117,9 @@ class TestVerifyCommand:
 
 
     def test_each_exact_object_built_once(self, monkeypatch, capsys):
-        # L+ has one owner, the transform, and each image L phi_n is built
-        # once per check that needs it: 2 kernel + 7 survivor + 2 * 9 doublet.
+        # L+ has one owner, the transform, and each image L phi_n has one
+        # owner, its eigen-doublet: 9 doublets + 9 Q applications in the
+        # anticommutator check.
         calls = Counter()
 
         def counted(name, fn):
@@ -133,7 +134,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "crum_krein_apply", apply)
         assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
-        assert calls == {"adjoint": 1, "apply": 27}
+        assert calls == {"adjoint": 1, "apply": 18}
 
 
 class TestSpectrumCommand:
@@ -236,6 +237,29 @@ class TestConfigHandling:
     def test_bad_levels_rejected(self, capsys):
         assert run("classify", "--levels", "-1,2") == 2
         assert run("classify", "--levels", "") == 2
+
+    @pytest.mark.parametrize("content, message", [
+        ([1, 2], "must hold a JSON object, got [1, 2]"),
+        ({"levels": [[1], 2]}, "'levels' in"),
+        ({"levels": [1, 2], "nmax": None}, "'nmax' in"),
+        ({"levels": [1, 2], "out": 5}, "'out' in"),
+        ({"levels": [1, 2], "format": "xml"}, "'format' in"),
+        ({"levels": [True, 2]}, "'levels' in"),
+        ({"levels": [1, 2], "n_max": 3}, "unknown key 'n_max'"),
+    ], ids=["array", "nested-level", "null-nmax", "int-out", "xml-format", "bool-level",
+            "unknown-key"])
+    def test_malformed_config_is_bad_input(self, content, message, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("exact work started")
+
+        monkeypatch.setattr("darboux.cli.build_transform", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert run("transform", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_seed_env_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("DARBOUX_SEED", "12345")

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darboux.polynomial import (
@@ -93,6 +94,137 @@ class TestPoly:
         p = P(1, 0, 2)
         assert p(Fraction(1, 2)) == Fraction(3, 2)
         assert p(2.0) == 9.0
+
+
+# Reference arithmetic on plain Fraction tuples, lowest degree first, with no
+# trailing zero: the coefficient-wise representation the integer core replaces.
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r.pop()
+    return _ref_trim(q), _ref_trim(r)
+
+
+def _ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _assert_canonical(p: Poly):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.nums or p.den == 1
+
+
+_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+_coeff_lists = st.lists(_rationals, max_size=7).map(_ref_trim)
+_divisors = st.one_of(
+    _coeff_lists.filter(bool),
+    _rationals.filter(bool).map(lambda c: (c,)),  # constants
+    _coeff_lists.filter(lambda cs: len(cs) > 1).map(lambda cs: tuple(-c for c in cs)),
+)
+
+
+class TestIntegerCore:
+    """The integer-numerator Poly against the Fraction-tuple reference."""
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(_coeff_lists, _coeff_lists, _rationals)
+    def test_ring_operations(self, a, b, c):
+        pa, pb = Poly(a), Poly(b)
+        assert pa.coeffs == a
+        for got, want in [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, tuple(-x for x in b))),
+            (-pa, tuple(-x for x in a)),
+            (pa * pb, _ref_mul(a, b)),
+            (pa * c, _ref_mul(a, (c,))),
+            (c * pa, _ref_mul(a, (c,))),
+            (pa * c.numerator, _ref_mul(a, (c.numerator,))),
+            (pa + c, _ref_add(a, (c,))),
+            (pa.derivative(), _ref_trim(i * x for i, x in enumerate(a) if i)),
+            (pa.monic(), _ref_monic(a)),
+        ]:
+            _assert_canonical(got)
+            assert got.coeffs == want
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(_coeff_lists, _divisors)
+    @example((Fraction(1), Fraction(0), Fraction(1)), (Fraction(3), Fraction(-2)))
+    @example((Fraction(1, 3), Fraction(5), Fraction(0), Fraction(7, 2)), (Fraction(-5, 4),))
+    @example((Fraction(2), Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(-6)))
+    def test_divmod_and_gcd(self, a, b):
+        q, r = divmod(Poly(a), Poly(b))
+        _assert_canonical(q)
+        _assert_canonical(r)
+        assert (q.coeffs, r.coeffs) == _ref_divmod(a, b)
+        g = poly_gcd(Poly(a), Poly(b))
+        _assert_canonical(g)
+        assert g.coeffs == _ref_gcd(a, b)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(_coeff_lists, _divisors, _coeff_lists)
+    def test_exact_div(self, a, b, extra):
+        pa, pb = Poly(a), Poly(b)
+        assert (pa * pb).exact_div(pb) == pa
+        r = _ref_divmod(extra, b)[1]
+        if r:  # a nonzero remainder of degree below deg b
+            with pytest.raises(ArithmeticError):
+                (pa * pb + Poly(r)).exact_div(pb)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(_coeff_lists, _coeff_lists, _coeff_lists, st.integers(1, 10**9))
+    def test_equal_values_hash_alike(self, a, b, c, k):
+        pa, pb, pc = Poly(a), Poly(b), Poly(c)
+        routes = [
+            ((pa * pb) * pc, pa * (pb * pc)),
+            (pa + pb - pb, pa),
+            ((pa * k) * Fraction(1, k), pa),
+            (Poly(x * k for x in a) * Fraction(1, k), pa),
+            (pa.derivative(), (pa * 2).derivative() * Fraction(1, 2)),
+        ]
+        for x, y in routes:
+            _assert_canonical(x)
+            assert x == y and hash(x) == hash(y)
+            assert len({x, y}) == 1
+
+    def test_zero_is_canonical(self):
+        for z in (Poly(()), Poly((0, Fraction(0, 7))), P(Fraction(1, 3)) - P(Fraction(1, 3))):
+            _assert_canonical(z)
+            assert (z.nums, z.den) == ((), 1)
 
 
 class TestHermite:

@@ -13,6 +13,10 @@ from darboux.susy import (
 from darboux.transform import build_transform
 
 
+def doublets(model, tr, levels):
+    return {n: eigen_doublet(model, tr, n) for n in levels}
+
+
 class TestClassify:
     def test_excited_pair(self, model, tr12):
         result = classify(model, tr12, n_max=5)
@@ -70,7 +74,7 @@ class TestSupercharges:
 
 class TestAnticommutator:
     def test_factors_excited_pair(self, model, tr12):
-        report = anticommutator_check(model, tr12, range(6))
+        report = anticommutator_check(tr12, doublets(model, tr12, range(6)))
         assert report.ok
         factors = {c.level: c.factor for c in report.checks}
         assert factors[0] == 2  # (0-1)(0-2)
@@ -78,19 +82,19 @@ class TestAnticommutator:
         assert factors[3] == 2  # (3-1)(3-2)
 
     def test_factor_ground_pair(self, model, tr01):
-        report = anticommutator_check(model, tr01, [3])
+        report = anticommutator_check(tr01, doublets(model, tr01, [3]))
         assert report.ok
         assert report.checks[0].factor == 6  # (3-0)(3-1)
 
     def test_intertwining_residuals(self, model, tr12):
-        report = anticommutator_check(model, tr12, range(6))
+        report = anticommutator_check(tr12, doublets(model, tr12, range(6)))
         assert all(c.intertwining_ok for c in report.checks)
 
     @pytest.mark.parametrize("levels", [(1, 2), (0, 1, 6, 7)])
     def test_agrees_with_four_supercharge_oracle(self, model, levels):
         # The oracle sums Q+ Q and Q Q+ from four separate applications.
         tr = build_transform(model, levels)
-        report = anticommutator_check(model, tr, range(6))
+        report = anticommutator_check(tr, doublets(model, tr, range(6)))
         assert report.ok
         for n, check in zip(range(6), report.checks):
             state = eigen_doublet(model, tr, n)
@@ -113,13 +117,13 @@ class TestAnticommutator:
             return supercharge_apply(side, tr, state)
 
         monkeypatch.setattr("darboux.susy.supercharge_apply", counted)
-        assert anticommutator_check(model, tr12, range(4)).ok
+        assert anticommutator_check(tr12, doublets(model, tr12, range(4))).ok
         assert sides == ["Q+", "Q"] * 4
 
     def test_wrong_adjoint_fails_every_doublet(self, model):
         tr = build_transform(model, (1, 2))
         tr.__dict__["adjoint"] = tr.operator.adjoint() * 2
-        report = anticommutator_check(model, tr, range(5))
+        report = anticommutator_check(tr, doublets(model, tr, range(5)))
         assert {c.level: c.anticommutator_ok for c in report.checks} == {
             0: False, 1: True, 2: True, 3: False, 4: False,
         }

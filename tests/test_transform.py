@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darboux.gaussian import DiffOp, GaussFun, wronskian
+from darboux.oscillator import OscillatorModel
 from darboux.polynomial import Poly, RatFun, hermite_he, sturm_real_root_count
 from darboux.transform import (
     InadmissibleSelection,
@@ -206,6 +209,70 @@ class TestFactorization:
                 continue
             image = crum_krein_apply(tr12, phi(n))
             assert (h_partner(image) - model.energy(n) * image).is_zero
+
+
+def _expanded_product(h: DiffOp, alphas) -> DiffOp:
+    product = DiffOp.identity()
+    for alpha in alphas:
+        product = product.compose(h - alpha * DiffOp.identity())
+    return product
+
+
+def _expanded_residuals(tr):
+    """Both identities expanded in full: the route the derived check replaces."""
+    op, adjoint, alphas = tr.operator, tr.operator.adjoint(), tr.selection.alphas
+    h0 = DiffOp.schroedinger(tr.base_potential)
+    return (
+        adjoint.compose(op) - _expanded_product(h0, alphas),
+        op.compose(adjoint) - _expanded_product(tr.hamiltonian_partner(), alphas),
+    )
+
+
+# Every Krein-admissible selection of order <= 4 with levels up to 7.
+_ADMISSIBLE = [
+    sel
+    for order in range(1, 5)
+    for sel in combinations(range(8), order)
+    if krein_admissible(sel)
+]
+
+
+class TestDerivedPartnerIdentity:
+    @settings(deadline=None, max_examples=12, derandomize=True)
+    @given(st.sampled_from(_ADMISSIBLE))
+    def test_agrees_with_full_expansion(self, levels):
+        tr = build_transform(OscillatorModel(), levels)
+        report = factorization_identity_check(tr)
+        base, partner = _expanded_residuals(tr)
+        assert report.residual_base == base
+        assert report.residual_partner == partner
+        assert report.ok and partner.is_zero
+
+    @pytest.mark.parametrize("levels, shift", [
+        ((1, 2), Fraction(1, 1000)),
+        ((0, 1, 6, 7), Fraction(-1, 3)),
+    ])
+    def test_corrupted_partner_reports_the_expanded_residual(self, model, levels, shift):
+        tr = build_transform(model, levels)
+        tr = replace(tr, partner_potential=tr.partner_potential + shift)
+        report = factorization_identity_check(tr)
+        base, partner = _expanded_residuals(tr)
+        assert report.base_ok and not report.partner_ok
+        assert repr(report.residual_base) == repr(base)
+        assert repr(report.residual_partner) == repr(partner)
+
+    def test_partner_side_is_not_expanded_on_success(self, tr12, monkeypatch):
+        # L+ L, two factors of P(h0) and the two sides of L h0 = hN L.
+        calls = []
+        compose = DiffOp.compose
+
+        def counted(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(DiffOp, "compose", counted)
+        assert factorization_identity_check(tr12).ok
+        assert len(calls) == 5
 
 
 class TestNodedWronskianGuard:
