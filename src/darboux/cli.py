@@ -23,6 +23,7 @@ from .oscillator import (
 )
 from .polynomial import Poly, RatFun
 from .spectral import (
+    REFERENCE_GRID,
     Grid,
     LevelCountMismatch,
     PoleOnGrid,
@@ -53,24 +54,12 @@ def fraction_to_json(f: Fraction) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def poly_to_json(p: Poly) -> list:
     return [fraction_to_json(c) for c in p.coeffs]
 
 
-def poly_from_json(obj: list) -> Poly:
-    return Poly(fraction_from_json(c) for c in obj)
-
-
 def ratfun_to_json(r: RatFun) -> dict:
     return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
-
-
-def ratfun_from_json(obj: dict) -> RatFun:
-    return RatFun(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
 
 
 def transform_to_json(tr: TransformResult) -> dict:
@@ -91,19 +80,16 @@ def transform_to_json(tr: TransformResult) -> dict:
 
 # -- configuration -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    levels: tuple[int, ...]
-    n_max: int = 8
-    x_min: float = -12.0
-    x_max: float = 12.0
-    n_points: int = 2401
-    fmt: str = "json"
-    out: str | None = None
-    corrupt_vn: Fraction | None = None
+    """A run's settings, named by their config-file keys; one validated grid."""
 
-    def grid(self) -> Grid:
-        return Grid(self.x_min, self.x_max, self.n_points)
+    levels: tuple[int, ...]
+    nmax: int
+    grid: Grid
+    format: str
+    out: str | None
+    corrupt_vn: Fraction | None
 
 
 _FORMATS = ("json", "csv")
@@ -117,36 +103,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Config-file keys (the flags' destinations) and what each value must be.
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "levels": ("a list of integers or a comma-separated string",
-               lambda v: isinstance(v, str) or (isinstance(v, list) and all(map(_is_int, v)))),
-    "nmax": ("an integer", _is_int),
-    "xmin": ("a number", _is_number),
-    "xmax": ("a number", _is_number),
-    "points": ("an integer", _is_int),
-    "format": (" or ".join(f'"{f}"' for f in _FORMATS), lambda v: isinstance(v, str) and v in _FORMATS),
-    "out": ("a string", lambda v: isinstance(v, str)),
-    "corrupt_vn": ("a number or a string", lambda v: isinstance(v, str) or _is_number(v)),
-}
-
-
-def _read_config(path: str) -> dict:
-    """The JSON object in ``path``, every key known and every value typed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {json.dumps(cfg)}")
-    for key, value in cfg.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r} in {path}; known keys: {', '.join(_CONFIG_KEYS)}")
-        what, valid = _CONFIG_KEYS[key]
-        if not valid(value):
-            raise ValueError(f"{key!r} in {path} must be {what}, got {json.dumps(value)}")
-    return cfg
-
-
 def _parse_levels(raw) -> tuple[int, ...]:
+    if raw is None:
+        raise ValueError("no levels given (use --levels or a config file)")
     if isinstance(raw, list):
         values = list(raw)
     else:
@@ -161,41 +120,99 @@ def _parse_levels(raw) -> tuple[int, ...]:
     return ordered
 
 
+def _parse_fraction(raw) -> Fraction | None:
+    return None if raw is None else Fraction(str(raw))
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One setting: its flag, default, help text and config-file check.
+
+    ``key`` names the config-file key and, with dashes, the flag.  ``valid``
+    is None for the one option a config file cannot set, ``--config``.
+    """
+
+    key: str
+    default: object
+    help: str
+    what: str = ""  # what a config-file value must be
+    valid: Callable[[object], bool] | None = None
+    parse: Callable[[object], object] = lambda raw: raw
+    flag_type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    command: str | None = None  # the one subcommand that has the flag
+
+    @property
+    def help_text(self) -> str:
+        if self.default is None:
+            return self.help
+        shown = self.default if isinstance(self.default, str) else f"{self.default:g}"
+        return f"{self.help} (default {shown})"
+
+
+# Every option, in help and config-key order.
+_OPTIONS = (
+    _Option("levels", None, "comma-separated deleted levels, e.g. 1,2",
+            "a list of integers or a comma-separated string",
+            lambda v: isinstance(v, str) or (isinstance(v, list) and all(map(_is_int, v))),
+            parse=_parse_levels),
+    _Option("nmax", 8, "highest level to inspect", "an integer", _is_int, flag_type=int),
+    _Option("xmin", REFERENCE_GRID.x_min, "grid left end", "a number", _is_number,
+            parse=float, flag_type=float),
+    _Option("xmax", REFERENCE_GRID.x_max, "grid right end", "a number", _is_number,
+            parse=float, flag_type=float),
+    _Option("points", REFERENCE_GRID.n_points, "grid point count", "an integer", _is_int,
+            flag_type=int),
+    _Option("format", "json", "output format", " or ".join(f'"{f}"' for f in _FORMATS),
+            lambda v: isinstance(v, str) and v in _FORMATS, choices=_FORMATS),
+    _Option("out", None, "output path", "a string", lambda v: isinstance(v, str)),
+    _Option("config", None, "JSON config file; flags win on conflict"),
+    _Option("corrupt_vn", None,
+            "negative-control hook: exact rational added to the partner potential; "
+            "give a negative one with =, as in --corrupt-vn=-1/3",
+            "a number or a string", lambda v: isinstance(v, str) or _is_number(v),
+            parse=_parse_fraction, command="verify"),
+)
+_CONFIG_KEYS = {opt.key: opt for opt in _OPTIONS if opt.valid is not None}
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``, every key known and every value typed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {json.dumps(cfg)}")
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r} in {path}; known keys: {', '.join(_CONFIG_KEYS)}")
+        opt = _CONFIG_KEYS[key]
+        if not opt.valid(value):
+            raise ValueError(f"{key!r} in {path} must be {opt.what}, got {json.dumps(value)}")
+    return cfg
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """File config first, flags win on conflict."""
+    """Each option from its flag, else the config file, else its default."""
     file_cfg = _read_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    levels_raw = pick(args.levels, "levels", None)
-    if levels_raw is None:
-        raise ValueError("no levels given (use --levels or a config file)")
-    corrupt = pick(getattr(args, "corrupt_vn", None), "corrupt_vn", None)
-    cfg = RunConfig(
-        levels=_parse_levels(levels_raw),
-        n_max=pick(args.nmax, "nmax", 8),
-        x_min=float(pick(args.xmin, "xmin", -12.0)),
-        x_max=float(pick(args.xmax, "xmax", 12.0)),
-        n_points=pick(args.points, "points", 2401),
-        fmt=pick(args.format, "format", "json"),
-        out=pick(args.out, "out", None),
-        corrupt_vn=Fraction(str(corrupt)) if corrupt is not None else None,
-    )
+    value = {}
+    for key, opt in _CONFIG_KEYS.items():
+        raw = getattr(args, key, None)  # absent where the subcommand lacks the flag
+        if raw is None:
+            raw = file_cfg.get(key, opt.default)
+        value[key] = opt.parse(raw)
     # Bounds on the grid and nmax, checked here so no command starts exact
     # work on them.
-    cfg.grid()
-    if cfg.n_max < 0:
-        raise ValueError(f"--nmax {cfg.n_max} is below 0")
-    if args.command == "classify" and cfg.n_max < cfg.levels[-1]:
+    grid = Grid(value.pop("xmin"), value.pop("xmax"), value.pop("points"))
+    cfg = RunConfig(grid=grid, **value)
+    if cfg.nmax < 0:
+        raise ValueError(f"--nmax {cfg.nmax} is below 0")
+    if args.command == "classify" and cfg.nmax < cfg.levels[-1]:
         raise ValueError(
-            f"--nmax {cfg.n_max} is below the highest selected level {cfg.levels[-1]}"
+            f"--nmax {cfg.nmax} is below the highest selected level {cfg.levels[-1]}"
         )
-    if args.command == "spectrum" and cfg.n_max >= cfg.n_points:
+    if args.command == "spectrum" and cfg.nmax >= cfg.grid.n_points:
         raise ValueError(
-            f"--nmax {cfg.n_max} needs more than --points {cfg.n_points} grid points"
+            f"--nmax {cfg.nmax} needs more than --points {cfg.grid.n_points} grid points"
         )
     return cfg
 
@@ -230,19 +247,14 @@ def _emit(text: str, files: dict[str, str]) -> int:
 
 # -- transform ----------------------------------------------------------------
 
-def _psi_levels(cfg: RunConfig) -> list[int]:
-    return [n for n in range(cfg.n_max + 1) if n not in cfg.levels]
-
-
 def _transform_csv_lines(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[str]:
-    grid = cfg.grid()
+    grid = cfg.grid
     xs = grid.points()
     columns = [xs, sample(tr.base_potential, grid), sample(tr.partner_potential, grid)]
     names = ["x", "V0", "VN"]
-    sqrt_2pi = math.sqrt(2.0 * math.pi)
-    for n in _psi_levels(cfg):
+    for n in tr.selection.survivors(cfg.nmax):
         image = crum_krein_apply(tr, model.eigenfunction(n))
-        norm_sq = math.factorial(n) * sqrt_2pi
+        norm_sq = model.squared_norm(n).to_float()
         for alpha in tr.selection.alphas:
             norm_sq *= float(model.energy(n) - alpha)
         columns.append(sample(image, grid) / math.sqrt(norm_sq))
@@ -253,9 +265,7 @@ def _transform_csv_lines(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     return lines
 
 
-def cmd_transform(cfg: RunConfig) -> int:
-    model = OscillatorModel()
-    tr = build_transform(model, cfg.levels)
+def cmd_transform(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> int:
     doc = transform_to_json(tr)
     json_text = json.dumps(doc, indent=2)
     csv_text = "\n".join(_transform_csv_lines(model, tr, cfg)) + "\n"
@@ -263,7 +273,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     if cfg.out:
         stem = _out_stem(cfg.out)
         files = {stem + ".json": json_text + "\n", stem + ".csv": csv_text}
-    return _emit(csv_text if cfg.fmt == "csv" else json_text, files)
+    return _emit(csv_text if cfg.format == "csv" else json_text, files)
 
 
 # -- verify ---------------------------------------------------------------------
@@ -279,8 +289,8 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     """Run every check once, in report order."""
     levels = tr.selection.levels
     alphas = tr.selection.alphas
-    n_max = cfg.n_max
-    survivors = [n for n in range(n_max + 1) if n not in levels]
+    n_max = cfg.nmax
+    survivors = tr.selection.survivors(n_max)
     juxtaposed_pair = len(levels) == 2 and levels[1] == levels[0] + 1
     skipped = "skipped (not a juxtaposed pair)"
     h_partner = tr.hamiltonian_partner()
@@ -318,7 +328,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
            f"failed levels {bad}")
 
     if juxtaposed_pair:
-        record("golden_closed_forms", golden_cross_check(tr, n_max).ok,
+        record("golden_closed_forms", golden_cross_check(tr, images).ok,
                "partner potential and wave functions match the closed forms", "closed-form mismatch")
     else:
         record("golden_closed_forms", True, skipped)
@@ -327,7 +337,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     record("superalgebra_anticommutator", acomm.ok,
            "factor prod(E - alpha_i) on every eigen-doublet", "mismatch")
 
-    grid = cfg.grid()
+    grid = cfg.grid
     if juxtaposed_pair:
         worst = 0.0
         for n in survivors:
@@ -338,22 +348,19 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     else:
         record("closed_form_normalization", True, skipped)
 
-    sqrt_2pi = math.sqrt(2.0 * math.pi)
     worst = 0.0
     for n, image in images.items():
         expected = 1.0
         for alpha in alphas:
             expected *= float(model.energy(n) - alpha)
         num = quadrature_simpson(sample(image, grid) ** 2, grid)
-        got = num / (math.factorial(n) * sqrt_2pi)
+        got = num / model.squared_norm(n).to_float()
         worst = max(worst, abs(got - expected) / abs(expected))
     record("norm_transport", worst <= 1e-6, f"max relative error {worst:.3e}")
     return results
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    model = OscillatorModel()
-    tr = build_transform(model, cfg.levels)
+def cmd_verify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> int:
     if cfg.corrupt_vn is not None:
         # Negative-control hook: an exact perturbation of the partner
         # potential must trip the residual checks.
@@ -388,7 +395,7 @@ def _partner_cells(row: SpectrumRow, fmt_err: Callable[[float], str]) -> tuple[s
 
 
 def _spectrum_file_text(report: SpectrumReport, cfg: RunConfig) -> str:
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         csv_lines = ["level,predicted,h0,h0_err,hN,hN_err"]
         for row in report.rows:
             hn, hn_err = _partner_cells(row, _fmt17)
@@ -417,10 +424,8 @@ def _spectrum_file_text(report: SpectrumReport, cfg: RunConfig) -> str:
     ) + "\n"
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    model = OscillatorModel()
-    tr = build_transform(model, cfg.levels)
-    report = verify_spectrum(tr, cfg.n_max, cfg.grid())
+def cmd_spectrum(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> int:
+    report = verify_spectrum(tr, cfg.nmax, cfg.grid)
 
     header = f"{'level':>5} {'predicted':>10} {'h0':>22} {'h0_err':>12} {'hN':>22} {'hN_err':>12}"
     lines = [header]
@@ -435,10 +440,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 # -- classify --------------------------------------------------------------------
 
-def cmd_classify(cfg: RunConfig) -> int:
-    model = OscillatorModel()
-    tr = build_transform(model, cfg.levels)
-    result = classify(model, tr, cfg.n_max)
+def cmd_classify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> int:
+    result = classify(model, tr, cfg.nmax)
     doc = {
         "n0": sorted(result.n0),
         "vacuum_energy": fraction_to_json(result.vacuum_energy),
@@ -451,6 +454,14 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
+_COMMANDS = {
+    "transform": (cmd_transform, "build the transformation and emit exact coefficients plus samples"),
+    "verify": (cmd_verify, "run the exact and numeric verification suites"),
+    "spectrum": (cmd_spectrum, "compare numeric spectra of the base and partner Hamiltonians"),
+    "classify": (cmd_classify, "emit the supersymmetric level classification"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darboux",
@@ -458,36 +469,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "oscillator, with verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("transform", "build the transformation and emit exact coefficients plus samples"),
-        ("verify", "run the exact and numeric verification suites"),
-        ("spectrum", "compare numeric spectra of the base and partner Hamiltonians"),
-        ("classify", "emit the supersymmetric level classification"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--levels", help="comma-separated deleted levels, e.g. 1,2")
-        p.add_argument("--nmax", type=int, help="highest level to inspect (default 8)")
-        p.add_argument("--xmin", type=float, help="grid left end (default -12)")
-        p.add_argument("--xmax", type=float, help="grid right end (default 12)")
-        p.add_argument("--points", type=int, help="grid point count (default 2401)")
-        p.add_argument("--format", choices=_FORMATS, help="output format (default json)")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--config", help="JSON config file; flags win on conflict")
-        if name == "verify":
-            p.add_argument(
-                "--corrupt-vn",
-                dest="corrupt_vn",
-                help="negative-control hook: exact rational added to the partner potential",
-            )
+        for opt in _OPTIONS:
+            if opt.command in (None, name):
+                flag = "--" + opt.key.replace("_", "-")
+                p.add_argument(flag, type=opt.flag_type, choices=opt.choices, help=opt.help_text)
     return parser
-
-
-_COMMANDS = {
-    "transform": cmd_transform,
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "classify": cmd_classify,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -501,13 +489,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    model = OscillatorModel()
     try:
-        return _COMMANDS[args.command](cfg)
+        tr = build_transform(model, cfg.levels)
+        command, _ = _COMMANDS[args.command]
+        return command(model, tr, cfg)
     except InadmissibleSelection as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     except FloatingPointError as exc:
-        print(f"invalid grid: samples on [{cfg.x_min}, {cfg.x_max}] are not finite ({exc})",
+        grid = cfg.grid
+        print(f"invalid grid: samples on [{grid.x_min}, {grid.x_max}] are not finite ({exc})",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     except PoleOnGrid as exc:

@@ -19,7 +19,6 @@ from .polynomial import (
     Scalar,
     _frac,
     as_ratfun,
-    det_cofactor,
     ratfun_det,
 )
 
@@ -148,15 +147,6 @@ class DiffOp:
         return cls((RatFun.one(),))
 
     @classmethod
-    def d(cls, order: int = 1) -> "DiffOp":
-        """Pure derivative d^order."""
-        return cls((RatFun.zero(),) * order + (RatFun.one(),))
-
-    @classmethod
-    def multiplication(cls, a) -> "DiffOp":
-        return cls((as_ratfun(a),))
-
-    @classmethod
     def schroedinger(cls, potential) -> "DiffOp":
         """-d^2 + V(x)."""
         return cls((as_ratfun(potential), RatFun.zero(), RatFun.constant(-1)))
@@ -282,20 +272,16 @@ def common_weight(funcs: Sequence[GaussFun]) -> Fraction:
     return weights.pop() if weights else Fraction(0)
 
 
-def wronskian(funcs: Sequence[GaussFun], cross_check: bool = False) -> GaussFun:
+def wronskian(funcs: Sequence[GaussFun]) -> GaussFun:
     """Wronskian determinant of a common-weight family, exactly.
 
     For n inputs of weight s the result carries weight n*s.  The determinant
     runs fraction-free for n >= 3 and by direct cofactor expansion below
-    that; ``cross_check=True`` forces both routes and asserts they agree.
+    that.
     """
     n = len(funcs)
     if n == 0:
         raise ValueError("Wronskian of an empty family")
     weight = common_weight(funcs)
-    table = derivative_table(funcs, n - 1)
-    rows = [[table[m][i] for i in range(n)] for m in range(n)]
-    det = ratfun_det(rows)
-    if cross_check and det != det_cofactor(rows):
-        raise AssertionError("fraction-free and cofactor determinants disagree")
-    return GaussFun(det, n * weight)
+    rows = derivative_table(funcs, n - 1)  # row m: the m-th derivatives
+    return GaussFun(ratfun_det(rows), n * weight)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from .gaussian import DiffOp, GaussFun
+from .gaussian import GaussFun
 from .polynomial import NormValue, Poly, RatFun, hermite_he
 from .transform import TransformResult
 
@@ -55,12 +56,6 @@ class OscillatorModel:
         if n < 0:
             raise ValueError("level index must be nonnegative")
         return NormValue(Fraction(math.factorial(n)), 1)
-
-    def eigenfunction_with_norm(self, n: int) -> tuple[GaussFun, NormValue]:
-        return self.eigenfunction(n), self.squared_norm(n)
-
-    def hamiltonian(self) -> DiffOp:
-        return DiffOp.schroedinger(self.potential)
 
 
 def pair_wronskian_poly(k: int) -> Poly:
@@ -138,14 +133,16 @@ class GoldenReport:
         return self.potential_matches and all(c.ratio_constant for c in self.levels)
 
 
-def golden_cross_check(tr: TransformResult, n_max: int) -> GoldenReport:
+def golden_cross_check(tr: TransformResult, images: Mapping[int, GaussFun]) -> GoldenReport:
     """Compare an engine transform over {k, k+1} against the closed forms.
 
-    Checks that the Wronskian polynomial part is P_k up to a rational
-    constant, that the partner potential matches structurally, and that the
-    engine image of each surviving level is a constant multiple of the
+    ``images`` maps surviving levels n to the engine images L phi_n, as
+    ``verify`` builds them once.  Checks that the Wronskian polynomial part
+    is P_k up to a rational constant, that the partner potential matches
+    structurally, and that each image is a constant multiple of the
     closed-form bracket.  The sign of that constant is a phase convention;
-    it is recorded, never assumed.
+    it is recorded, never assumed.  A deleted level in ``images`` raises
+    ForbiddenLevel.
     """
     levels = tr.selection.levels
     if len(levels) != 2 or levels[1] != levels[0] + 1:
@@ -160,11 +157,8 @@ def golden_cross_check(tr: TransformResult, n_max: int) -> GoldenReport:
     potential_matches = tr.partner_potential == partner_potential_closed_form(k)
 
     checks = []
-    for n in range(n_max + 1):
-        if n in (k, k + 1):
-            continue
+    for n, image in images.items():
         bracket, _ = partner_eigenfunction_closed_form(k, n)
-        image = tr.operator(GaussFun(RatFun(hermite_he(n)), Fraction(-1)))
         # Ratio of canonical leading coefficients, then a structural equality
         # check; no pointwise division, so special points cannot interfere.
         if image.is_zero:

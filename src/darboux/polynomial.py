@@ -738,8 +738,5 @@ class NormValue:
         if self.q <= 0:
             raise ValueError("squared norm must be positive")
 
-    def scaled(self, factor: Scalar) -> "NormValue":
-        return NormValue(self.q * _frac(factor), self.m)
-
     def to_float(self) -> float:
         return float(self.q) * (2.0 * math.pi) ** (self.m / 2.0)

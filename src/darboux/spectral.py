@@ -112,13 +112,6 @@ class TridiagMatrix:
     def size(self) -> int:
         return len(self.diag)
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        idx = np.arange(self.size - 1)
-        m[idx, idx + 1] = self.off
-        m[idx + 1, idx] = self.off
-        return m
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.off * v[1:]
@@ -334,8 +327,7 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     t0 = build_hamiltonian(v0, grid)
     tn = build_hamiltonian(vn, grid)
 
-    deleted = set(tr.selection.levels)
-    survivors = [n for n in range(n_max + 1) if n not in deleted]
+    survivors = tr.selection.survivors(n_max)
     for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
         diag, off_sq = _sturm_rows(t)
         for m in range(n_max + 1):
@@ -356,7 +348,7 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
         base_val = base_eigs[n]
         base_err = abs(base_val - float(predicted))
         max_err = max(max_err, base_err)
-        if n in deleted:
+        if n in tr.selection.levels:
             rows.append(SpectrumRow(n, predicted, base_val, base_err, True, None, None))
         else:
             pv = partner_by_level[n]

@@ -89,6 +89,10 @@ class LevelSelection:
     def order(self) -> int:
         return len(self.levels)
 
+    def survivors(self, n_max: int) -> list[int]:
+        """Levels 0..n_max that the transformation keeps, in increasing order."""
+        return [n for n in range(n_max + 1) if n not in self.levels]
+
 
 def krein_failure_index(levels: Sequence[int]) -> int | None:
     """First integer k >= 0 with prod_i (k - k_i) < 0, or None if none exists.

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from darboux.gaussian import DiffOp, wronskian
 from darboux.oscillator import (
@@ -211,7 +212,7 @@ def test_criterion_8_property_suites(model):
     for _ in range(5):
         t = TridiagMatrix(np_rng.uniform(-2, 2, 20), np_rng.uniform(-1, 1, 19))
         mine = np.array(eigenvalues_bisection(t, 20))
-        dense = np.sort(np.linalg.eigvalsh(t.dense()))
+        dense = eigvalsh_tridiagonal(t.diag, t.off)
         worst = max(worst, float(np.max(np.abs(mine - dense))))
     assert worst < 1e-9, f"dense-oracle deviation {worst:.2e}"
 

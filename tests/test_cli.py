@@ -7,21 +7,24 @@ from fractions import Fraction
 import pytest
 
 from darboux import cli, susy
-from darboux.cli import (
-    fraction_from_json,
-    main,
-    poly_from_json,
-    ratfun_from_json,
-    transform_to_json,
-)
+from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
-from darboux.polynomial import Poly
+from darboux.polynomial import Poly, RatFun
 from darboux.transform import build_transform, crum_krein_apply
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def exact(cell) -> Fraction:
+    """A JSON rational {"num": str, "den": str}, decoded without the CLI's help."""
+    return Fraction(int(cell["num"]), int(cell["den"]))
+
+
+def exact_poly(cells) -> Poly:
+    return Poly(exact(c) for c in cells)
 
 
 class TestTransformCommand:
@@ -30,9 +33,9 @@ class TestTransformCommand:
         assert run("transform", "--levels", "1,2", "--nmax", "4", "--out", str(out)) == 0
         capsys.readouterr()
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert poly_from_json(doc["wronskian_poly"]) == Poly((1, 0, 1))
+        assert exact_poly(doc["wronskian_poly"]) == Poly((1, 0, 1))
         assert doc["levels"] == [1, 2]
-        assert [fraction_from_json(a) for a in doc["alphas"]] == [Fraction(1), Fraction(2)]
+        assert [exact(a) for a in doc["alphas"]] == [Fraction(1), Fraction(2)]
 
     def test_inadmissible_exit_code_names_failing_k(self, capsys):
         assert run("transform", "--levels", "1") == 2
@@ -66,7 +69,8 @@ class TestTransformCommand:
         fresh = transform_to_json(build_transform(OscillatorModel(), tuple(doc["levels"])))
         assert fresh == doc
         # decoded coefficients match the engine exactly
-        rebuilt = ratfun_from_json(doc["partner_potential"])
+        cells = doc["partner_potential"]
+        rebuilt = RatFun(exact_poly(cells["num"]), exact_poly(cells["den"]))
         assert rebuilt == build_transform(OscillatorModel(), (1, 2)).partner_potential
 
 
@@ -104,6 +108,16 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         by_name = {c["name"]: c["status"] for c in doc["checks"]}
+        assert by_name["eigen_residuals"] == "fail"
+        assert "verification failed" in captured.err
+
+    def test_negative_corruption_needs_the_equals_form(self, capsys):
+        # argparse takes a bare "-1/3" for a flag; "--corrupt-vn=-1/3" reaches the hook.
+        assert run("verify", "--levels", "1,2", "--nmax", "4", "--corrupt-vn", "-1/3") == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert run("verify", "--levels", "1,2", "--nmax", "4", "--corrupt-vn=-1/3") == 1
+        captured = capsys.readouterr()
+        by_name = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
         assert by_name["eigen_residuals"] == "fail"
         assert "verification failed" in captured.err
 
@@ -192,7 +206,7 @@ class TestClassifyCommand:
     def test_excited_pair(self, capsys):
         assert run("classify", "--levels", "1,2", "--nmax", "5") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert fraction_from_json(doc["vacuum_energy"]) == 1
+        assert exact(doc["vacuum_energy"]) == 1
         assert doc["below_vacuum"] == [0]
         assert doc["tags"]["1"] == "singlet"
 
@@ -204,7 +218,7 @@ class TestClassifyCommand:
     def test_block_pair(self, capsys):
         assert run("classify", "--levels", "2,3", "--nmax", "5") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert fraction_from_json(doc["vacuum_energy"]) == 2
+        assert exact(doc["vacuum_energy"]) == 2
         assert doc["below_vacuum"] == [0, 1]
 
     def test_inadmissible(self, capsys):
@@ -260,6 +274,32 @@ class TestConfigHandling:
         assert captured.err.startswith("invalid configuration: ")
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("xmin", -6.5, ("transform", "--nmax", "3", "--points", "101", "--format", "csv")),
+        ("xmax", 7.25, ("transform", "--nmax", "3", "--points", "101", "--format", "csv")),
+        ("points", 51, ("transform", "--nmax", "3", "--format", "csv")),
+        ("format", "csv", ("spectrum", "--nmax", "3", "--points", "401", "--out", "spec")),
+        ("out", "report.json", ("classify", "--nmax", "3")),
+        ("corrupt_vn", "-1/3", ("verify", "--nmax", "3", "--points", "201")),
+    ])
+    def test_config_value_equals_flag(self, key, value, command, tmp_path, monkeypatch, capsys):
+        # The same value through a config file and through its flag gives the
+        # same stdout, stderr, exit code and --out file, and not the default's.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        flag = f"--{key.replace('_', '-')}={value}"
+        results = []
+        for source in ([], [flag], ["--config", "cfg.json"]):
+            code = run(*command, "--levels", "1,2", *source)
+            captured = capsys.readouterr()
+            files = {p.name: p.read_text() for p in tmp_path.iterdir() if p.name != "cfg.json"}
+            for name in files:
+                (tmp_path / name).unlink()
+            results.append((code, captured.out, captured.err, files))
+        default, from_flag, from_file = results
+        assert from_file == from_flag != default
+        assert from_flag[0] == (1 if key == "corrupt_vn" else 0)
 
     def test_seed_env_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("DARBOUX_SEED", "12345")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from darboux.gaussian import GaussFun
+from darboux.gaussian import DiffOp, GaussFun
 from darboux.oscillator import (
     ForbiddenLevel,
     cross_polynomial,
@@ -14,7 +14,12 @@ from darboux.oscillator import (
 )
 from darboux.polynomial import Poly, RatFun, sturm_real_root_count
 from darboux.spectral import REFERENCE_GRID, quadrature_simpson, sample
-from darboux.transform import build_transform
+from darboux.transform import build_transform, crum_krein_apply
+
+
+def survivor_images(model, tr, n_max):
+    survivors = tr.selection.survivors(n_max)
+    return {n: crum_krein_apply(tr, model.eigenfunction(n)) for n in survivors}
 
 
 class TestModel:
@@ -24,7 +29,7 @@ class TestModel:
     @pytest.mark.parametrize("n", range(11))
     def test_eigen_identity(self, model, n):
         # h0 phi_n = n phi_n pins the Hermite convention and the offset
-        h0 = model.hamiltonian()
+        h0 = DiffOp.schroedinger(model.potential)
         phi = model.eigenfunction(n)
         assert h0(phi) == n * phi
 
@@ -35,7 +40,7 @@ class TestModel:
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_squared_norm_against_quadrature(self, model, n):
-        phi, norm = model.eigenfunction_with_norm(n)
+        phi, norm = model.eigenfunction(n), model.squared_norm(n)
         numeric = quadrature_simpson(sample(phi, REFERENCE_GRID) ** 2, REFERENCE_GRID)
         assert numeric == pytest.approx(norm.to_float(), rel=1e-9)
 
@@ -107,7 +112,7 @@ class TestGoldenCrossCheck:
     @pytest.mark.parametrize("k", range(5))
     def test_pairs_up_to_four(self, model, k):
         tr = build_transform(model, (k, k + 1))
-        report = golden_cross_check(tr, n_max=8)
+        report = golden_cross_check(tr, survivor_images(model, tr, 8))
         assert report.ok
         # engine Wronskian equals the closed-form polynomial up to a constant
         assert report.wronskian_ratio != 0
@@ -115,12 +120,12 @@ class TestGoldenCrossCheck:
             assert check.ratio_constant
             assert check.ratio ** 2 == 1  # unit proportionality, sign recorded
 
-    def test_recorded_sign_for_ground_state(self, tr12):
-        report = golden_cross_check(tr12, n_max=4)
+    def test_recorded_sign_for_ground_state(self, model, tr12):
+        report = golden_cross_check(tr12, survivor_images(model, tr12, 4))
         by_level = {c.level: c.ratio for c in report.levels}
         assert by_level[0] == -1
 
     def test_rejects_non_pairs(self, model):
         tr = build_transform(model, (0,))
         with pytest.raises(ValueError):
-            golden_cross_check(tr, 4)
+            golden_cross_check(tr, survivor_images(model, tr, 4))

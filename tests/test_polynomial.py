@@ -426,4 +426,3 @@ class TestNormValue:
     def test_float_value(self):
         nv = NormValue(Fraction(1), 1)  # sqrt(2 pi)
         assert nv.to_float() == pytest.approx(2.5066282746310002, abs=1e-15)
-        assert NormValue(Fraction(2), 1).scaled(3).q == Fraction(6)
