@@ -93,6 +93,9 @@ class RunConfig:
 
 
 _FORMATS = ("json", "csv")
+# transform and verify scale level n by the float n! * sqrt(2 pi), which
+# overflows from n = 171 on.
+_NMAX_FLOAT_NORM = 170
 
 
 def _is_int(value) -> bool:
@@ -206,6 +209,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(grid=grid, **value)
     if cfg.nmax < 0:
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
+    if args.command in ("transform", "verify") and cfg.nmax > _NMAX_FLOAT_NORM:
+        raise ValueError(
+            f"--nmax {cfg.nmax} is above {_NMAX_FLOAT_NORM}: the float norm n! * sqrt(2 pi) "
+            f"of level {_NMAX_FLOAT_NORM + 1} overflows"
+        )
     if args.command == "classify" and cfg.nmax < cfg.levels[-1]:
         raise ValueError(
             f"--nmax {cfg.nmax} is below the highest selected level {cfg.levels[-1]}"

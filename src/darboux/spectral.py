@@ -7,6 +7,7 @@ between the two layers is meaningful evidence.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,36 +161,111 @@ def _count_below(diag: list[float], off_sq: list[float], lam: float, cap: int | 
     d = 1.0
     for di, osq in zip(diag, off_sq):
         d = di - lam - osq / d
-        if abs(d) < _PIVMIN:
-            d = -_PIVMIN
-        if d < 0.0:
+        if d < _PIVMIN:  # negative, or fenced to -pivmin
+            if d > -_PIVMIN:
+                d = -_PIVMIN
             count += 1
             if count == cap:
                 break
     return count
 
 
+def _count_and_ratio(diag: list[float], off_sq: list[float], lam: float) -> tuple[int, float]:
+    """Full Sturm count below ``lam``, and f'/f for f(lam) = det(T - lam*I).
+
+    The pivots are those of ``_count_below`` (same recurrence, same fence),
+    so the count is the same.  Each pivot's derivative is d_i' = -1 +
+    b_i^2 d_{i-1}' / d_{i-1}^2, so with q_i = b_i^2 / d_{i-1} the term
+    r_i = d_i'/d_i of f'/f = sum r_i is (q_i r_{i-1} - 1) / d_i.  Past a
+    fenced pivot the ratio is meaningless (huge, inf or nan), so a Newton
+    step taken from it must be checked by counts.
+    """
+    count = 0
+    d = 1.0
+    r = 0.0
+    ratio = 0.0
+    for di, osq in zip(diag, off_sq):
+        q = osq / d
+        d = di - lam - q
+        if d < _PIVMIN:
+            if d > -_PIVMIN:
+                d = -_PIVMIN
+            count += 1
+        r = (q * r - 1.0) / d
+        ratio += r
+    return count, ratio
+
+
+def _wider_than(lo: float, hi: float, tol: float) -> bool:
+    """Whether (lo, hi] is wider than ``tol`` and a float lies strictly inside."""
+    return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
+
+
 def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -> list[float]:
-    """k lowest eigenvalues by Sturm-count bisection, to absolute tolerance."""
+    """k lowest eigenvalues in nondecreasing order, each to absolute tolerance ``tol``.
+
+    Sturm counts isolate eigenvalue j in a bracket (lo, hi] with count(lo) =
+    j - 1 and count(hi) = j; safeguarded Newton steps on det(T - lam) refine
+    it, and every step's count shrinks the bracket.  A step that leaves the
+    bracket, or a zero f'/f, falls back to the bracket midpoint (bisection).
+    A level is done only when its bracket is at most ``tol`` wide (or its
+    ends are adjacent floats): a Newton step shorter than ``tol`` is
+    confirmed by two counts at lam -+ tol/2, never trusted on its own.
+    References: Barth, Martin & Wilkinson, Numer. Math. 1967; Li & Zeng,
+    SIAM J. Sci. Comput. 1994.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if k_lowest < 1 or k_lowest > t.size:
         raise ValueError("k_lowest out of range")
     radius = np.abs(t.off)
     lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
     hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
     diag, off_sq = _sturm_rows(t)
-    out = []
-    lo_start = lo_bound
+    # Every full count taken, in increasing lam.  Counts rise with lam, so one
+    # probe bounds every later level too.
+    lams, counts = [lo_bound, hi_bound], [0, t.size]
+
+    def record(lam: float, count: int) -> None:
+        at = bisect.bisect(lams, lam)
+        lams.insert(at, lam)
+        counts.insert(at, count)
+
+    out: list[float] = []
     for j in range(1, k_lowest + 1):
-        lo, hi = lo_start, hi_bound
-        while hi - lo > tol:
+        at = bisect.bisect_left(counts, j)
+        lo, hi = lams[at - 1], lams[at]
+        # Isolation: bisect until (lo, hi] holds eigenvalue j alone, or until
+        # it is tol wide (eigenvalues closer than tol never separate).
+        while (counts[at - 1], counts[at]) != (j - 1, j) and _wider_than(lo, hi, tol):
             mid = 0.5 * (lo + hi)
-            # Only "at least j below mid?" matters, so the count may stop at j.
-            if _count_below(diag, off_sq, mid, cap=j) >= j:
-                hi = mid
+            record(mid, _count_below(diag, off_sq, mid))
+            at = bisect.bisect_left(counts, j)
+            lo, hi = lams[at - 1], lams[at]
+
+        x = 2.0 * out[-1] - out[-2] if j > 2 else math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        newton = math.nan
+        while _wider_than(lo, hi, tol):
+            count, ratio = _count_and_ratio(diag, off_sq, x)
+            record(x, count)
+            if count >= j:
+                hi = x
             else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-        lo_start = lo  # eigenvalues are returned in nondecreasing order
+                lo = x
+            newton = x - 1.0 / ratio if ratio else math.nan
+            if abs(newton - x) < tol:  # a claim to certify, not a stop
+                below, above = newton - 0.5 * tol, newton + 0.5 * tol
+                if _count_below(diag, off_sq, below, cap=j) >= j:
+                    hi = min(hi, below)
+                elif _count_below(diag, off_sq, above, cap=j) < j:
+                    lo = max(lo, above)
+                else:
+                    lo, hi = max(lo, below), min(hi, above)
+                    break
+            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        out.append(newton if lo < newton <= hi else 0.5 * (lo + hi))
     return out
 
 
@@ -318,7 +394,8 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     The base spectrum is compared against {0..n_max}; the partner spectrum
     against the same set minus the selection, matched in order.  Matching in
     order is only sound when no level is missing or spurious, so the Sturm
-    count at every m + 1/2 must equal the number of predicted levels up to m;
+    count at every m + 1/2, from m = -1 (nothing below -1/2) to n_max, must
+    equal the number of predicted levels up to m;
     LevelCountMismatch names the first sector and m where it does not.  The
     counts are cheap, so they run before the eigenvalue solves.
     """
@@ -330,7 +407,7 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     survivors = tr.selection.survivors(n_max)
     for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
         diag, off_sq = _sturm_rows(t)
-        for m in range(n_max + 1):
+        for m in range(-1, n_max + 1):
             expected = sum(1 for n in levels if n <= m)
             found = _count_below(diag, off_sq, m + 0.5)
             if found != expected:

@@ -1,10 +1,11 @@
-"""The stage benchmark's tracer reads darboux from outside; what it reads must hold.
+"""The stage benchmark reads darboux from outside; what it reads must hold.
 
-``bench/spans.py`` is loaded read-only (no bytecode is written next to it).
-It patches darboux by name: a plain name is looked up as a module attribute,
-``Class.method`` as a key of the class ``__dict__``, which is what the
-tracer's ``_patch`` reads.  It also measures coefficient sizes through
-``Poly.coeffs``.
+``bench/spans.py`` and ``bench/workloads.py`` are loaded read-only (no
+bytecode is written next to them).  The tracer patches darboux by name: a
+plain name is looked up as a module attribute, ``Class.method`` as a key of
+the class ``__dict__``, which is what the tracer's ``_patch`` reads.  It also
+measures coefficient sizes through ``Poly.coeffs``.  The workloads' output
+gates judge what the CLI writes.
 """
 
 import importlib
@@ -19,16 +20,26 @@ from darboux.cli import main
 from darboux.oscillator import OscillatorModel
 from darboux.transform import build_transform
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"darboux_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def spans(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("darboux_bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans", monkeypatch)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    return _load("workloads", monkeypatch)
 
 
 @pytest.fixture
@@ -66,3 +77,16 @@ def test_coeff_bits_agree_with_transform_json(spans, capsys):
     )
     assert bits > 20
     assert spans._coeff_bits(tr) == bits
+
+
+def test_spectrum_grid_gate_passes(workloads, tmp_path, capsys):
+    # The larger spectrum-grid rung on (1,2): the deleted rows and the level
+    # tolerance of the benchmark's output gate, on the reference grid.
+    rung = workloads.WORKLOADS["spectrum-grid"].rungs[1]
+    argv = workloads._argv(rung, (1, 2), tmp_path)
+    assert argv[:5] == ("spectrum", "--levels", "1,2", "--nmax", "16")
+    code = main(list(argv))
+    stdout = capsys.readouterr().out
+    outcome = workloads.check(workloads.Command(1, (1, 2), rung.nmax, argv), code, stdout, tmp_path)
+    assert outcome.error is None
+    assert 0.0 < outcome.level_error <= workloads.SPECTRUM_TOLERANCE

@@ -201,6 +201,16 @@ class TestSpectrumCommand:
         assert code == 1
         assert "base sector" in capsys.readouterr().err
 
+    def test_level_below_the_ground_state_fails_level_count(self, capsys):
+        code = run(
+            "spectrum", "--levels", "1,2", "--nmax", "2",
+            "--xmin=-2", "--xmax", "2", "--points", "5",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partner sector has 1 levels below m + 1/2 at m = -1, expected 0" in captured.err
+
 
 class TestClassifyCommand:
     def test_excited_pair(self, capsys):
@@ -244,6 +254,16 @@ class TestConfigHandling:
         assert run("classify", "--config", str(cfg)) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n0"] == [0, 1]
+
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_nmax_above_float_norm_bound_rejected(self, command, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("exact work started")
+
+        monkeypatch.setattr(cli, "build_transform", refuse)
+        code = run(command, "--levels", "1,2", "--nmax", "171", "--points", "11", "--format", "csv")
+        assert code == 2
+        assert "--nmax 171 is above 170" in capsys.readouterr().err
 
     def test_missing_levels_rejected(self, capsys):
         assert run("classify") == 2

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from darboux import spectral
 from darboux.polynomial import Poly, RatFun
 from darboux.spectral import (
     Grid,
@@ -152,6 +154,81 @@ class TestSturmCount:
         assert np.max(np.abs(np.array(mine) - oracle)) < 1e-9
 
 
+@st.composite
+def float_tridiagonals(draw):
+    n = draw(st.integers(1, 12))
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    return TridiagMatrix(np.array(diag), np.array(off))
+
+
+def _bounded_passes(limit):
+    """Patch the Newton pass to record its lam and fail past ``limit`` calls.
+
+    A solve that stops making progress then fails instead of hanging.
+    """
+    passes = []
+    count_and_ratio = spectral._count_and_ratio
+
+    def spy(diag, off_sq, lam):
+        passes.append(lam)
+        if len(passes) > limit:
+            raise AssertionError(f"more than {limit} Newton passes")
+        return count_and_ratio(diag, off_sq, lam)
+
+    return passes, mock.patch.object(spectral, "_count_and_ratio", spy)
+
+
+class TestNewtonRefinement:
+    """Sturm-certified Newton steps against the LAPACK oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.one_of(float_tridiagonals(), integer_tridiagonals()),
+        k=st.integers(1, 12),
+        tol=st.sampled_from([1e-10, 1e-3, 0.5]),
+    )
+    @example(  # a zero pivot sits where a step-size stop would return 3.0
+        t=TridiagMatrix(np.array([-3.0, 0.0, 0.0, 3.0, 2.0]), np.array([0.0, -1.0, 0.0, -2.0])),
+        k=5,
+        tol=1e-10,
+    )
+    def test_agrees_with_lapack(self, t, k, tol):
+        k = min(k, t.size)
+        _, patch = _bounded_passes(100 * k)
+        with patch:
+            mine = np.array(eigenvalues_bisection(t, k, tol))
+        oracle = eigvalsh_tridiagonal(t.diag, t.off)[:k]
+        assert np.max(np.abs(mine - oracle)) < max(tol, 1e-9)
+        assert np.all(np.diff(mine) >= 0.0)
+
+    def test_step_leaving_the_bracket_falls_back_to_the_midpoint(self):
+        # Eigenvalues -1 and 1, Gershgorin bounds [-1, 1].  The count at 0
+        # isolates level 1 in (-1, 0]; Newton from the midpoint -0.5 steps to
+        # -1.25, outside, so the next pass is at -0.75, the midpoint of
+        # (-1, -0.5].
+        t = TridiagMatrix(np.array([0.0, 0.0]), np.array([1.0]))
+        count, ratio = spectral._count_and_ratio(*_sturm_rows(t), -0.5)
+        assert (count, -0.5 - 1.0 / ratio) == (1, -1.25)
+        passes, patch = _bounded_passes(100)
+        with patch:
+            (lowest,) = eigenvalues_bisection(t, 1)
+        assert passes[:2] == [-0.5, -0.75]
+        assert lowest == pytest.approx(-1.0, abs=5e-11)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_bad_tol_rejected(self, laplacian3, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            eigenvalues_bisection(laplacian3, 3, tol=tol)
+
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self, laplacian3):
+        _, patch = _bounded_passes(300)
+        with patch:
+            eigs = eigenvalues_bisection(laplacian3, 3, tol=1e-300)
+        assert np.allclose(eigs, [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)], rtol=0.0, atol=1e-15)
+
+
 class TestInverseIteration:
     def test_laplacian_middle_mode(self, laplacian3):
         v = eigenvector_inverse_iteration(laplacian3, 2.0)
@@ -246,6 +323,12 @@ class TestVerifySpectrum:
         monkeypatch.setattr("darboux.spectral.eigenvalues_bisection", refuse)
         with pytest.raises(LevelCountMismatch, match="base sector .* m = 2"):
             verify_spectrum(tr12, 8, Grid(-3.0, 3.0, 101))
+
+    def test_level_below_the_ground_state_detected(self, tr12):
+        # On 5 points of [-2, 2] the partner has an eigenvalue near -0.94,
+        # below every predicted level.
+        with pytest.raises(LevelCountMismatch, match="partner sector has 1 levels .* m = -1, expected 0"):
+            verify_spectrum(tr12, 2, Grid(-2.0, 2.0, 5))
 
     def test_spurious_partner_level_detected(self, tr12):
         # The base potential keeps levels 1 and 2 the partner must not have.
