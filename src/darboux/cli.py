@@ -9,6 +9,7 @@ so no precision is lost in JSON; CSV output uses a fixed column order and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -93,9 +94,26 @@ class RunConfig:
 
 
 _FORMATS = ("json", "csv")
-# transform and verify scale level n by the float n! * sqrt(2 pi), which
-# overflows from n = 171 on.
-_NMAX_FLOAT_NORM = 170
+# transform and verify scale each survivor n by the float squared norm of
+# L phi_n, n! * sqrt(2 pi) * prod_i (n - k_i); it must stay below this.
+_FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
+
+
+def _largest_float_norm_nmax(levels: tuple[int, ...]) -> int:
+    """Largest nmax whose survivors all have a finite float norm.
+
+    Every survivor has |n - k_i| >= 1, so the scan ends at the first
+    survivor from 171 on, where n! alone overflows.
+    """
+    deleted = set(levels)
+    factorial = 1
+    for n in itertools.count():
+        if n:
+            factorial *= n
+        if n in deleted:
+            continue
+        if factorial * math.prod(abs(n - k) for k in levels) > _FLOAT_NORM_LIMIT:
+            return n - 1
 
 
 def _is_int(value) -> bool:
@@ -209,11 +227,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(grid=grid, **value)
     if cfg.nmax < 0:
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
-    if args.command in ("transform", "verify") and cfg.nmax > _NMAX_FLOAT_NORM:
-        raise ValueError(
-            f"--nmax {cfg.nmax} is above {_NMAX_FLOAT_NORM}: the float norm n! * sqrt(2 pi) "
-            f"of level {_NMAX_FLOAT_NORM + 1} overflows"
-        )
+    if args.command in ("transform", "verify"):
+        top = _largest_float_norm_nmax(cfg.levels)
+        if cfg.nmax > top:
+            raise ValueError(
+                f"--nmax {cfg.nmax} is above {top}, the largest for levels "
+                f"{','.join(map(str, cfg.levels))}: the float norm "
+                f"n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
+            )
     if args.command == "classify" and cfg.nmax < cfg.levels[-1]:
         raise ValueError(
             f"--nmax {cfg.nmax} is below the highest selected level {cfg.levels[-1]}"

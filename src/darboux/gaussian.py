@@ -19,12 +19,17 @@ from .polynomial import (
     Scalar,
     _frac,
     as_ratfun,
+    poly_lcm,
     ratfun_det,
 )
 
 
 class MixedWeightError(ValueError):
     """Raised when an operation needs a common Gaussian weight and gets two."""
+
+
+class DegenerateTransformation(ValueError):
+    """The transformation functions are linearly dependent (zero Wronskian)."""
 
 
 class GaussFun:
@@ -54,7 +59,12 @@ class GaussFun:
 
     def derivative(self) -> "GaussFun":
         # (r e^{s x^2/4})' = (r' + s x r / 2) e^{s x^2/4}
-        return GaussFun(self.r.derivative() + RatFun.x() * self.r * Fraction(self.s, 2), self.s)
+        r = self.r
+        if r.den.degree() == 0:  # a polynomial stays one: no gcd to take
+            p, half = r.num, Fraction(self.s, 2)
+            xp = Poly._of([0] + [c * half.numerator for c in p.nums], p.den * half.denominator)
+            return GaussFun(RatFun._raw(p.derivative() + xp, r.den), self.s)
+        return GaussFun(r.derivative() + RatFun.x() * r * Fraction(self.s, 2), self.s)
 
     def derivatives(self, order: int) -> list["GaussFun"]:
         """[f, f', ..., f^(order)]."""
@@ -285,3 +295,73 @@ def wronskian(funcs: Sequence[GaussFun]) -> GaussFun:
     weight = common_weight(funcs)
     rows = derivative_table(funcs, n - 1)  # row m: the m-th derivatives
     return GaussFun(ratfun_det(rows), n * weight)
+
+
+def _cleared(entries: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
+    """Polynomials c * e for each entry e, with c the lcm of their denominators."""
+    common = Poly.one()
+    for e in entries:
+        common = poly_lcm(common, e.den)
+    return [e.num * common.exact_div(e.den) for e in entries], common
+
+
+class BorderedWronskian:
+    """W(u_1, ..., u_N, phi) for a fixed family and any phi of its weight.
+
+    Bareiss step k on the bordered matrix (row m: the m-th derivatives) uses
+    the pivot of column k, the entries below it and the previous pivot; none
+    of them depend on phi's column.  The family columns are eliminated once,
+    here, and each call runs only phi's column through the N stored steps:
+    N(N+1)/2 updates in place of a fresh (N+1)x(N+1) determinant.  Pivot k
+    is the leading (k+1)-minor, the sub-Wronskian W(u_1, ..., u_{k+1}) times
+    row scales, so no row swaps are needed; the last one gives W itself.
+    """
+
+    __slots__ = ("weight", "wronskian", "_row_scales", "_scale", "_steps")
+
+    def __init__(self, family: Sequence[GaussFun]):
+        n = len(family)
+        if n == 0:
+            raise ValueError("Wronskian of an empty family")
+        self.weight = common_weight(family)
+        rows, row_scales = [], []
+        for row in derivative_table(family, n):
+            polys, common = _cleared(row)
+            rows.append(polys)
+            row_scales.append(common)
+        steps = []
+        prev = Poly.one()
+        for k in range(n):
+            pivot = rows[k][k]
+            if pivot.is_zero:
+                raise DegenerateTransformation("transformation functions are linearly dependent")
+            below = tuple(rows[i][k] for i in range(k + 1, n + 1))
+            for i in range(k + 1, n + 1):
+                for j in range(k + 1, n):
+                    rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]).exact_div(prev)
+            steps.append((pivot, below, prev))
+            prev = pivot
+        scale = math.prod(row_scales[:n], start=Poly.one())
+        self.wronskian = GaussFun(RatFun(prev, scale), n * self.weight)
+        self._row_scales = tuple(row_scales)
+        self._scale = scale * row_scales[n]
+        self._steps = tuple(steps)
+
+    def __call__(self, phi: GaussFun) -> GaussFun:
+        """W(u_1, ..., u_N, phi), equal to ``wronskian(family + [phi])``."""
+        if phi.is_zero:
+            return GaussFun.zero()
+        if phi.s != self.weight:
+            raise MixedWeightError(
+                f"functions carry different Gaussian weights: {sorted({self.weight, phi.s})}"
+            )
+        n = len(self._steps)
+        # The determinant is linear in phi's column, so it is cleared by its
+        # own lcm on top of the family's row scales.
+        polys, common = _cleared([f.r for f in phi.derivatives(n)])
+        col = [c * p for c, p in zip(self._row_scales, polys)]
+        for k, (pivot, below, prev) in enumerate(self._steps):
+            top = col[k]
+            for i, entry in enumerate(below, k + 1):
+                col[i] = (pivot * col[i] - entry * top).exact_div(prev)
+        return GaussFun(RatFun(col[n], self._scale * common), (n + 1) * self.weight)

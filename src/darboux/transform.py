@@ -6,9 +6,10 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
 * the Wronskian W(u_1, ..., u_N), certified node-free two independent ways
   (the Krein integer criterion and an exact Sturm root count),
 * the potential difference A(x) = -2 [log W]'' and the partner potential,
-* the intertwining operator L of order N, realised both as the cofactor
-  expansion of the Wronskian-determinant formula and as a bordered-Wronskian
-  quotient (the two routes are asserted against each other),
+* the intertwining operator L of order N, realised both by one
+  fraction-free solve of L u_i = 0 and as a bordered-Wronskian quotient over
+  one stored elimination of the family (the two routes are asserted against
+  each other),
 * the kernel functions of the adjoint operator, and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
@@ -20,13 +21,13 @@ partner spectrum while every other level survives with the same energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .gaussian import DiffOp, GaussFun, common_weight, derivative_table, wronskian
-from .polynomial import RatFun, ratfun_det, sturm_real_root_count
+from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, wronskian
+from .polynomial import Poly, RatFun, poly_lcm, sturm_real_root_count
 
 
 class InadmissibleSelection(ValueError):
@@ -47,10 +48,6 @@ class NodefulWronskian(RuntimeError):
     The two admissibility views must agree; disagreement signals an
     arithmetic bug, not a user error, hence a hard failure.
     """
-
-
-class DegenerateTransformation(ValueError):
-    """The transformation functions are linearly dependent (zero Wronskian)."""
 
 
 class SolvableModel(Protocol):
@@ -130,6 +127,8 @@ class TransformResult:
     base_potential: RatFun
     partner_potential: RatFun
     operator: DiffOp
+    # W(u_1, ..., u_N, phi) over the family's one stored elimination.
+    bordered: BorderedWronskian = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -167,9 +166,8 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
         raise InadmissibleSelection(selection.levels, failing)
 
     functions = tuple(model.eigenfunction(k) for k in selection.levels)
-    w = wronskian(functions)
-    if w.is_zero:
-        raise DegenerateTransformation("transformation functions are linearly dependent")
+    bordered = BorderedWronskian(functions)  # raises DegenerateTransformation
+    w = bordered.wronskian
     _certify_node_free(w)
 
     # A = -2 [log W]'' with W = r * exp(s x^2/4):
@@ -187,31 +185,44 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
         base_potential=model.potential,
         partner_potential=partner,
         operator=operator,
+        bordered=bordered,
     )
 
 
 def crum_krein_operator(functions: Sequence[GaussFun], w: GaussFun) -> DiffOp:
-    """Intertwining operator from the Wronskian-determinant formula.
+    """Intertwining operator L = d^N + sum_{m<N} a_m d^m from L u_i = 0.
 
-    The (N+1)x(N+1) determinant whose last column is (1, d, ..., d^N) is
-    expanded along that column; the coefficient of d^m is the signed minor
-    obtained by deleting derivative row m, divided by W.  The shared
-    exponential factor of the minors cancels against W, so every coefficient
-    is a plain rational function, and the top coefficient is exactly 1.
+    The N equations sum_m a_m u_i^(m) = -u_i^(N) are cleared to polynomials
+    row by row (the shared exponential factor cancels) and solved by one
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): after step k every
+    entry is a (k+1)-minor, so each division by the previous pivot is exact,
+    and row i ends as det * (e_i | a_i), with det the last pivot.
     """
     n = len(functions)
     if w.is_zero:
         raise DegenerateTransformation("zero Wronskian")
-    table = derivative_table(functions, n)
-    coeffs: list[RatFun] = []
-    for m in range(n + 1):
-        rows = [[table[d][i] for i in range(n)] for d in range(n + 1) if d != m]
-        minor = ratfun_det(rows)
-        signed = minor if (n + m) % 2 == 0 else -minor
-        coeffs.append(signed / w.r)
-    op = DiffOp(coeffs)
-    assert op.coeff(n) == RatFun.one(), "top coefficient of the operator must be 1"
-    return op
+    rows = []
+    for u in functions:
+        derivs = [f.r for f in u.derivatives(n)]
+        common = Poly.one()
+        for d in derivs:
+            common = poly_lcm(common, d.den)
+        row = [d.num * common.exact_div(d.den) for d in derivs]
+        row[n] = -row[n]
+        rows.append(row)
+    prev = Poly.one()
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot.is_zero:
+            raise DegenerateTransformation("transformation functions are linearly dependent")
+        for i, row in enumerate(rows):
+            if i != k:
+                c = row[k]
+                for j in range(k + 1, n + 1):
+                    row[j] = (pivot * row[j] - c * pivot_row[j]).exact_div(prev)
+        prev = pivot
+    return DiffOp([RatFun(row[n], prev) for row in rows] + [RatFun.one()])
 
 
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
@@ -222,10 +233,8 @@ def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
     operator application.  Their agreement is a standing assertion.
     """
     image = tr.operator(phi)
-    weight = common_weight(tr.functions)
-    if phi.is_zero or phi.s == weight:
-        bordered = wronskian(list(tr.functions) + [phi])
-        quotient = bordered / tr.wronskian
+    if phi.is_zero or phi.s == tr.bordered.weight:
+        quotient = tr.bordered(phi) / tr.wronskian
         assert quotient == image, "bordered-Wronskian and operator routes disagree"
     return image
 

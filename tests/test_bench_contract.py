@@ -90,3 +90,19 @@ def test_spectrum_grid_gate_passes(workloads, tmp_path, capsys):
     outcome = workloads.check(workloads.Command(1, (1, 2), rung.nmax, argv), code, stdout, tmp_path)
     assert outcome.error is None
     assert 0.0 < outcome.level_error <= workloads.SPECTRUM_TOLERANCE
+
+
+@pytest.mark.parametrize("rung_index", [0, 1], ids=["order6", "order8"])
+def test_transform_gate_passes(workloads, rung_index, tmp_path, capsys):
+    # One selection of each transform-high-order rung, with the rung's own
+    # argv: the frozen JSON digest, stdout equal to the written JSON, and
+    # the CSV's shape and finiteness.
+    rung = workloads.WORKLOADS["transform-high-order"].rungs[rung_index]
+    levels = rung.pool[0]
+    assert len(levels) == 6 + 2 * rung_index
+    argv = workloads._argv(rung, levels, tmp_path)
+    code = main(list(argv))
+    stdout = capsys.readouterr().out
+    outcome = workloads.check(workloads.Command(rung_index, levels, rung.nmax, argv), code,
+                              stdout, tmp_path)
+    assert outcome.error is None

@@ -239,6 +239,19 @@ class TestClassifyCommand:
         assert "--nmax 2 is below the highest selected level 4" in capsys.readouterr().err
 
 
+def _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("exact work started")
+
+    monkeypatch.setattr(cli, "build_transform", refuse)
+    code = run(command, "--levels", levels, "--nmax", str(nmax), "--points", "11",
+               "--format", "csv")
+    assert code == 2
+    assert (f"--nmax {nmax} is above {top}, the largest for levels {levels}: "
+            f"the float norm n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
+            ) in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -257,13 +270,27 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["transform", "verify"])
     def test_nmax_above_float_norm_bound_rejected(self, command, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("exact work started")
+        _assert_float_norm_bound(command, "1,2", 171, 168, monkeypatch, capsys)
 
-        monkeypatch.setattr(cli, "build_transform", refuse)
-        code = run(command, "--levels", "1,2", "--nmax", "171", "--points", "11", "--format", "csv")
-        assert code == 2
-        assert "--nmax 171 is above 170" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    @pytest.mark.parametrize("levels, nmax, top", [("0", 170, 169), ("1,2", 169, 168)])
+    def test_nmax_bound_depends_on_the_selection(self, command, levels, nmax, top,
+                                                 monkeypatch, capsys):
+        # 170! * sqrt(2 pi) * 170 and 169! * sqrt(2 pi) * 168 * 167 overflow,
+        # though n! * sqrt(2 pi) alone is finite up to n = 170.
+        _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("levels, nmax", [("0", 169), ("1,2", 168)])
+    def test_nmax_at_float_norm_bound_accepted(self, levels, nmax, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_transform", reached)
+        with pytest.raises(Reached):
+            run("transform", "--levels", levels, "--nmax", str(nmax), "--points", "11")
 
     def test_missing_levels_rejected(self, capsys):
         assert run("classify") == 2

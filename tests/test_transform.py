@@ -1,16 +1,28 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux.gaussian import DiffOp, GaussFun, wronskian
+import darboux.gaussian
+import darboux.transform
+from darboux.cli import main
+from darboux.gaussian import (
+    BorderedWronskian,
+    DiffOp,
+    GaussFun,
+    MixedWeightError,
+    derivative_table,
+    wronskian,
+)
 from darboux.oscillator import OscillatorModel
-from darboux.polynomial import Poly, RatFun, hermite_he, sturm_real_root_count
+from darboux.polynomial import Poly, RatFun, hermite_he, ratfun_det, sturm_real_root_count
 from darboux.transform import (
+    DegenerateTransformation,
     InadmissibleSelection,
     LevelSelection,
     build_transform,
@@ -25,6 +37,20 @@ from darboux.transform import (
 
 def phi(n):
     return GaussFun(RatFun(hermite_he(n)), -1)
+
+
+# Every Krein-admissible selection of order <= 4 with levels up to 7.
+_ADMISSIBLE = [
+    sel
+    for order in range(1, 5)
+    for sel in combinations(range(8), order)
+    if krein_admissible(sel)
+]
+
+
+@lru_cache(maxsize=None)
+def _transform(levels):
+    return build_transform(OscillatorModel(), levels)
 
 
 class TestKreinCriterion:
@@ -118,11 +144,95 @@ class TestCrumKreinOperator:
         assert tr.operator.coeff(len(levels)) == RatFun.one()
 
     def test_degenerate_family_rejected(self):
-        from darboux.transform import DegenerateTransformation
-
         f = phi(1)
         with pytest.raises((DegenerateTransformation, ZeroDivisionError)):
             crum_krein_operator([f, 2 * f], wronskian([f, 2 * f]))
+
+    @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
+    def test_solve_agrees_with_minors(self, levels):
+        tr = _transform(levels)
+        operator = crum_krein_operator(tr.functions, tr.wronskian)
+        assert operator == _operator_from_minors(tr.functions, tr.wronskian)
+        assert operator == tr.operator
+
+    def test_wrong_operator_trips_the_bordered_route(self, tr12):
+        # The standing assertion compares the operator with the stored
+        # elimination, so a wrong coefficient cannot pass silently.
+        coeffs = list(tr12.operator.coeffs)
+        coeffs[0] = coeffs[0] + RatFun.constant(Fraction(1, 7))
+        wrong = replace(tr12, operator=DiffOp(coeffs))
+        with pytest.raises(AssertionError, match="routes disagree"):
+            crum_krein_apply(wrong, phi(0))
+
+
+def _operator_from_minors(functions, w):
+    """The Wronskian-determinant formula expanded along its column of d^m.
+
+    The (N+1)x(N+1) determinant whose last column is (1, d, ..., d^N) gives
+    d^m the signed minor that deletes derivative row m, divided by W; the
+    shared exponential factor cancels.  N + 1 separate determinants: the
+    oracle for the one-solve operator.
+    """
+    n = len(functions)
+    table = derivative_table(functions, n)
+    coeffs = []
+    for m in range(n + 1):
+        minor = ratfun_det([[table[d][i] for i in range(n)] for d in range(n + 1) if d != m])
+        coeffs.append((minor if (n + m) % 2 == 0 else -minor) / w.r)
+    return DiffOp(coeffs)
+
+
+# A same-weight function with a non-constant denominator: its column needs
+# clearing of its own, which oscillator eigenfunctions never do.
+RATIONAL_PHI = GaussFun(RatFun(hermite_he(3), Poly((1, 0, 1))), -1)
+
+
+class TestBorderedWronskian:
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        st.sampled_from(_ADMISSIBLE),
+        st.one_of(
+            st.tuples(st.just("eigen"), st.integers(0, 9)),
+            st.tuples(st.just("zero"), st.just(0)),
+            st.tuples(st.just("L+L"), st.integers(0, 9)),
+            st.tuples(st.just("rational"), st.just(0)),
+        ),
+    )
+    def test_equals_a_fresh_wronskian(self, levels, kind):
+        tr = _transform(levels)
+        name, n = kind
+        f = {
+            "eigen": lambda: phi(n),
+            "zero": GaussFun.zero,
+            "L+L": lambda: tr.adjoint(tr.operator(phi(n))),
+            "rational": lambda: RATIONAL_PHI,
+        }[name]()
+        assert tr.bordered(f) == wronskian(list(tr.functions) + [f])
+
+    @pytest.mark.parametrize("levels", [(0,), (1, 2), (0, 1, 2), (1, 2, 5, 6)])
+    def test_successive_calls_stand_alone(self, levels):
+        # One elimination serves calls with different columns, in any order.
+        tr = _transform(levels)
+        bordered = BorderedWronskian(tr.functions)
+        for f in [RATIONAL_PHI, phi(0), phi(7), RATIONAL_PHI, GaussFun.zero(), phi(3)]:
+            assert bordered(f) == wronskian(list(tr.functions) + [f])
+
+    @pytest.mark.parametrize(
+        "levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11), (2, 3, 6, 7, 9, 10, 11, 12)]
+    )
+    def test_last_pivot_is_the_wronskian(self, levels):
+        tr = _transform(levels)
+        assert tr.wronskian == wronskian(tr.functions)
+        assert tr.bordered.wronskian is tr.wronskian
+
+    def test_dependent_family_has_a_zero_pivot(self):
+        f = phi(2)
+        with pytest.raises(DegenerateTransformation):
+            BorderedWronskian([phi(0), f, 3 * f])
+
+    def test_other_weight_rejected(self, tr12):
+        with pytest.raises(MixedWeightError):
+            tr12.bordered(GaussFun(RatFun.one(), 1))
 
 
 class TestCrumKreinApply:
@@ -141,6 +251,31 @@ class TestCrumKreinApply:
         assert not image.is_zero
         h_partner = tr01.hamiltonian_partner()
         assert (h_partner(image) - 2 * image).is_zero
+
+    def test_no_fresh_determinant_per_image(self, model, monkeypatch):
+        # Each image's bordered Wronskian runs one column through the stored
+        # elimination: no Wronskian and no determinant of its own.
+        tr = build_transform(model, (1, 2, 5, 6))
+
+        def refuse(*args):
+            raise AssertionError("a fresh determinant was computed")
+
+        monkeypatch.setattr(darboux.transform, "wronskian", refuse)
+        monkeypatch.setattr(darboux.gaussian, "ratfun_det", refuse)
+        for n in tr.selection.survivors(8):
+            assert not crum_krein_apply(tr, phi(n)).is_zero
+
+    def test_family_is_eliminated_once_per_verify(self, monkeypatch, capsys):
+        built = []
+
+        def counted(family):
+            built.append(tuple(family))
+            return BorderedWronskian(family)
+
+        monkeypatch.setattr(darboux.transform, "BorderedWronskian", counted)
+        assert main(["verify", "--levels", "1,2,5,6", "--nmax", "8", "--points", "601"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_bordered_route_random_pairs(self, model):
         # the bordered-Wronskian assertion inside crum_krein_apply is the
@@ -227,15 +362,6 @@ def _expanded_residuals(tr):
         adjoint.compose(op) - _expanded_product(h0, alphas),
         op.compose(adjoint) - _expanded_product(tr.hamiltonian_partner(), alphas),
     )
-
-
-# Every Krein-admissible selection of order <= 4 with levels up to 7.
-_ADMISSIBLE = [
-    sel
-    for order in range(1, 5)
-    for sel in combinations(range(8), order)
-    if krein_admissible(sel)
-]
 
 
 class TestDerivedPartnerIdentity:
