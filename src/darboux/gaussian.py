@@ -286,8 +286,7 @@ def wronskian(funcs: Sequence[GaussFun]) -> GaussFun:
     """Wronskian determinant of a common-weight family, exactly.
 
     For n inputs of weight s the result carries weight n*s.  The determinant
-    runs fraction-free for n >= 3 and by direct cofactor expansion below
-    that.
+    runs fraction-free (``ratfun_det``).
     """
     n = len(funcs)
     if n == 0:

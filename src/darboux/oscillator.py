@@ -55,7 +55,7 @@ class OscillatorModel:
         """Exact squared norm n! * sqrt(2 pi) of the unnormalised eigenfunction."""
         if n < 0:
             raise ValueError("level index must be nonnegative")
-        return NormValue(Fraction(math.factorial(n)), 1)
+        return NormValue(Fraction(math.factorial(n)))
 
 
 def pair_wronskian_poly(k: int) -> Poly:
@@ -108,7 +108,7 @@ def partner_eigenfunction_closed_form(k: int, n: int) -> tuple[GaussFun, NormVal
         hermite_he(k + 1)
     ) / p
     bracket = GaussFun(bracket_r, Fraction(-1))
-    norm = NormValue(Fraction(math.factorial(n) * (n - k) * (n - k - 1)), 1)
+    norm = NormValue(Fraction(math.factorial(n) * (n - k) * (n - k - 1)))
     return bracket, norm
 
 

@@ -676,7 +676,7 @@ def det_cofactor(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     """Cofactor-expansion determinant over the rational-function field.
 
     Exponential cost; kept as the independent cross-check path for the
-    fraction-free route and as the direct route for tiny matrices.
+    fraction-free route.
     """
     n = len(rows)
     if n == 0:
@@ -701,11 +701,9 @@ def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     """Exact determinant of a square RatFun matrix.
 
     Rows are cleared to polynomials (tracking the scaling) and the core
-    determinant runs fraction-free; 1x1 and 2x2 cases go direct.
+    determinant runs fraction-free, for every size.
     """
     n = len(rows)
-    if n <= 2:
-        return det_cofactor(rows)
     poly_rows: list[list[Poly]] = []
     scale = Poly.one()
     for row in rows:
@@ -725,18 +723,17 @@ def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
 
 @dataclass(frozen=True)
 class NormValue:
-    """Exact squared-norm constant q * (2*pi)^(m/2) with q a positive rational.
+    """Exact squared-norm constant q * sqrt(2*pi) with q a positive rational.
 
-    Irrational pieces never enter the symbolic layer; square roots are taken
-    only when a float is finally requested.
+    Irrational pieces never enter the symbolic layer; the square root is
+    taken only when a float is finally requested.
     """
 
     q: Fraction
-    m: int
 
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError("squared norm must be positive")
 
     def to_float(self) -> float:
-        return float(self.q) * (2.0 * math.pi) ** (self.m / 2.0)
+        return float(self.q) * (2.0 * math.pi) ** 0.5

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -129,11 +130,10 @@ class TestVerifyCommand:
         assert run("verify", "--levels", "1,2", "--nmax", "-1") == 2
         assert "--nmax -1 is below 0" in capsys.readouterr().err
 
-
     def test_each_exact_object_built_once(self, monkeypatch, capsys):
         # L+ has one owner, the transform, and each image L phi_n has one
-        # owner, its eigen-doublet: 9 doublets + 9 Q applications in the
-        # anticommutator check.
+        # owner, its eigen-doublet: 9 doublets, and the anticommutator check
+        # applies no Q.
         calls = Counter()
 
         def counted(name, fn):
@@ -148,7 +148,50 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "crum_krein_apply", apply)
         assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
-        assert calls == {"adjoint": 1, "apply": 18}
+        assert calls == {"adjoint": 1, "apply": 9}
+
+    def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
+        # L: the 9 doublets.  L+: the 2 kernel functions and one Q+ per
+        # doublet.  hN: the 2 kernel functions and one intertwining residual
+        # per doublet, which eigen_residuals reads for the survivors.
+        tr = build_transform(OscillatorModel(), (1, 2))
+        named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
+        calls = Counter()
+        apply = DiffOp.__call__
+
+        def counted(op, f):
+            calls[next(name for name, known in named.items() if op == known)] += 1
+            return apply(op, f)
+
+        monkeypatch.setattr(DiffOp, "__call__", counted)
+        assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
+        capsys.readouterr()
+        assert calls == {"L": 9, "L+": 11, "hN": 11}
+
+
+# SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so
+# any change to a check's verdict or detail moves the digest.
+_FROZEN_REPORTS = [
+    ("verify --levels 1,2 --nmax 8", 0,
+     "d6641d83e0a46559ec674bd9e9accaea7581fe46e01ff86140db9261daf27a76"),
+    ("verify --levels 1,2,5,6 --nmax 8", 0,
+     "837e20be7db8ca58cb321a6cbd48b158d5f096d3cbf499a6e3de61c5e499fef9"),
+    ("verify --levels 1,2 --nmax 4 --points 601 --corrupt-vn 1e-3", 1,
+     "8cab2f222c9587f57c7f1a10a9eef7f11c8063e4738bcf98d3241582ac90889e"),
+    ("verify --levels 1,2,5,6 --nmax 8 --corrupt-vn 1/7", 1,
+     "b674669c7798126aa29c669b795948dd1e1f6675df9193b455498f6ac20a4c52"),
+    ("classify --levels 2,3,6,7 --nmax 9", 0,
+     "198e21b7628a5d8c6335849f7447b7ec84ce4df039959745363cc649877f2ba6"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", _FROZEN_REPORTS,
+                         ids=[c for c, _, _ in _FROZEN_REPORTS])
+def test_frozen_report(command, code, digest, capsys):
+    got = run(*command.split())
+    captured = capsys.readouterr()
+    text = json.dumps([got, captured.out, captured.err])
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
 
 
 class TestSpectrumCommand:

@@ -12,7 +12,7 @@ from darboux.oscillator import (
     partner_eigenfunction_closed_form,
     partner_potential_closed_form,
 )
-from darboux.polynomial import Poly, RatFun, sturm_real_root_count
+from darboux.polynomial import NormValue, Poly, RatFun, sturm_real_root_count
 from darboux.spectral import REFERENCE_GRID, quadrature_simpson, sample
 from darboux.transform import build_transform, crum_krein_apply
 
@@ -36,7 +36,7 @@ class TestModel:
     def test_squared_norm_values(self, model):
         assert model.squared_norm(0).q == 1
         assert model.squared_norm(2).q == 2
-        assert model.squared_norm(2).m == 1
+        assert model.squared_norm(2) == NormValue(Fraction(2))
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_squared_norm_against_quadrature(self, model, n):
@@ -83,7 +83,7 @@ class TestClosedFormWaveFunctions:
     def test_bracket_below_pair(self):
         bracket, norm = partner_eigenfunction_closed_form(1, 0)
         assert bracket == GaussFun(RatFun(Poly((-2,)), Poly((1, 0, 1))), -1)
-        assert norm.q == 2 and norm.m == 1  # 0! * (0-1)(0-2) = 2
+        assert norm == NormValue(Fraction(2))  # 0! * (0-1)(0-2) = 2
 
     def test_bracket_above_pair(self):
         bracket, _ = partner_eigenfunction_closed_form(1, 3)

@@ -16,6 +16,7 @@ from darboux.polynomial import (
     hermite_he,
     poly_det_bareiss,
     poly_gcd,
+    ratfun_det,
     sturm_real_root_count,
 )
 
@@ -400,6 +401,14 @@ class TestRatFun:
         assert d == expected
 
 
+# Rational functions with rational coefficients and small denominators.
+_ratfun_entries = st.builds(
+    lambda num, den: RatFun(Poly(num), Poly(den)),
+    st.lists(st.fractions(-5, 5, max_denominator=6), max_size=3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+)
+
+
 class TestDeterminants:
     def test_bareiss_matches_cofactor(self):
         rng = random.Random(77)
@@ -417,12 +426,19 @@ class TestDeterminants:
         row = [P(1, 1), P(0, 1), P(2)]
         assert poly_det_bareiss([row, row, [P(1), P(0), P(1)]]).is_zero
 
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(_ratfun_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_ratfun_det_matches_cofactor(self, rows):
+        # One fraction-free route for every size, the empty matrix included.
+        assert ratfun_det(rows) == det_cofactor(rows)
+
 
 class TestNormValue:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
-            NormValue(Fraction(0), 1)
+            NormValue(Fraction(0))
 
     def test_float_value(self):
-        nv = NormValue(Fraction(1), 1)  # sqrt(2 pi)
+        nv = NormValue(Fraction(1))  # sqrt(2 pi)
         assert nv.to_float() == pytest.approx(2.5066282746310002, abs=1e-15)

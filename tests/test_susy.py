@@ -107,9 +107,9 @@ class TestAnticommutator:
             for alpha in tr.selection.alphas:
                 factor *= model.energy(n) - alpha
             assert check.factor == factor
-            assert acomm == state.scaled(factor)
+            assert acomm == Doublet(state.upper * factor, state.lower * factor, state.energy)
 
-    def test_two_supercharge_applications_per_level(self, model, tr12, monkeypatch):
+    def test_one_supercharge_application_per_level(self, model, tr12, monkeypatch):
         sides = []
 
         def counted(side, tr, state):
@@ -118,7 +118,7 @@ class TestAnticommutator:
 
         monkeypatch.setattr("darboux.susy.supercharge_apply", counted)
         assert anticommutator_check(tr12, doublets(model, tr12, range(4))).ok
-        assert sides == ["Q+", "Q"] * 4
+        assert sides == ["Q+"] * 4
 
     def test_wrong_adjoint_fails_every_doublet(self, model):
         tr = build_transform(model, (1, 2))
