@@ -13,15 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomial import (
-    Poly,
-    RatFun,
-    Scalar,
-    _frac,
-    as_ratfun,
-    poly_lcm,
-    ratfun_det,
-)
+from .polynomial import Poly, RatFun, Scalar, _frac, as_ratfun, cleared, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -58,13 +50,7 @@ class GaussFun:
         return self.r.is_zero
 
     def derivative(self) -> "GaussFun":
-        # (r e^{s x^2/4})' = (r' + s x r / 2) e^{s x^2/4}
-        r = self.r
-        if r.den.degree() == 0:  # a polynomial stays one: no gcd to take
-            p, half = r.num, Fraction(self.s, 2)
-            xp = Poly._of([0] + [c * half.numerator for c in p.nums], p.den * half.denominator)
-            return GaussFun(RatFun._raw(p.derivative() + xp, r.den), self.s)
-        return GaussFun(r.derivative() + RatFun.x() * r * Fraction(self.s, 2), self.s)
+        return GaussFun(self.r.derivative(self.s), self.s)
 
     def derivatives(self, order: int) -> list["GaussFun"]:
         """[f, f', ..., f^(order)]."""
@@ -96,7 +82,7 @@ class GaussFun:
         if isinstance(other, GaussFun):
             return GaussFun(self.r * other.r, self.s + other.s)
         if isinstance(other, (RatFun, Poly, int, Fraction)):
-            return GaussFun(self.r * as_ratfun(other), self.s)
+            return GaussFun(self.r * other, self.s)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -105,7 +91,7 @@ class GaussFun:
         if isinstance(other, GaussFun):
             return GaussFun(self.r / other.r, self.s - other.s)
         if isinstance(other, (RatFun, Poly, int, Fraction)):
-            return GaussFun(self.r / as_ratfun(other), self.s)
+            return GaussFun(self.r / other, self.s)
         return NotImplemented
 
     def __call__(self, x: float) -> float:
@@ -128,10 +114,6 @@ class GaussFun:
 # ---------------------------------------------------------------------------
 # Differential operators
 # ---------------------------------------------------------------------------
-
-def _binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
 
 class DiffOp:
     """Differential operator sum_j a_j(x) d^j with RatFun coefficients.
@@ -198,7 +180,7 @@ class DiffOp:
                 if a.is_zero:
                     continue
                 for t in range(i + 1):
-                    out[i - t + j] = out[i - t + j] + a * (_binomial(i, t) * b_derivs[t])
+                    out[i - t + j] = out[i - t + j] + a * (math.comb(i, t) * b_derivs[t])
         return DiffOp(out)
 
     def adjoint(self) -> "DiffOp":
@@ -214,7 +196,7 @@ class DiffOp:
                 a_derivs.append(a_derivs[-1].derivative())
             sign = 1 if j % 2 == 0 else -1
             for t in range(j + 1):
-                out[j - t] = out[j - t] + sign * _binomial(j, t) * a_derivs[t]
+                out[j - t] = out[j - t] + sign * math.comb(j, t) * a_derivs[t]
         return DiffOp(out)
 
     def __add__(self, other) -> "DiffOp":
@@ -233,8 +215,7 @@ class DiffOp:
 
     def __mul__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction, Poly, RatFun)):
-            scalar = as_ratfun(other)
-            return DiffOp(c * scalar for c in self.coeffs)
+            return DiffOp(c * other for c in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -296,14 +277,6 @@ def wronskian(funcs: Sequence[GaussFun]) -> GaussFun:
     return GaussFun(ratfun_det(rows), n * weight)
 
 
-def _cleared(entries: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
-    """Polynomials c * e for each entry e, with c the lcm of their denominators."""
-    common = Poly.one()
-    for e in entries:
-        common = poly_lcm(common, e.den)
-    return [e.num * common.exact_div(e.den) for e in entries], common
-
-
 class BorderedWronskian:
     """W(u_1, ..., u_N, phi) for a fixed family and any phi of its weight.
 
@@ -325,7 +298,7 @@ class BorderedWronskian:
         self.weight = common_weight(family)
         rows, row_scales = [], []
         for row in derivative_table(family, n):
-            polys, common = _cleared(row)
+            polys, common = cleared(row)
             rows.append(polys)
             row_scales.append(common)
         steps = []
@@ -357,7 +330,7 @@ class BorderedWronskian:
         n = len(self._steps)
         # The determinant is linear in phi's column, so it is cleared by its
         # own lcm on top of the family's row scales.
-        polys, common = _cleared([f.r for f in phi.derivatives(n)])
+        polys, common = cleared([f.r for f in phi.derivatives(n)])
         col = [c * p for c, p in zip(self._row_scales, polys)]
         for k, (pivot, below, prev) in enumerate(self._steps):
             top = col[k]

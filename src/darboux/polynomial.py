@@ -10,6 +10,12 @@ no trailing zero coefficient, and rational functions are gcd-reduced with a
 monic denominator.  Structural equality therefore coincides with value
 equality, which is what lets the operator identity checks elsewhere reduce
 to ``==``.
+
+Each ``RatFun`` operation puts its result in that form once.  A sum cancels
+the gcd of the two denominators, a product cross-cancels numerators against
+denominators, and a derivative takes the one gcd of its denominator and that
+denominator's derivative; a part that is a constant needs no gcd.  A scalar
+multiple never reduces: c * p / q is as reduced as p / q.
 """
 
 from __future__ import annotations
@@ -451,14 +457,8 @@ class RatFun:
         if num.is_zero:
             num, den = Poly.zero(), Poly.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lc = den.lead()
-            if lc != 1:
-                num, den = num * (1 / lc), den * (1 / lc)
-        self.num: Poly = num
-        self.den: Poly = den
+            num, den = _cancel(num, den)
+        self.num, self.den = _monic_den(num, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -472,7 +472,7 @@ class RatFun:
 
     @classmethod
     def zero(cls) -> "RatFun":
-        return cls(Poly.zero())
+        return cls._raw(Poly.zero(), Poly.one())
 
     @classmethod
     def one(cls) -> "RatFun":
@@ -522,11 +522,8 @@ class RatFun:
         right = other.den.exact_div(g)
         num = self.num * right + other.num * left
         if num.is_zero:
-            return RatFun._raw(Poly.zero(), Poly.one())
-        g2 = poly_gcd(num, g)
-        if g2.degree() > 0:
-            num = num.exact_div(g2)
-            g = g.exact_div(g2)
+            return RatFun.zero()
+        num, g = _cancel(num, g)
         return RatFun._raw(num, left * right * g)
 
     __radd__ = __add__
@@ -548,24 +545,16 @@ class RatFun:
         # Cross-cancellation keeps both gcd calls on already-reduced pairs,
         # after which the product is reduced by construction.
         if a_num.is_zero or b_num.is_zero:
-            return RatFun._raw(Poly.zero(), Poly.one())
-        g1 = poly_gcd(a_num, b_den)
-        if g1.degree() > 0:
-            a_num = a_num.exact_div(g1)
-            b_den = b_den.exact_div(g1)
-        g2 = poly_gcd(b_num, a_den)
-        if g2.degree() > 0:
-            b_num = b_num.exact_div(g2)
-            a_den = a_den.exact_div(g2)
-        num = a_num * b_num
-        den = a_den * b_den
-        lc = den.lead()
-        if lc != 1:
-            num = num * (1 / lc)
-            den = den * (1 / lc)
-        return RatFun._raw(num, den)
+            return RatFun.zero()
+        a_num, b_den = _cancel(a_num, b_den)
+        b_num, a_den = _cancel(b_num, a_den)
+        return RatFun._raw(*_monic_den(a_num * b_num, a_den * b_den))
 
     def __mul__(self, other) -> "RatFun":
+        if isinstance(other, (int, Fraction)):
+            # num * c over den is as reduced as num over den; only c = 0
+            # needs the canonical zero.
+            return RatFun._raw(self.num * other, self.den) if other else RatFun.zero()
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
@@ -584,15 +573,26 @@ class RatFun:
     def __rtruediv__(self, other) -> "RatFun":
         return _as_ratfun(other) / self
 
-    def derivative(self) -> "RatFun":
-        if self.den.degree() == 0:
-            return RatFun._raw(self.num.derivative(), self.den)
-        # Cancel the repeated part of the denominator before reducing.
-        den_prime = self.den.derivative()
-        g = poly_gcd(self.den, den_prime)
-        den_red = self.den.exact_div(g)
-        num = self.num.derivative() * den_red - self.num * den_prime.exact_div(g)
-        return RatFun(num, self.den * den_red)
+    def derivative(self, weight: Scalar = 0) -> "RatFun":
+        """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4).
+
+        With r = p/q and g = gcd(q, q'), the value is
+        ((p' + (w/2) x p)(q/g) - p (q'/g)) / (q (q/g)).  Modulo q/g, the
+        square-free part of q, the numerator is -p (q'/g), and both factors
+        are coprime to q/g; so the quotient is already reduced and g is the
+        one gcd taken.
+        """
+        p, q = self.num, self.den
+        h = _frac(weight) / 2
+        top = p.derivative()
+        if h:
+            top = top + Poly._of([0, *(c * h.numerator for c in p.nums)], p.den * h.denominator)
+        if q.degree() == 0:
+            return RatFun._raw(top, q)
+        q_prime = q.derivative()
+        g = poly_gcd(q, q_prime)
+        rad = q.exact_div(g)
+        return RatFun._raw(top * rad - p * q_prime.exact_div(g), q * rad)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
@@ -612,6 +612,24 @@ class RatFun:
         if self.den == Poly.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd (both nonzero); a constant needs none."""
+    if a.degree() == 0 or b.degree() == 0:
+        return a, b
+    g = poly_gcd(a, b)
+    if g.degree() == 0:
+        return a, b
+    return a.exact_div(g), b.exact_div(g)
+
+
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with both scaled so that den is monic (den nonzero)."""
+    lc = den.lead()
+    if lc == 1:
+        return num, den
+    return num * (1 / lc), den * (1 / lc)
 
 
 def _coerce_poly(value) -> Poly:
@@ -709,12 +727,19 @@ def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-        common = Poly.one()
-        for entry in row:
-            common = poly_lcm(common, entry.den)
-        poly_rows.append([entry.num * common.exact_div(entry.den) for entry in row])
+        polys, common = cleared(row)
+        poly_rows.append(polys)
         scale = scale * common
     return RatFun(poly_det_bareiss(poly_rows), scale)
+
+
+def cleared(entries: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
+    """Polynomials c * e for each entry e, with c the lcm of their denominators."""
+    common = Poly.one()
+    for e in entries:
+        if e.den.degree() > 0:  # a polynomial entry leaves the lcm as it is
+            common = poly_lcm(common, e.den)
+    return [e.num * common.exact_div(e.den) for e in entries], common
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, wronskian
-from .polynomial import Poly, RatFun, poly_lcm, sturm_real_root_count
+from .polynomial import Poly, RatFun, cleared, sturm_real_root_count
 
 
 class InadmissibleSelection(ValueError):
@@ -203,11 +203,7 @@ def crum_krein_operator(functions: Sequence[GaussFun], w: GaussFun) -> DiffOp:
         raise DegenerateTransformation("zero Wronskian")
     rows = []
     for u in functions:
-        derivs = [f.r for f in u.derivatives(n)]
-        common = Poly.one()
-        for d in derivs:
-            common = poly_lcm(common, d.den)
-        row = [d.num * common.exact_div(d.den) for d in derivs]
+        row, _ = cleared([f.r for f in u.derivatives(n)])
         row[n] = -row[n]
         rows.append(row)
     prev = Poly.one()

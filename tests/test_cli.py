@@ -1,13 +1,14 @@
 import hashlib
 import json
 import re
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from darboux import cli, susy
+from darboux import cli, polynomial, susy
 from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
@@ -167,6 +168,25 @@ class TestVerifyCommand:
         assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
         assert calls == {"L": 9, "L+": 11, "hN": 11}
+
+    def test_gcd_calls_capped(self, monkeypatch, capsys):
+        # Each exact operation reduces once: a derivative takes the one gcd
+        # of its denominator, a scalar multiple or a constant part none.
+        gcd = polynomial.poly_gcd
+        calls = Counter()
+
+        def counted(a, b):
+            calls["gcd"] += 1
+            return gcd(a, b)
+
+        bound = [m for name, m in sys.modules.items()
+                 if name.startswith("darboux.") and getattr(m, "poly_gcd", None) is gcd]
+        assert polynomial in bound
+        for module in bound:
+            monkeypatch.setattr(module, "poly_gcd", counted)
+        assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
+        capsys.readouterr()
+        assert 0 < calls["gcd"] <= 686
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so

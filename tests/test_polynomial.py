@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darboux.gaussian import GaussFun
 from darboux.polynomial import (
     NormValue,
     Poly,
@@ -399,6 +400,67 @@ class TestRatFun:
         d = r.derivative()
         expected = RatFun(P(1, 0, -1), P(1, 0, 2, 0, 1))  # (1-x^2)/(1+x^2)^2
         assert d == expected
+
+
+_X = sympy.Symbol("x")
+
+
+def _from_sympy(expr) -> Poly:
+    coeffs = sympy.Poly(expr, _X).all_coeffs()
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+_small_polys = (
+    st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0).map(Poly)
+)
+# Denominators of degree 0, and a * b^k whose repeated factor b makes
+# gcd(q, q') nontrivial.
+_denominators = st.one_of(
+    st.integers(-4, 4).filter(bool).map(lambda c: Poly((c,))),
+    st.builds(lambda a, b, k: a * b ** k, _small_polys, _small_polys, st.integers(1, 3)),
+)
+_weights = st.sampled_from([Fraction(w) for w in (0, 1, -1, 4)] + [Fraction(1, 2), Fraction(-1, 2)])
+
+
+class TestWeightedDerivative:
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.lists(st.integers(-6, 6), max_size=4).map(Poly), _denominators, _weights)
+    @example(P(1), P(1, 0, 1) ** 2 * P(-2, 1), Fraction(1, 2))
+    @example(P(3, -1, 2), P(2), Fraction(-1))
+    @example(P(0, 1), P(1, 1) ** 3, Fraction(4))
+    def test_matches_sympy(self, num, den, w):
+        # d/dx[r exp(w x^2/4)] exp(-w x^2/4), cancelled by sympy, in the
+        # canonical form the full constructor gives.
+        r = RatFun(num, den)
+        e = sympy.exp(_sympy_rational(w) * _X**2 / 4)
+        value = _sympy_poly(r.num).as_expr() / _sympy_poly(r.den).as_expr()
+        top, bottom = sympy.fraction(sympy.cancel(sympy.diff(value * e, _X) / e))
+        got = r.derivative(w)
+        expected = RatFun(_from_sympy(top), _from_sympy(bottom))
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+class TestScalarMultiple:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        st.lists(st.integers(-6, 6), max_size=4).map(Poly),
+        _denominators,
+        st.one_of(
+            st.just(0),
+            st.fractions(max_value=0, max_denominator=50),
+            st.integers(-(10**40), 10**40),
+        ),
+    )
+    @example(P(1, 1), P(1, 0, 1) ** 2, 0)
+    @example(P(0, 2), P(3, 1), Fraction(-7, 3))
+    def test_scalar_route_is_canonical(self, num, den, c):
+        # The scalar route keeps the denominator; its result must be the
+        # one the full constructor reduces to, a zero scalar included.
+        r = RatFun(num, den)
+        expected = RatFun(r.num * c, r.den)
+        for got in (r * c, c * r, (GaussFun(r, -1) * c).r):
+            assert (got.num, got.den) == (expected.num, expected.den)
+        assert GaussFun(r, -1) * c == GaussFun(expected, -1)
 
 
 # Rational functions with rational coefficients and small denominators.

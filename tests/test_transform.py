@@ -5,7 +5,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darboux.gaussian
@@ -185,6 +186,30 @@ def _operator_from_minors(functions, w):
 # A same-weight function with a non-constant denominator: its column needs
 # clearing of its own, which oscillator eigenfunctions never do.
 RATIONAL_PHI = GaussFun(RatFun(hermite_he(3), Poly((1, 0, 1))), -1)
+
+
+class TestWronskianAgainstSympy:
+    @settings(deadline=None, max_examples=10, derandomize=True)
+    @given(st.sampled_from(_ADMISSIBLE))
+    @example((1, 2, 5, 6))
+    def test_matches_sympy(self, levels):
+        x = sympy.Symbol("x")
+        gauss = sympy.exp(-x**2 / 4)
+        hermite = [sympy.hermite_prob(k, x) for k in levels]
+        family = [phi(k) for k in levels]
+
+        def poly(expr):
+            coeffs = sympy.Poly(sympy.expand(expr), x).all_coeffs()
+            return RatFun(Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)))
+
+        # Row m holds the m-th derivatives over the shared exp(-x^2/4).
+        for m, row in enumerate(derivative_table(family, len(levels) - 1)):
+            assert row == [poly(sympy.diff(he * gauss, x, m) / gauss) for he in hermite]
+        # W(h f_1, ..., h f_N) = h^N W(f_1, ..., f_N): the weight only scales
+        # the Wronskian, so sympy's Wronskian of the Hermite polynomials is
+        # its whole rational part.
+        expected = GaussFun(poly(sympy.wronskian(hermite, x)), -len(levels))
+        assert wronskian(family) == expected
 
 
 class TestBorderedWronskian:
