@@ -16,6 +16,14 @@ the gcd of the two denominators, a product cross-cancels numerators against
 denominators, and a derivative takes the one gcd of its denominator and that
 denominator's derivative; a part that is a constant needs no gcd.  A scalar
 multiple never reduces: c * p / q is as reduced as p / q.
+
+``poly_gcd`` works on the primitive integer numerators by one of two routes.
+Inputs of more than 26 coefficients together take the heuristic GCD
+(GCDHEU): one big-integer gcd of both inputs evaluated at xi = 2^(8b), with
+xi above 2 min(|x|, |y|) + 1 and above twice the larger input's
+coefficients, read back as a candidate that counts only once it divides both
+inputs exactly.  Smaller or equal inputs, and inputs on which six evaluation
+points fail, take the primitive pseudo-remainder sequence.
 """
 
 from __future__ import annotations
@@ -320,9 +328,30 @@ def _int_primitive(p: Poly) -> list[int]:
     return _int_content_free(list(p.nums))
 
 
+# Inputs with more integer coefficients than this, both together, take the
+# heuristic route; smaller ones go straight to the remainder sequence.
+_HEU_MIN_TERMS = 26
+# Evaluation points the heuristic tries, one byte wider each, before the
+# remainder sequence takes over.
+_HEU_POINTS = 6
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, computed by a primitive integer
-    pseudo-remainder sequence on the numerators."""
+    """Monic greatest common divisor.
+
+    Both numerators are made primitive first.  Inputs of more than
+    ``_HEU_MIN_TERMS`` = 26 integer coefficients together take the
+    heuristic GCD (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989), ``_heu_gcd``: one integer gcd of the two inputs evaluated at
+    xi = 2^(8b), read back as a candidate and proved by exact division.
+    Smaller inputs, equal inputs (one pseudo-division proves those) and
+    inputs on which all ``_HEU_POINTS`` evaluation points fail take the
+    primitive pseudo-remainder sequence, ``_prs_gcd``.  The threshold is
+    the measured crossover: replaying the gcd inputs of ``verify`` at
+    orders 2, 4 and 6 and ``transform`` at order 8 through both routes, the
+    heuristic took 0.9-1.3 times the sequence's time at 18-26 coefficients
+    and 0.64-0.97 times at each size from 27 to 34.
+    """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
@@ -331,9 +360,68 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.one()
     x = _int_primitive(a)
     y = _int_primitive(b)
+    g = _heu_gcd(x, y) if len(x) + len(y) > _HEU_MIN_TERMS and x != y else None
+    if g is None:
+        g = _prs_gcd(x, y)
+    return Poly._of(g, g[-1])
+
+
+def _prs_gcd(x: list[int], y: list[int]) -> list[int]:
+    """gcd of primitive x and y (up to sign) by the primitive
+    pseudo-remainder sequence."""
     while y:
         x, y = y, _int_content_free(_int_pseudo_divmod(x, y)[1])
-    return Poly._of(x, x[-1])
+    return x
+
+
+def _heu_gcd(x: list[int], y: list[int]) -> list[int] | None:
+    """gcd of primitive x and y of degree >= 1, with a positive lead, or
+    None if ``_HEU_POINTS`` evaluation points all fail.
+
+    At xi = 2^(8b) > 2 min(|x|, |y|) + 1 (max norms), a primitive candidate
+    that divides both inputs is their gcd (GCDHEU's theorem), so the exact
+    division test makes each accepted candidate a proof.  xi also exceeds
+    twice the larger input's coefficients, so that ``_pack_eval`` is exact.
+    """
+    nx = max(map(abs, x))
+    ny = max(map(abs, y))
+    need = max(2 * min(nx, ny) + 1, 2 * max(nx, ny))
+    width = (need.bit_length() + 7) // 8
+    shorter = min(len(x), len(y))
+    for nbytes in range(width, width + _HEU_POINTS):
+        h = _unpack_symmetric(math.gcd(_pack_eval(x, nbytes), _pack_eval(y, nbytes)), nbytes)
+        if len(h) > shorter:
+            continue
+        h = _int_content_free(h if h[-1] > 0 else [-c for c in h])
+        if not _int_pseudo_divmod(x, h)[1] and not _int_pseudo_divmod(y, h)[1]:
+            return h
+    return None
+
+
+def _pack_eval(cs: list[int], nbytes: int) -> int:
+    """cs evaluated at 2^(8 nbytes), every |c| below that: the positive and
+    the negative coefficients packed into bytes as two base-2^(8 nbytes)
+    numbers, one subtracted from the other."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in cs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack_symmetric(v: int, nbytes: int) -> list[int]:
+    """Digits of v > 0 in base xi = 2^(8 nbytes), each in (-xi/2, xi/2],
+    lowest first, by one carry pass over v's bytes."""
+    xi = 1 << (8 * nbytes)
+    half = xi >> 1
+    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    digits = []
+    carry = 0
+    for i in range(0, len(raw), nbytes):
+        d = int.from_bytes(raw[i:i + nbytes], "little") + carry
+        carry = d > half
+        digits.append(d - xi if carry else d)
+    if carry:
+        digits.append(1)
+    return digits
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -512,8 +600,12 @@ class RatFun:
         if other.is_zero:
             return self
         # Knuth-style rational addition: cancel the denominator gcd first so
-        # the remaining reduction is against a small polynomial only.
-        g = poly_gcd(self.den, other.den)
+        # the remaining reduction is against a small polynomial only.  A
+        # constant denominator is 1 (monic), so it needs no gcd.
+        if self.den.degree() == 0 or other.den.degree() == 0:
+            g = Poly.one()
+        else:
+            g = poly_gcd(self.den, other.den)
         if g.degree() == 0:
             return RatFun._raw(
                 self.num * other.den + other.num * self.den, self.den * other.den

@@ -1,7 +1,11 @@
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
+from darboux import polynomial
 from darboux.oscillator import OscillatorModel
 from darboux.transform import build_transform
 
@@ -19,6 +23,40 @@ def tr12(model):
 @pytest.fixture(scope="session")
 def tr01(model):
     return build_transform(model, (0, 1))
+
+
+@contextmanager
+def _counted_gcd_routes():
+    heu, prs, unpack = polynomial._heu_gcd, polynomial._prs_gcd, polynomial._unpack_symmetric
+    counts = Counter()
+
+    def counted_heu(x, y):
+        counts["heuristic"] += 1
+        g = heu(x, y)
+        counts["accepted" if g is not None else "fallback"] += 1
+        return g
+
+    def counted_prs(x, y):
+        counts["prs"] += 1
+        return prs(x, y)
+
+    def counted_unpack(v, nbytes):
+        counts["points"] += 1
+        return unpack(v, nbytes)
+
+    with patch.object(polynomial, "_heu_gcd", counted_heu), \
+            patch.object(polynomial, "_prs_gcd", counted_prs), \
+            patch.object(polynomial, "_unpack_symmetric", counted_unpack):
+        yield counts
+
+
+@pytest.fixture(scope="session")
+def gcd_routes():
+    """A context manager counting the routes ``poly_gcd`` takes inside it:
+    ``heuristic`` entries, their ``accepted`` and ``fallback`` results, the
+    heuristic's evaluation ``points`` and the remainder-sequence runs
+    (``prs``)."""
+    return _counted_gcd_routes
 
 
 def fr(num, den=1) -> Fraction:

@@ -186,7 +186,20 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "poly_gcd", counted)
         assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
         capsys.readouterr()
-        assert 0 < calls["gcd"] <= 686
+        assert 0 < calls["gcd"] <= 637
+
+    def test_gcd_routes(self, gcd_routes, capsys):
+        # At order 4 every gcd input above the threshold is proved by the
+        # heuristic at its first evaluation point, with no fallback.
+        with gcd_routes() as routes:
+            assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
+        assert routes["heuristic"] > 0 and routes["fallback"] == 0
+        assert routes["accepted"] == routes["points"] == routes["heuristic"]
+        # Order 2 stays below the threshold: the remainder sequence only.
+        with gcd_routes() as routes:
+            assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
+        capsys.readouterr()
+        assert routes["prs"] > 0 and routes["heuristic"] == 0
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so
@@ -202,6 +215,8 @@ _FROZEN_REPORTS = [
      "b674669c7798126aa29c669b795948dd1e1f6675df9193b455498f6ac20a4c52"),
     ("classify --levels 2,3,6,7 --nmax 9", 0,
      "198e21b7628a5d8c6335849f7447b7ec84ce4df039959745363cc649877f2ba6"),
+    ("verify --levels 2,3,6,7,10,11 --nmax 13", 0,
+     "20192fd839424dc51b8430ca375647a5e84357c4b2da05f7cf08beaef4c165ef"),
 ]
 
 

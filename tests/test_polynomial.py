@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from darboux.gaussian import GaussFun
 from darboux.polynomial import (
+    _HEU_MIN_TERMS,
+    _int_primitive,
+    _prs_gcd,
     NormValue,
     Poly,
     RatFun,
@@ -227,6 +230,57 @@ class TestIntegerCore:
         for z in (Poly(()), Poly((0, Fraction(0, 7))), P(Fraction(1, 3)) - P(Fraction(1, 3))):
             _assert_canonical(z)
             assert (z.nums, z.den) == ((), 1)
+
+
+# Integer coefficient lists, nonzero on top, drawn either small, up to 130
+# bits, or mixed, so the two inputs of a gcd often differ widely in norm.
+def _int_lists(min_size, max_size):
+    small, big = st.integers(-9, 9), st.integers(-(2**130), 2**130)
+    return st.sampled_from([small, big, st.one_of(small, big)]).flatmap(
+        lambda ints: st.lists(ints, min_size=min_size, max_size=max_size).filter(lambda cs: cs[-1])
+    )
+
+
+# (g, k, u, v) for the inputs g^k u and g^k v.  At the first evaluation point
+# xi = 256, u(256) and v(256) are both multiples of 251 (u(5) = v(5) = 251),
+# so the integer gcd carries that factor into a wrong candidate.
+_WRONG_FIRST_POINT = ([1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1], 1, [1, 25, 0, 1], [76, 0, 2, 1])
+# At xi = 256, which still holds every coefficient, x - 255 evaluates to 1 and
+# the candidate 1 divides both inputs; xi > 2 * 255 + 1 rules that point out.
+_BELOW_THE_BOUND = ([-255, 1], 1, [1] * 16, [1, 1] + [0] * 11 + [1])
+
+
+class TestHeuristicGcd:
+    """``poly_gcd`` above the heuristic threshold against the primitive
+    pseudo-remainder sequence it falls back to."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(_int_lists(2, 4), st.integers(0, 3), _int_lists(14, 18), _int_lists(14, 18),
+           _rationals.filter(bool))
+    @example(*_WRONG_FIRST_POINT, Fraction(1))
+    @example(*_BELOW_THE_BOUND, Fraction(-3, 7))
+    @example([3, -(2**100)], 3, [1] * 14, [2**110 + 1] + [0] * 12 + [-1], Fraction(5, 2**120))
+    def test_matches_the_remainder_sequence(self, gcd_routes, g, k, u, v, scale):
+        # k = 0 gives a coprime pair (almost surely), k = 2, 3 repeated factors.
+        a = Poly(g) ** k * Poly(u) * scale
+        b = Poly(g) ** k * Poly(v)
+        x, y = _int_primitive(a), _int_primitive(b)
+        assert len(x) + len(y) > _HEU_MIN_TERMS
+        want = _prs_gcd(x, y)
+        with gcd_routes() as routes:
+            got = poly_gcd(a, b)
+        _assert_canonical(got)
+        assert got == Poly(want).monic()
+        assert routes["heuristic"] == (x != y)
+        assert routes["accepted"] + routes["fallback"] == routes["heuristic"]
+        assert routes["prs"] == 1 - routes["accepted"]
+
+    def test_wrong_first_candidate_moves_on(self, gcd_routes):
+        g, k, u, v = _WRONG_FIRST_POINT
+        with gcd_routes() as routes:
+            got = poly_gcd(Poly(g) ** k * Poly(u), Poly(g) ** k * Poly(v))
+        assert got == Poly(g)
+        assert routes["points"] >= 2 or routes["fallback"] == 1
 
 
 class TestHermite:
