@@ -239,10 +239,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(
             f"--nmax {cfg.nmax} is below the highest selected level {cfg.levels[-1]}"
         )
-    if args.command == "spectrum" and cfg.nmax >= cfg.grid.n_points:
-        raise ValueError(
-            f"--nmax {cfg.nmax} needs more than --points {cfg.grid.n_points} grid points"
-        )
+    if args.command == "spectrum":
+        grid = cfg.grid
+        if cfg.nmax >= grid.n_points:
+            raise ValueError(
+                f"--nmax {cfg.nmax} needs more than --points {grid.n_points} grid points"
+            )
+        # The finite-difference Hamiltonian's entries are multiples of 1/h^2.
+        h2 = grid.h * grid.h
+        if not (h2 and math.isfinite(1.0 / h2)):
+            raise ValueError(
+                f"grid spacing h = {grid.h!r} on [{grid.x_min}, {grid.x_max}] with "
+                f"--points {grid.n_points} is too small: 1/h^2 is not a finite float"
+            )
     return cfg
 
 

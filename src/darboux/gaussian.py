@@ -4,7 +4,8 @@
 rational weight; the class is closed under differentiation, products and
 quotients, which is exactly what Wronskians of oscillator eigenfunctions
 need.  ``DiffOp`` is sum_j a_j(x) d^j/dx^j with rational-function
-coefficients.  Everything is exact and immutable.
+coefficients; its composition and adjoint both rest on the one commutation
+rule d o a = a d + a' (``_d_left``).  Everything is exact and immutable.
 """
 
 from __future__ import annotations
@@ -165,39 +166,29 @@ class DiffOp:
         return out
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition self o other, expanded by the Leibniz rule."""
+        """self o other = sum_i a_i (d^i o other).  The ladder d^i o other
+        takes one ``_d_left`` step per i, also past a zero a_i."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
         out: list[RatFun] = [RatFun.zero()] * (self.order() + other.order() + 1)
-        for j, b in enumerate(other.coeffs):
-            if b.is_zero:
-                continue
-            # Derivatives of b drive d^i o (b d^j).
-            b_derivs = [b]
-            for _ in range(self.order()):
-                b_derivs.append(b_derivs[-1].derivative())
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for t in range(i + 1):
-                    out[i - t + j] = out[i - t + j] + a * (math.comb(i, t) * b_derivs[t])
+        ladder = list(other.coeffs)
+        for i, a in enumerate(self.coeffs):
+            if i:
+                ladder = _d_left(ladder)
+            for j, c in enumerate(ladder):
+                out[j] = out[j] + a * c
         return DiffOp(out)
 
     def adjoint(self) -> "DiffOp":
-        """Formal (Laplace) adjoint sum_j (-1)^j d^j o a_j, expanded."""
+        """Formal (Laplace) adjoint sum_j (-d)^j o a_j by Horner's rule:
+        C = a_N, then C = a_j - d o C for j = N-1, ..., 0."""
         if self.is_zero:
             return self
-        out: list[RatFun] = [RatFun.zero()] * (self.order() + 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            a_derivs = [a]
-            for _ in range(j):
-                a_derivs.append(a_derivs[-1].derivative())
-            sign = 1 if j % 2 == 0 else -1
-            for t in range(j + 1):
-                out[j - t] = out[j - t] + sign * math.comb(j, t) * a_derivs[t]
-        return DiffOp(out)
+        c = [self.coeffs[-1]]
+        for a in reversed(self.coeffs[:-1]):
+            c = [-t for t in _d_left(c)]
+            c[0] = a + c[0]
+        return DiffOp(c)
 
     def __add__(self, other) -> "DiffOp":
         if not isinstance(other, DiffOp):
@@ -238,6 +229,13 @@ class DiffOp:
             dd = "" if j == 0 else ("d" if j == 1 else f"d^{j}")
             parts.append(f"({a!r}){'*' + dd if dd else ''}")
         return " + ".join(parts)
+
+
+def _d_left(coeffs: Sequence[RatFun]) -> list[RatFun]:
+    """d o C for C = sum_j c_j d^j (nonempty), by the one commutation rule
+    d o c = c d + c': the coefficients of c_j' d^j + c_j d^(j+1)."""
+    shifted = [RatFun.zero(), *coeffs]
+    return [s + c.derivative() for s, c in zip(shifted, coeffs)] + [coeffs[-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -601,9 +601,12 @@ class RatFun:
             return self
         # Knuth-style rational addition: cancel the denominator gcd first so
         # the remaining reduction is against a small polynomial only.  A
-        # constant denominator is 1 (monic), so it needs no gcd.
+        # constant denominator is 1 (monic), so it needs no gcd, and neither
+        # do two equal (monic) denominators: their gcd is either one.
         if self.den.degree() == 0 or other.den.degree() == 0:
             g = Poly.one()
+        elif self.den == other.den:
+            g = self.den
         else:
             g = poly_gcd(self.den, other.den)
         if g.degree() == 0:

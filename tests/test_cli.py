@@ -171,7 +171,8 @@ class TestVerifyCommand:
 
     def test_gcd_calls_capped(self, monkeypatch, capsys):
         # Each exact operation reduces once: a derivative takes the one gcd
-        # of its denominator, a scalar multiple or a constant part none.
+        # of its denominator; a scalar multiple, a constant part or a sum
+        # over one denominator none.
         gcd = polynomial.poly_gcd
         calls = Counter()
 
@@ -186,7 +187,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "poly_gcd", counted)
         assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
         capsys.readouterr()
-        assert 0 < calls["gcd"] <= 637
+        assert 0 < calls["gcd"] <= 452
 
     def test_gcd_routes(self, gcd_routes, capsys):
         # At order 4 every gcd input above the threshold is proved by the
@@ -450,6 +451,33 @@ class TestGridAndOutputErrors:
     def test_infinite_end_rejected(self, no_exact_work, capsys):
         assert run("spectrum", "--levels", "1,2", "--xmin=-inf") == 2
         assert "grid ends must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xmax, h", [
+        ("1e-170", "1e-171"),  # h * h underflows to 0
+        ("1e-155", "1e-156"),  # 1/h^2 overflows
+    ])
+    def test_spectrum_spacing_without_finite_inverse_square_rejected(
+            self, xmax, h, no_exact_work, capsys):
+        assert run("spectrum", "--levels", "1,2", "--nmax", "2", "--xmin", "0",
+                   "--xmax", xmax, "--points", "11") == 2
+        assert (f"grid spacing h = {h} on [0.0, {xmax}] with --points 11 is too small: "
+                "1/h^2 is not a finite float") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, xmax", [
+        ("transform", "1e-170"),  # no Hamiltonian is built on the grid
+        ("spectrum", "1e-153"),  # 1/h^2 = 1e308 is finite
+    ])
+    def test_tiny_spacing_accepted(self, command, xmax, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_transform", reached)
+        with pytest.raises(Reached):
+            run(command, "--levels", "1,2", "--nmax", "2", "--xmin", "0", "--xmax", xmax,
+                "--points", "11")
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "run"

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darboux.gaussian import DiffOp, GaussFun, MixedWeightError, derivative_table, wronskian
 from darboux.polynomial import Poly, RatFun, det_cofactor, hermite_he, ratfun_det
@@ -151,3 +154,72 @@ class TestAdjoint:
     def test_hamiltonian_self_adjoint(self):
         h0 = DiffOp.schroedinger(RatFun(Poly((Fraction(-1, 2), 0, Fraction(1, 4)))))
         assert h0.adjoint() == h0
+
+
+_X = sympy.Symbol("x")
+_G = sympy.Function("g")(_X)
+
+
+def _to_sympy(r: RatFun):
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * _X**k
+                   for k, c in enumerate(p.coeffs))
+    return poly(r.num) / poly(r.den)
+
+
+def _from_field(f) -> RatFun:
+    def poly(p):
+        terms = {m: Fraction(int(c.numerator), int(c.denominator)) for (m,), c in p.terms()}
+        return Poly(terms.get(k, 0) for k in range(max(terms, default=0) + 1))
+    return RatFun(poly(f.numer), poly(f.denom))
+
+
+def _operator_of(expr, order: int) -> DiffOp:
+    """The coefficients of g, g', ..., g^(order) in a linear expression in g,
+    read in the ring Q(x)[y_0, ..., y_order] with y_k = g^(k)."""
+    ys = [sympy.Symbol(f"y{k}") for k in range(order + 1)]
+    ring, *gens = sympy.ring(ys, sympy.QQ.frac_field(_X))
+    expr = expr.xreplace({_G.diff(_X, k): y for k, y in enumerate(ys)})
+    linear = ring.from_expr(expr)
+    return DiffOp(_from_field(linear.coeff(y)) for y in gens)
+
+
+def _apply(op: DiffOp, expr, order: int):
+    """op(expr) for expr linear in g of the given order.  Each derivative is
+    taken by sympy, then collected over g, g', ... to keep the trees small."""
+    out = sympy.Integer(0)
+    for j, a in enumerate(op.coeffs):
+        if j:
+            collected = _operator_of(sympy.diff(expr, _X), order + j).coeffs
+            expr = sum((_to_sympy(c) * _G.diff(_X, k) for k, c in enumerate(collected)),
+                       sympy.Integer(0))
+        out += _to_sympy(a) * expr
+    return out
+
+
+# Nonzero operators of order <= 3 with small rational-function coefficients,
+# some of them zero.
+_coeffs = st.builds(
+    lambda num, den: RatFun(Poly(num), den),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.sampled_from([Poly((1,)), Poly((1, 0, 1)), Poly((2, 1)), Poly((1, 1)) ** 2]),
+)
+_ops = st.lists(_coeffs, min_size=1, max_size=4).map(DiffOp).filter(lambda op: not op.is_zero)
+
+
+class TestOperatorAlgebraAgainstSympy:
+    """``compose`` and ``adjoint`` against sympy applying the operators to a
+    generic function g: A(B(g)) and sum_j (-1)^j (a_j g)^(j)."""
+
+    @settings(deadline=None, max_examples=12, derandomize=True)
+    @given(_ops, _ops)
+    @example(  # a zero d^1 coefficient, as in h0: the ladder still advances
+        DiffOp((RatFun(Poly((0, 1)), Poly((1, 0, 1))), RatFun.zero(), RatFun.constant(-1))),
+        DiffOp((RatFun(Poly((1,)), Poly((2, 1))), RatFun.x())),
+    )
+    def test_compose_and_adjoint(self, a, b):
+        a_b_g = _apply(a, _apply(b, _G, 0), b.order())
+        assert a.compose(b) == _operator_of(a_b_g, a.order() + b.order())
+        adjoint = sum(((-1) ** j * sympy.diff(_to_sympy(c) * _G, _X, j)
+                       for j, c in enumerate(a.coeffs)), sympy.Integer(0))
+        assert a.adjoint() == _operator_of(adjoint, a.order())
