@@ -245,13 +245,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"--nmax {cfg.nmax} needs more than --points {grid.n_points} grid points"
             )
-        # The finite-difference Hamiltonian's entries are multiples of 1/h^2.
+        # The finite-difference Hamiltonian's entries are multiples of 1/h^2,
+        # and its Sturm count squares the off-diagonal -1/h^2: float products
+        # that overflow to inf, formed here as spectral forms them.
         h2 = grid.h * grid.h
-        if not (h2 and math.isfinite(1.0 / h2)):
-            raise ValueError(
-                f"grid spacing h = {grid.h!r} on [{grid.x_min}, {grid.x_max}] with "
-                f"--points {grid.n_points} is too small: 1/h^2 is not a finite float"
-            )
+        inv_h2 = 1.0 / h2 if h2 else math.inf
+        for name, value in (("1/h^2", inv_h2), ("1/h^4", inv_h2 * inv_h2)):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"grid spacing h = {grid.h!r} on [{grid.x_min}, {grid.x_max}] with "
+                    f"--points {grid.n_points} is too small: {name} is not a finite float"
+                )
     return cfg
 
 

@@ -1,11 +1,16 @@
 """Gaussian-weighted rational functions and differential operators.
 
-``GaussFun`` is r(x)*exp(s*x^2/4) with r a reduced rational function and s a
-rational weight; the class is closed under differentiation, products and
-quotients, which is exactly what Wronskians of oscillator eigenfunctions
-need.  ``DiffOp`` is sum_j a_j(x) d^j/dx^j with rational-function
-coefficients; its composition and adjoint both rest on the one commutation
-rule d o a = a d + a' (``_d_left``).  Everything is exact and immutable.
+``GaussFun`` is r(x)*exp(s*x^2/4) with s a rational weight and r an exact
+rational function: a canonical ``RatFun`` or a ``WFun`` p/W^k in normal
+form over one transform's Wronskian.  The class is closed under
+differentiation and products, and, for RatFun parts, quotients, which is
+exactly what Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
+sum_j a_j(x) d^j/dx^j with coefficients of either type; its composition and
+adjoint both rest on the one commutation rule d o a = a d + a'
+(``_d_left``).  Both classes run one algorithm over either coefficient
+type: a RatFun reduces by a gcd at every step, a WFun only divides out
+factors W, and a RatFun meeting a WFun is lifted to it.  Everything is
+exact and immutable.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomial import Poly, RatFun, Scalar, _frac, as_ratfun, cleared, ratfun_det
+from .polynomial import Poly, RatFun, Scalar, WFun, _frac, as_ratfun, cleared, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -25,17 +30,23 @@ class DegenerateTransformation(ValueError):
     """The transformation functions are linearly dependent (zero Wronskian)."""
 
 
+def _coefficient(value) -> RatFun | WFun:
+    """A WFun as it is, any other exact value as a RatFun."""
+    return value if isinstance(value, WFun) else as_ratfun(value)
+
+
 class GaussFun:
-    """r(x) * exp(s * x^2 / 4), r a canonical RatFun, s rational."""
+    """r(x) * exp(s * x^2 / 4), r a canonical RatFun or a normal WFun, s
+    rational."""
 
     __slots__ = ("r", "s")
 
     def __init__(self, r, s: Scalar = 0):
-        r = as_ratfun(r)
+        r = _coefficient(r)
         s = _frac(s)
         if r.is_zero:  # canonical zero so equality stays structural
             s = Fraction(0)
-        self.r: RatFun = r
+        self.r: RatFun | WFun = r
         self.s: Fraction = s
 
     @classmethod
@@ -82,7 +93,7 @@ class GaussFun:
     def __mul__(self, other) -> "GaussFun":
         if isinstance(other, GaussFun):
             return GaussFun(self.r * other.r, self.s + other.s)
-        if isinstance(other, (RatFun, Poly, int, Fraction)):
+        if isinstance(other, (RatFun, WFun, Poly, int, Fraction)):
             return GaussFun(self.r * other, self.s)
         return NotImplemented
 
@@ -117,7 +128,8 @@ class GaussFun:
 # ---------------------------------------------------------------------------
 
 class DiffOp:
-    """Differential operator sum_j a_j(x) d^j with RatFun coefficients.
+    """Differential operator sum_j a_j(x) d^j with RatFun or WFun
+    coefficients.
 
     Coefficients are stored lowest order first; the zero operator is the
     empty tuple, otherwise the top coefficient is nonzero.
@@ -126,10 +138,10 @@ class DiffOp:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_ratfun(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs: tuple[RatFun, ...] = tuple(cs)
+        self.coeffs: tuple[RatFun | WFun, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "DiffOp":
@@ -141,8 +153,9 @@ class DiffOp:
 
     @classmethod
     def schroedinger(cls, potential) -> "DiffOp":
-        """-d^2 + V(x)."""
-        return cls((as_ratfun(potential), RatFun.zero(), RatFun.constant(-1)))
+        """-d^2 + V(x), its coefficients of V's type."""
+        v = _coefficient(potential)
+        return cls((v, v * 0, v * 0 - 1))
 
     @property
     def is_zero(self) -> bool:
@@ -150,9 +163,6 @@ class DiffOp:
 
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff(self, j: int) -> RatFun:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else RatFun.zero()
 
     def __call__(self, f: GaussFun) -> GaussFun:
         """Apply the operator to a Gaussian-weighted function, exactly."""
@@ -170,7 +180,7 @@ class DiffOp:
         takes one ``_d_left`` step per i, also past a zero a_i."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        out: list[RatFun] = [RatFun.zero()] * (self.order() + other.order() + 1)
+        out = [self.coeffs[-1] * 0] * (self.order() + other.order() + 1)
         ladder = list(other.coeffs)
         for i, a in enumerate(self.coeffs):
             if i:
@@ -193,8 +203,10 @@ class DiffOp:
     def __add__(self, other) -> "DiffOp":
         if not isinstance(other, DiffOp):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(self.coeff(j) + other.coeff(j) for j in range(n))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return DiffOp([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "DiffOp":
         return DiffOp(-c for c in self.coeffs)
@@ -205,7 +217,7 @@ class DiffOp:
         return self + (-other)
 
     def __mul__(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction, Poly, RatFun)):
+        if isinstance(other, (int, Fraction, Poly, RatFun, WFun)):
             return DiffOp(c * other for c in self.coeffs)
         return NotImplemented
 
@@ -231,10 +243,10 @@ class DiffOp:
         return " + ".join(parts)
 
 
-def _d_left(coeffs: Sequence[RatFun]) -> list[RatFun]:
+def _d_left(coeffs: Sequence[RatFun | WFun]) -> list[RatFun | WFun]:
     """d o C for C = sum_j c_j d^j (nonempty), by the one commutation rule
     d o c = c d + c': the coefficients of c_j' d^j + c_j d^(j+1)."""
-    shifted = [RatFun.zero(), *coeffs]
+    shifted = [coeffs[0] * 0, *coeffs]
     return [s + c.derivative() for s, c in zip(shifted, coeffs)] + [coeffs[-1]]
 
 

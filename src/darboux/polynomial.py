@@ -4,18 +4,28 @@ A ``Poly`` holds integer numerators over one positive common denominator, so
 every ring operation (sums, products, derivatives, division) runs in ``int``
 arithmetic and ends in a single reduction; ``Poly.coeffs`` presents the
 same values as ``fractions.Fraction`` coefficients.  Everything in this
-module is exact and deterministic.  All values are canonical: a polynomial's
-denominator is positive and coprime to the content of its numerators, with
-no trailing zero coefficient, and rational functions are gcd-reduced with a
-monic denominator.  Structural equality therefore coincides with value
-equality, which is what lets the operator identity checks elsewhere reduce
-to ``==``.
+module is exact and deterministic.  Poly and RatFun values are canonical: a
+polynomial's denominator is positive and coprime to the content of its
+numerators, with no trailing zero coefficient, and rational functions are
+gcd-reduced with a monic denominator.  Structural equality therefore
+coincides with value equality, which is what lets the operator identity
+checks elsewhere reduce to ``==``.
 
 Each ``RatFun`` operation puts its result in that form once.  A sum cancels
 the gcd of the two denominators, a product cross-cancels numerators against
 denominators, and a derivative takes the one gcd of its denominator and that
 denominator's derivative; a part that is a constant needs no gcd.  A scalar
 multiple never reduces: c * p / q is as reduced as p / q.
+
+A ``WFun`` is a value of Q[x][1/W], p / W^k over one ``WBase`` (a
+transform's Wronskian W), held in a normal form rather than the canonical
+one: k is the smallest exponent, so W does not divide p unless k = 0
+(Geddes, Czapor and Labahn 1992, ch. 3: a zero test needs only a normal
+form).  The normal form is unique, so equality is still structural and zero
+is p = 0, but sums, products and derivatives take no gcd: a factor W left
+in the numerator is divided out after a cheap evaluation pretest and one
+pseudo-division.  The canonical RatFun, one gcd, is formed only where a
+value is read.
 
 ``poly_gcd`` works on the primitive integer numerators by one of two routes.
 Inputs of more than 26 coefficients together take the heuristic GCD
@@ -678,10 +688,7 @@ class RatFun:
         one gcd taken.
         """
         p, q = self.num, self.den
-        h = _frac(weight) / 2
-        top = p.derivative()
-        if h:
-            top = top + Poly._of([0, *(c * h.numerator for c in p.nums)], p.den * h.denominator)
+        top = _weighted_top(p, weight)
         if q.degree() == 0:
             return RatFun._raw(top, q)
         q_prime = q.derivative()
@@ -707,6 +714,16 @@ class RatFun:
         if self.den == Poly.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _weighted_top(p: Poly, weight: Scalar) -> Poly:
+    """p' + (w/2) x p: the numerator of a weighted derivative over a
+    denominator that the caller differentiates."""
+    h = _frac(weight) / 2
+    top = p.derivative()
+    if h:
+        top = top + Poly._of([0, *(c * h.numerator for c in p.nums)], p.den * h.denominator)
+    return top
 
 
 def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -747,6 +764,223 @@ def as_ratfun(value) -> RatFun:
     if r is NotImplemented:
         raise TypeError(f"cannot build a rational function from {type(value).__name__}")
     return r
+
+
+# ---------------------------------------------------------------------------
+# Values over the powers of one Wronskian: Q[x][1/W]
+# ---------------------------------------------------------------------------
+
+class WBase:
+    """The powers of one polynomial W, over which ``WFun`` values live.
+
+    Holds W monic, its primitive integer form w (positive lead) and W', a
+    cache of the powers W^j, and one evaluation point xi = 2^(8b) with
+    xi > 2 max|w_i|.  Every root of w lies below 1 + max|w_i| (Cauchy), so
+    w(xi) > 0, stored as ``w_at_xi``.
+    """
+
+    __slots__ = ("W", "w", "dW", "xi_bits", "w_at_xi", "_powers")
+
+    def __init__(self, W: Poly):
+        self.W = W.monic()
+        self.w = _int_primitive(self.W)
+        self.dW = self.W.derivative()
+        self.xi_bits = 8 * (((2 * max(map(abs, self.w))).bit_length() + 7) // 8)
+        self.w_at_xi = _eval_at_power_of_two(self.w, self.xi_bits)
+        self._powers = [Poly.one(), self.W]
+
+    def power(self, j: int) -> Poly:
+        """W^j, from the cache."""
+        powers = self._powers
+        while len(powers) <= j:
+            powers.append(powers[-1] * self.W)
+        return powers[j]
+
+    def over(self, p: Poly, k: int) -> "WFun":
+        """p / W^k in normal form: one factor W is divided out while it
+        divides the numerator.
+
+        A trial first evaluates p's integer numerators at xi: when w(xi)
+        does not divide that value, w does not divide them (by Gauss's lemma
+        the quotient of primitive w would be integral), so W does not divide
+        p.  Otherwise one pseudo-division by w decides.
+        """
+        w = self.w
+        while k and p.nums:
+            if _eval_at_power_of_two(p.nums, self.xi_bits) % self.w_at_xi:
+                break
+            q, r, e = _int_pseudo_divmod(p.nums, w)
+            if r:
+                break
+            # lead^e nums = q w and W = w / lead, so p / W = q lead / (lead^e den).
+            p = Poly._of([c * w[-1] for c in q], p.den * w[-1] ** e)
+            k -= 1
+        return WFun._of(self, p, k if p.nums else 0)
+
+    def lift(self, value) -> "WFun":
+        """``value`` over this base.  A RatFun's denominator must divide a
+        power of W (else ValueError); the smallest such power is the
+        exponent, and the lifted numerator is then prime to W by
+        construction, so no trial is needed."""
+        if isinstance(value, WFun):
+            if value.base is not self:
+                raise ValueError("values over different Wronskians")
+            return value
+        if isinstance(value, (Poly, int, Fraction)):
+            return WFun._of(self, _coerce_poly(value), 0)
+        r = as_ratfun(value)
+        if r.den.degree() == 0:  # a monic constant: 1
+            return WFun._of(self, r.num, 0)
+        for k in range(1, r.den.degree() + 1):
+            cofactor, rem = divmod(self.power(k), r.den)
+            if rem.is_zero:
+                return WFun._of(self, r.num * cofactor, k)
+        raise ValueError(f"the denominator {r.den!r} divides no power of {self.W!r}")
+
+
+def _eval_at_power_of_two(nums: Sequence[int], bits: int) -> int:
+    """Integer coefficients evaluated at 2^bits, by Horner's rule on shifts."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc << bits) + c
+    return acc
+
+
+class WFun:
+    """A value p / W^k over one ``WBase``, in normal form: p a ``Poly`` and
+    k >= 0 the smallest exponent, so k = 0 or W does not divide p.
+
+    The normal form of a value is unique: p / W^k = q / W^j with j > k
+    would make q = p W^(j - k) a multiple of W.  So equality over one base
+    is structural, zero is p = 0, and sums, products and derivatives need
+    no gcd: only an equal-exponent sum, a product of two non-scalars and a
+    derivative can leave a factor W in the numerator, and ``WBase.over``
+    divides it out.  The value reads as a RatFun (``num``, ``den``, ``==``
+    against a RatFun, ``hash``, ``repr``, evaluation) through one cached
+    canonical form, the only place a gcd is taken.
+    """
+
+    __slots__ = ("base", "p", "k", "_canonical")
+
+    @classmethod
+    def _of(cls, base: WBase, p: Poly, k: int) -> "WFun":
+        """Skip the trial; caller guarantees the normal form."""
+        obj = object.__new__(cls)
+        obj.base = base
+        obj.p = p
+        obj.k = k
+        obj._canonical = None
+        return obj
+
+    # -- structure --------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return self.p.is_zero
+
+    @property
+    def is_constant(self) -> bool:
+        return self.k == 0 and self.p.degree() <= 0
+
+    def canonical(self) -> RatFun:
+        """The value as a canonical RatFun: one gcd, taken once."""
+        if self._canonical is None:
+            self._canonical = RatFun(self.p, self.base.power(self.k))
+        return self._canonical
+
+    @property
+    def num(self) -> Poly:
+        return self.canonical().num
+
+    @property
+    def den(self) -> Poly:
+        return self.canonical().den
+
+    # -- ring operations ----------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, WFun) and other.base is self.base:
+            return other
+        if isinstance(other, (WFun, RatFun, Poly, int, Fraction)):
+            return self.base.lift(other)
+        return NotImplemented
+
+    def __add__(self, other) -> "WFun":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        a, b = (self, other) if self.k <= other.k else (other, self)
+        if a.k == b.k:
+            return self.base.over(a.p + b.p, a.k)
+        # W divides a.p W^(b.k - a.k) and not b.p (b.k > 0), so not the sum.
+        return WFun._of(self.base, a.p * self.base.power(b.k - a.k) + b.p, b.k)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "WFun":
+        return WFun._of(self.base, -self.p, self.k)
+
+    def __sub__(self, other) -> "WFun":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "WFun":
+        return (-self) + other
+
+    def __mul__(self, other) -> "WFun":
+        if isinstance(other, (int, Fraction)):
+            p = self.p * other
+            return WFun._of(self.base, p, self.k if p.nums else 0)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.p * other.p
+        k = self.k + other.k
+        if not p.nums or self.is_constant or other.is_constant:
+            # A scalar multiple keeps the other factor's normal form.
+            return WFun._of(self.base, p, k if p.nums else 0)
+        return self.base.over(p, k)
+
+    __rmul__ = __mul__
+
+    def derivative(self, weight: Scalar = 0) -> "WFun":
+        """r' + (w/2) x r, as ``RatFun.derivative``: for r = p / W^k it is
+        ((p' + (w/2) x p) W - k p W') / W^(k+1)."""
+        p, k, base = self.p, self.k, self.base
+        top = _weighted_top(p, weight)
+        if not k:
+            return WFun._of(base, top, 0)
+        return base.over(top * base.W - p * (k * base.dW), k + 1)
+
+    def __call__(self, x):
+        return self.canonical()(x)
+
+    # -- comparison / display -------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WFun) and other.base is self.base:
+            return self.k == other.k and self.p == other.p
+        if isinstance(other, (Poly, int, Fraction)):
+            return self.k == 0 and self.p == other
+        if isinstance(other, RatFun):
+            if other.den.degree() == 0:  # a monic constant: 1
+                return self.k == 0 and self.p == other.num
+            return self.canonical() == other
+        if isinstance(other, WFun):
+            return self.canonical() == other.canonical()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.canonical())
+
+    def __repr__(self) -> str:
+        return repr(self.canonical())
 
 
 # ---------------------------------------------------------------------------

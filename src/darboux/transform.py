@@ -15,6 +15,16 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
   the first expanded and the second derived from it and L h0 = hN L.
 
+Each coefficient of L, L+ and hN lies over a power of the Wronskian's
+polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
+W^(N-m), V_N over W^2.  ``TransformResult`` keeps canonical RatFun fields,
+which the JSON output reads, and derives from them, once, the same
+operators in W-form (``WFun`` coefficients p/W^k in normal form).  The
+checks, the images L phi and the kernel functions are computed in W-form,
+where a zero test is p = 0 and no gcd is taken; a value meets its canonical
+RatFun form (one gcd) only where it is read: sampled, compared with a
+closed form or printed.
+
 Deleting an admissible selection removes exactly those levels from the
 partner spectrum while every other level survives with the same energy.
 """
@@ -27,7 +37,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, wronskian
-from .polynomial import Poly, RatFun, cleared, sturm_real_root_count
+from .polynomial import Poly, RatFun, WBase, WFun, cleared, sturm_real_root_count
 
 
 class InadmissibleSelection(ValueError):
@@ -135,12 +145,32 @@ class TransformResult:
         return self.selection.order
 
     @cached_property
+    def w_base(self) -> WBase:
+        """The powers of W, the Wronskian's rational part made monic.  The
+        family is polynomials times one Gaussian, so that part is a
+        polynomial c W."""
+        if self.wronskian.r.den.degree() > 0:
+            raise ValueError("the Wronskian's rational part is not a polynomial")
+        return WBase(self.wronskian.r.num)
+
+    @cached_property
+    def w_operator(self) -> DiffOp:
+        """L in W-form, built on first use and kept."""
+        return DiffOp(self.w_base.lift(c) for c in self.operator.coeffs)
+
+    @cached_property
     def adjoint(self) -> DiffOp:
-        """L+, built on first use and kept: every check reads this one."""
-        return self.operator.adjoint()
+        """L+ in W-form, built on first use and kept: every check reads this one."""
+        return self.w_operator.adjoint()
+
+    @cached_property
+    def w_partner_potential(self) -> WFun:
+        """V_N in W-form (over W^2)."""
+        return self.w_base.lift(self.partner_potential)
 
     def hamiltonian_partner(self) -> DiffOp:
-        return DiffOp.schroedinger(self.partner_potential)
+        """hN = -d^2 + V_N in W-form."""
+        return DiffOp.schroedinger(self.w_partner_potential)
 
 
 def _certify_node_free(w: GaussFun) -> None:
@@ -221,22 +251,31 @@ def crum_krein_operator(functions: Sequence[GaussFun], w: GaussFun) -> DiffOp:
     return DiffOp([RatFun(row[n], prev) for row in rows] + [RatFun.one()])
 
 
+def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:
+    """f / W(u_1, ..., u_N) in W-form: with the Wronskian's rational part
+    c W, the numerator takes 1/c and the exponent one more W."""
+    w = tr.wronskian
+    v = tr.w_base.lift(f.r)
+    return GaussFun(tr.w_base.over(v.p * (1 / w.r.num.lead()), v.k + 1), f.s - w.s)
+
+
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
     """Apply the intertwiner to phi; result may be exactly zero.
 
     Two independent routes are evaluated whenever phi shares the family's
     weight: the bordered Wronskian W(u_1, ..., u_N, phi)/W and the literal
-    operator application.  Their agreement is a standing assertion.
+    operator application.  Their agreement is a standing assertion, compared
+    in W-form; the image is returned in W-form.
     """
-    image = tr.operator(phi)
+    image = tr.w_operator(GaussFun(tr.w_base.lift(phi.r), phi.s))
     if phi.is_zero or phi.s == tr.bordered.weight:
-        quotient = tr.bordered(phi) / tr.wronskian
+        quotient = _over_wronskian(tr, tr.bordered(phi))
         assert quotient == image, "bordered-Wronskian and operator routes disagree"
     return image
 
 
 def kernel_functions(tr: TransformResult) -> list[GaussFun]:
-    """Kernel of the adjoint operator: v_k = W_k / W.
+    """Kernel of the adjoint operator: v_k = W_k / W, in W-form.
 
     W_k is the order-(N-1) Wronskian of the family with u_k omitted (the
     empty Wronskian is 1).  Each v_k satisfies L+ v_k = 0 and is a formal
@@ -247,13 +286,13 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
     for k in range(len(tr.functions)):
         rest = [u for i, u in enumerate(tr.functions) if i != k]
         w_k = wronskian(rest) if rest else GaussFun.one()
-        out.append(w_k / tr.wronskian)
+        out.append(_over_wronskian(tr, w_k))
     return out
 
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Residuals of the exact operator factorisation identities."""
+    """Residuals of the exact operator factorisation identities, in W-form."""
 
     residual_base: DiffOp
     residual_partner: DiffOp
@@ -271,18 +310,19 @@ class FactorizationReport:
         return self.base_ok and self.partner_ok
 
 
-def _hamiltonian_product(potential: RatFun, alphas: Sequence[Fraction]) -> DiffOp:
-    product = DiffOp.identity()
+def _hamiltonian_product(potential: WFun, alphas: Sequence[Fraction]) -> DiffOp:
+    identity = DiffOp((potential * 0 + 1,))  # its coefficient of V's type
     h = DiffOp.schroedinger(potential)
+    product = identity
     for alpha in alphas:
-        product = product.compose(h - alpha * DiffOp.identity())
+        product = product.compose(h - identity * alpha)
     return product
 
 
 def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i).
 
-    The base identity is expanded to a canonical residual.  The partner
+    The base identity is expanded to a residual in normal form.  The partner
     identity is derived (Crum 1955): with P(h) = prod (h - alpha_i),
 
         (L L+ - P(hN)) L = L (L+ L - P(h0)) + (L P(h0) - P(hN) L),
@@ -292,19 +332,17 @@ def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     an exact intertwining prove the partner identity.  When either is
     nonzero, L L+ is expanded so the report carries the actual partner
     residual.  The report carries residuals (zero operators on success)
-    rather than raising.
+    rather than raising.  Every operator is in W-form.
     """
-    op = tr.operator
+    op = tr.w_operator
     alphas = tr.selection.alphas
-    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(tr.base_potential, alphas)
-    intertwining = (
-        op.compose(DiffOp.schroedinger(tr.base_potential))
-        - tr.hamiltonian_partner().compose(op)
-    )
+    v0 = tr.w_base.lift(tr.base_potential)
+    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(v0, alphas)
+    intertwining = op.compose(DiffOp.schroedinger(v0)) - tr.hamiltonian_partner().compose(op)
     if residual_base.is_zero and intertwining.is_zero:
         residual_partner = DiffOp.zero()
     else:
         residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(
-            tr.partner_potential, alphas
+            tr.w_partner_potential, alphas
         )
     return FactorizationReport(residual_base=residual_base, residual_partner=residual_partner)

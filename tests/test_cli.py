@@ -12,7 +12,7 @@ from darboux import cli, polynomial, susy
 from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
-from darboux.polynomial import Poly, RatFun
+from darboux.polynomial import Poly, RatFun, WFun
 from darboux.transform import build_transform, crum_krein_apply
 
 
@@ -154,13 +154,15 @@ class TestVerifyCommand:
     def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
         # L: the 9 doublets.  L+: the 2 kernel functions and one Q+ per
         # doublet.  hN: the 2 kernel functions and one intertwining residual
-        # per doublet, which eigen_residuals reads for the survivors.
+        # per doublet, which eigen_residuals reads for the survivors.  Each
+        # is the W-form operator.
         tr = build_transform(OscillatorModel(), (1, 2))
-        named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
+        named = {"L": tr.w_operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
         calls = Counter()
         apply = DiffOp.__call__
 
         def counted(op, f):
+            assert all(isinstance(c, WFun) for c in op.coeffs)
             calls[next(name for name, known in named.items() if op == known)] += 1
             return apply(op, f)
 
@@ -170,9 +172,9 @@ class TestVerifyCommand:
         assert calls == {"L": 9, "L+": 11, "hN": 11}
 
     def test_gcd_calls_capped(self, monkeypatch, capsys):
-        # Each exact operation reduces once: a derivative takes the one gcd
-        # of its denominator; a scalar multiple, a constant part or a sum
-        # over one denominator none.
+        # The checks run in W-form and take no gcd; what is left is the
+        # transform's construction (its Sturm certificate, the shift and L's
+        # canonical coefficients) and one canonical form per sampled image.
         gcd = polynomial.poly_gcd
         calls = Counter()
 
@@ -187,13 +189,13 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "poly_gcd", counted)
         assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
         capsys.readouterr()
-        assert 0 < calls["gcd"] <= 452
+        assert 0 < calls["gcd"] <= 17
 
     def test_gcd_routes(self, gcd_routes, capsys):
-        # At order 4 every gcd input above the threshold is proved by the
+        # At order 8 every gcd input above the threshold is proved by the
         # heuristic at its first evaluation point, with no fallback.
         with gcd_routes() as routes:
-            assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
+            assert run("transform", "--levels", "3,4,7,8,9,10,11,12", "--format", "csv") == 0
         assert routes["heuristic"] > 0 and routes["fallback"] == 0
         assert routes["accepted"] == routes["points"] == routes["heuristic"]
         # Order 2 stays below the threshold: the remainder sequence only.
@@ -201,6 +203,38 @@ class TestVerifyCommand:
             assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
         assert routes["prs"] > 0 and routes["heuristic"] == 0
+
+
+@pytest.mark.parametrize("command", [
+    "verify --levels 1,2 --nmax 8",
+    "verify --levels 1,2,5,6 --nmax 8 --corrupt-vn 1/7",
+    "classify --levels 2,3,6,7 --nmax 9",
+    "transform --levels 1,2,5,6 --format csv",
+])
+def test_operators_act_in_w_form(command, monkeypatch, capsys):
+    # One route: every operator a command composes or applies has WFun
+    # coefficients; the RatFun route is left to the tests as their oracle.
+    compose, apply = DiffOp.compose, DiffOp.__call__
+    seen = Counter()
+
+    def in_w_form(*ops):
+        for op in ops:
+            assert all(isinstance(c, WFun) for c in op.coeffs)
+            seen["ops"] += 1
+
+    def checked_compose(self, other):
+        in_w_form(self, other)
+        return compose(self, other)
+
+    def checked_apply(self, f):
+        in_w_form(self)
+        return apply(self, f)
+
+    monkeypatch.setattr(DiffOp, "compose", checked_compose)
+    monkeypatch.setattr(DiffOp, "__call__", checked_apply)
+    run(*command.split())
+    capsys.readouterr()
+    assert seen["ops"] > 0
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so
@@ -218,6 +252,8 @@ _FROZEN_REPORTS = [
      "198e21b7628a5d8c6335849f7447b7ec84ce4df039959745363cc649877f2ba6"),
     ("verify --levels 2,3,6,7,10,11 --nmax 13", 0,
      "20192fd839424dc51b8430ca375647a5e84357c4b2da05f7cf08beaef4c165ef"),
+    ("verify --levels 3,4,7,8,9,10,11,12 --nmax 12", 0,
+     "9205fd6aacaab668b80814e38a8a11a603bd2d953cad150918b5ac8944efc20b"),
 ]
 
 
@@ -452,20 +488,21 @@ class TestGridAndOutputErrors:
         assert run("spectrum", "--levels", "1,2", "--xmin=-inf") == 2
         assert "grid ends must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("xmax, h", [
-        ("1e-170", "1e-171"),  # h * h underflows to 0
-        ("1e-155", "1e-156"),  # 1/h^2 overflows
+    @pytest.mark.parametrize("xmax, h, power", [
+        ("1e-170", "1e-171", 2),  # h * h underflows to 0
+        ("1e-155", "1e-156", 2),  # 1/h^2 overflows
+        ("1e-150", "1e-151", 4),  # 1/h^2 = 1e302 is finite, its square overflows
     ])
     def test_spectrum_spacing_without_finite_inverse_square_rejected(
-            self, xmax, h, no_exact_work, capsys):
+            self, xmax, h, power, no_exact_work, capsys):
         assert run("spectrum", "--levels", "1,2", "--nmax", "2", "--xmin", "0",
                    "--xmax", xmax, "--points", "11") == 2
         assert (f"grid spacing h = {h} on [0.0, {xmax}] with --points 11 is too small: "
-                "1/h^2 is not a finite float") in capsys.readouterr().err
+                f"1/h^{power} is not a finite float") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, xmax", [
         ("transform", "1e-170"),  # no Hamiltonian is built on the grid
-        ("spectrum", "1e-153"),  # 1/h^2 = 1e308 is finite
+        ("spectrum", "1e-76"),  # 1/h^4 = 1e308 is finite
     ])
     def test_tiny_spacing_accepted(self, command, xmax, monkeypatch):
         class Reached(Exception):

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darboux.gaussian import GaussFun
+from darboux.gaussian import GaussFun, wronskian
 from darboux.polynomial import (
     _HEU_MIN_TERMS,
     _int_primitive,
@@ -16,6 +16,8 @@ from darboux.polynomial import (
     NormValue,
     Poly,
     RatFun,
+    WBase,
+    WFun,
     det_cofactor,
     hermite_he,
     poly_det_bareiss,
@@ -515,6 +517,98 @@ class TestScalarMultiple:
         for got in (r * c, c * r, (GaussFun(r, -1) * c).r):
             assert (got.num, got.den) == (expected.num, expected.den)
         assert GaussFun(r, -1) * c == GaussFun(expected, -1)
+
+
+def _family_wronskian(levels) -> Poly:
+    return wronskian([GaussFun(RatFun(hermite_he(k)), -1) for k in levels]).r.num
+
+
+# W of the pair (1, 2), x^2 + 1; W of (1, 2, 5, 6), of degree 8; the square
+# (x^2 + 1)^2, which shares a factor with its derivative; and
+# (x - 256)(x^2 + 1), whose root 256 is the evaluation point one byte below
+# the one the rule xi > 2 max|w_i| gives.
+_W_BASES = [
+    WBase(P(1, 0, 1)),
+    WBase(_family_wronskian((1, 2, 5, 6))),
+    WBase(P(1, 0, 1) ** 2),
+    WBase(P(-256, 1) * P(1, 0, 1)),
+]
+
+# (p, j, k) for the value p W^j / W^k: p a small polynomial, times x^2 + 1
+# or not (a proper factor of two of the bases), over any exponent.
+_w_specs = st.tuples(
+    st.builds(lambda q, i, c: q * P(1, 0, 1) ** i * c,
+              st.lists(st.integers(-5, 5), max_size=4).map(Poly), st.integers(0, 1),
+              _rationals.filter(bool)),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+
+
+def _w_value(base: WBase, spec) -> tuple[WFun, RatFun]:
+    """The value of ``spec`` over ``base`` and as a canonical RatFun."""
+    p, j, k = spec
+    p = p * base.W ** j
+    return base.over(p, k), RatFun(p, base.W ** k)
+
+
+def _assert_normal(v: WFun) -> None:
+    assert v.k >= 0
+    if v.k:
+        assert not divmod(v.p, v.base.W)[1].is_zero
+    if v.is_zero:
+        assert v.k == 0
+
+
+class TestWPowers:
+    """``WFun`` values p / W^k against ``RatFun`` as the oracle."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(st.sampled_from(_W_BASES), _w_specs, _w_specs, _rationals)
+    @example(_W_BASES[2], (P(1, 1), 0, 2), (P(0, 1), 2, 1), Fraction(2))
+    @example(_W_BASES[3], (P(1), 0, 1), (P(3, 0, 1), 0, 1), Fraction(-1, 3))
+    def test_matches_ratfun(self, base, sa, sb, c):
+        a, ra = _w_value(base, sa)
+        b, rb = _w_value(base, sb)
+        pairs = [
+            (a, ra), (b, rb),
+            (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+            (a * c, ra * c), (c * a, ra * c), (a + c, ra + c),
+            *((a.derivative(w), ra.derivative(w)) for w in (0, -1, 1)),
+            ((a + b) - a, rb),
+        ]
+        for got, want in pairs:
+            _assert_normal(got)
+            assert got.canonical() == want
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        # One value, one normal form: equality over a base is structural.
+        assert ((a + b) - a).p == b.p and ((a + b) - a).k == b.k
+        assert (a == b) == (ra == rb)
+
+    def test_evaluation_point_above_the_root_bound(self):
+        for base in _W_BASES:
+            xi = 2 ** base.xi_bits
+            assert xi > 2 * max(map(abs, base.w))
+            assert base.w_at_xi == sum(c * xi**i for i, c in enumerate(base.w)) > 0
+
+    def test_lift_takes_the_smallest_power(self):
+        for base in _W_BASES:
+            for j in range(3):
+                r = RatFun(P(1, 2, 3), base.W ** j)
+                v = base.lift(r)
+                _assert_normal(v)
+                assert v.k == j and v == r
+        square = _W_BASES[2]
+        half = square.lift(RatFun(P(1), P(1, 0, 1)))  # (x^2 + 1) / W
+        assert (half.p, half.k) == (P(1, 0, 1), 1)
+
+    def test_foreign_denominator_rejected(self):
+        for base in _W_BASES:
+            with pytest.raises(ValueError, match="divides no power"):
+                base.lift(RatFun(P(1), P(3, 1)))
+        with pytest.raises(ValueError, match="different Wronskians"):
+            _W_BASES[0].over(P(0, 1), 1) + _W_BASES[2].over(P(0, 1), 1)
 
 
 # Rational functions with rational coefficients and small denominators.

@@ -21,7 +21,7 @@ from darboux.gaussian import (
     wronskian,
 )
 from darboux.oscillator import OscillatorModel
-from darboux.polynomial import Poly, RatFun, hermite_he, ratfun_det, sturm_real_root_count
+from darboux.polynomial import Poly, RatFun, WFun, hermite_he, ratfun_det, sturm_real_root_count
 from darboux.transform import (
     DegenerateTransformation,
     InadmissibleSelection,
@@ -118,7 +118,7 @@ class TestBuildTransform:
 
     def test_consistency_invariants(self, tr12):
         assert tr12.partner_potential == tr12.base_potential + tr12.shift
-        assert tr12.operator.coeff(tr12.order) == RatFun.one()
+        assert tr12.operator.coeffs[tr12.order] == RatFun.one()
         assert sturm_real_root_count(tr12.wronskian.r.num) == 0
 
 
@@ -142,7 +142,7 @@ class TestCrumKreinOperator:
     @pytest.mark.parametrize("levels", [(0,), (0, 1), (1, 2), (2, 3), (0, 1, 2)])
     def test_monic_top_coefficient(self, model, levels):
         tr = build_transform(model, levels)
-        assert tr.operator.coeff(len(levels)) == RatFun.one()
+        assert tr.operator.coeffs[len(levels)] == RatFun.one()
 
     def test_degenerate_family_rejected(self):
         f = phi(1)
@@ -380,12 +380,14 @@ def _expanded_product(h: DiffOp, alphas) -> DiffOp:
 
 
 def _expanded_residuals(tr):
-    """Both identities expanded in full: the route the derived check replaces."""
+    """Both identities expanded in full over RatFun coefficients: the route
+    the derived check in W-form replaces."""
     op, adjoint, alphas = tr.operator, tr.operator.adjoint(), tr.selection.alphas
     h0 = DiffOp.schroedinger(tr.base_potential)
+    hn = DiffOp.schroedinger(tr.partner_potential)
     return (
         adjoint.compose(op) - _expanded_product(h0, alphas),
-        op.compose(adjoint) - _expanded_product(tr.hamiltonian_partner(), alphas),
+        op.compose(adjoint) - _expanded_product(hn, alphas),
     )
 
 
@@ -403,6 +405,7 @@ class TestDerivedPartnerIdentity:
     @pytest.mark.parametrize("levels, shift", [
         ((1, 2), Fraction(1, 1000)),
         ((0, 1, 6, 7), Fraction(-1, 3)),
+        ((1, 2, 5, 6), Fraction(1, 7)),
     ])
     def test_corrupted_partner_reports_the_expanded_residual(self, model, levels, shift):
         tr = build_transform(model, levels)
@@ -455,3 +458,43 @@ class TestAdmissibilityOracleAgreement:
                     assert count > 0
                     with pytest.raises(InadmissibleSelection):
                         build_transform(model, sel)
+
+
+class TestWRoute:
+    """The W-form values of the checks against the RatFun-coefficient route."""
+
+    @pytest.mark.parametrize("levels", [(1, 2), (1, 2, 5, 6)])
+    def test_images_match_the_ratfun_route(self, model, levels):
+        tr = _transform(levels)
+        op, adjoint = tr.operator, tr.operator.adjoint()
+        hn = DiffOp.schroedinger(tr.partner_potential)
+        assert all(isinstance(c, RatFun) for c in (*op.coeffs, *adjoint.coeffs, *hn.coeffs))
+        for n in range(9):
+            f = model.eigenfunction(n)
+            image, want = crum_krein_apply(tr, f), op(f)
+            assert isinstance(image.r, WFun)
+            for got, expected in [
+                (image, want),
+                (tr.adjoint(image), adjoint(want)),
+                (tr.hamiltonian_partner()(image), hn(want)),
+            ]:
+                assert got == expected and repr(got) == repr(expected)
+        for u, v in zip(tr.functions, kernel_functions(tr)):
+            rest = [w for w in tr.functions if w is not u]
+            want = (wronskian(rest) if rest else GaussFun.one()) / tr.wronskian
+            for got, expected in [(v, want), (tr.adjoint(v), adjoint(want)),
+                                  (tr.hamiltonian_partner()(v), hn(want))]:
+                assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
+    def test_oscillator_values_lift(self, levels):
+        # Crum (1955): L's coefficients over W, L+'s coefficient of d^m over
+        # W^(N-m), V_N over W^2, the kernel functions W_k / W over W; none
+        # raises the foreign-denominator error.
+        tr = _transform(levels)
+        n = tr.order
+        assert all(c.k <= 1 for c in tr.w_operator.coeffs)
+        assert all(c.k <= n - m for m, c in enumerate(tr.adjoint.coeffs))
+        assert tr.w_partner_potential.k <= 2
+        assert tr.w_base.lift(tr.base_potential).k == 0
+        assert all(v.r.k <= 1 for v in kernel_functions(tr))
