@@ -99,6 +99,14 @@ _FORMATS = ("json", "csv")
 _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 
 
+# Float samples a command holds at once: grid points times its columns.
+# Peak RSS at 100001 points against 2401 gives the cost of a sample: 57 B
+# in transform's CSV (x, V0, VN and one column per survivor, with their
+# 17-digit text), 110 B in spectrum (V0 and VN, each also in its matrix and
+# Sturm rows).  verify holds one image, classify none.  At 110 B: 0.86 GiB.
+_MAX_SAMPLES = 1 << 23
+
+
 def _largest_float_norm_nmax(levels: tuple[int, ...]) -> int:
     """Largest nmax whose survivors all have a finite float norm.
 
@@ -142,7 +150,10 @@ def _parse_levels(raw) -> tuple[int, ...]:
 
 
 def _parse_fraction(raw) -> Fraction | None:
-    return None if raw is None else Fraction(str(raw))
+    try:
+        return None if raw is None else Fraction(str(raw))
+    except ZeroDivisionError:
+        raise ValueError(f"--corrupt-vn {raw} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -235,6 +246,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 f"{','.join(map(str, cfg.levels))}: the float norm "
                 f"n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
             )
+    survivors = cfg.nmax + 1 - sum(k <= cfg.nmax for k in cfg.levels)
+    columns = {"transform": survivors + 3, "spectrum": 2, "verify": 1}.get(args.command, 0)
+    if cfg.grid.n_points * columns > _MAX_SAMPLES:
+        raise ValueError(
+            f"--points {cfg.grid.n_points} is too many for {args.command}: {columns} "
+            f"columns of samples exceed the cap of {_MAX_SAMPLES} float samples"
+        )
     if args.command == "classify" and cfg.nmax < cfg.levels[-1]:
         raise ValueError(
             f"--nmax {cfg.nmax} is below the highest selected level {cfg.levels[-1]}"

@@ -1,15 +1,16 @@
 """Gaussian-weighted rational functions and differential operators.
 
 ``GaussFun`` is r(x)*exp(s*x^2/4) with s a rational weight and r an exact
-rational function: a canonical ``RatFun`` or a ``WFun`` p/W^k in normal
-form over one transform's Wronskian.  The class is closed under
-differentiation and products, and, for RatFun parts, quotients, which is
-exactly what Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
+rational function: a canonical ``RatFun`` (the model's eigenfunctions, the
+Wronskians of its families, closed forms) or a ``WFun`` p/W^k in normal
+form over one transform's Wronskian (everything the transform derives).
+The class is closed under differentiation and products, which is exactly
+what Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
 sum_j a_j(x) d^j/dx^j with coefficients of either type; its composition and
 adjoint both rest on the one commutation rule d o a = a d + a'
 (``_d_left``).  Both classes run one algorithm over either coefficient
 type: a RatFun reduces by a gcd at every step, a WFun only divides out
-factors W, and a RatFun meeting a WFun is lifted to it.  Everything is
+factors W, and a polynomial meeting a WFun is lifted to it.  Everything is
 exact and immutable.
 """
 
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomial import Poly, RatFun, Scalar, WFun, _frac, as_ratfun, cleared, ratfun_det
+from .polynomial import Poly, RatFun, Scalar, WFun, _frac, cleared, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -32,7 +33,7 @@ class DegenerateTransformation(ValueError):
 
 def _coefficient(value) -> RatFun | WFun:
     """A WFun as it is, any other exact value as a RatFun."""
-    return value if isinstance(value, WFun) else as_ratfun(value)
+    return value if isinstance(value, (RatFun, WFun)) else RatFun(value)
 
 
 class GaussFun:
@@ -98,13 +99,6 @@ class GaussFun:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussFun":
-        if isinstance(other, GaussFun):
-            return GaussFun(self.r / other.r, self.s - other.s)
-        if isinstance(other, (RatFun, Poly, int, Fraction)):
-            return GaussFun(self.r / other, self.s)
-        return NotImplemented
 
     def __call__(self, x: float) -> float:
         return self.r(x) * math.exp(float(self.s) * x * x / 4.0)

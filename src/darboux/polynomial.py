@@ -759,13 +759,6 @@ def _as_ratfun(value):
     return NotImplemented
 
 
-def as_ratfun(value) -> RatFun:
-    r = _as_ratfun(value)
-    if r is NotImplemented:
-        raise TypeError(f"cannot build a rational function from {type(value).__name__}")
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Values over the powers of one Wronskian: Q[x][1/W]
 # ---------------------------------------------------------------------------
@@ -776,10 +769,11 @@ class WBase:
     Holds W monic, its primitive integer form w (positive lead) and W', a
     cache of the powers W^j, and one evaluation point xi = 2^(8b) with
     xi > 2 max|w_i|.  Every root of w lies below 1 + max|w_i| (Cauchy), so
-    w(xi) > 0, stored as ``w_at_xi``.
+    w(xi) > 0, stored as ``w_at_xi``.  W's real roots are counted once, on
+    first use: every value over the base has its poles among them.
     """
 
-    __slots__ = ("W", "w", "dW", "xi_bits", "w_at_xi", "_powers")
+    __slots__ = ("W", "w", "dW", "xi_bits", "w_at_xi", "_powers", "_real_roots")
 
     def __init__(self, W: Poly):
         self.W = W.monic()
@@ -788,6 +782,7 @@ class WBase:
         self.xi_bits = 8 * (((2 * max(map(abs, self.w))).bit_length() + 7) // 8)
         self.w_at_xi = _eval_at_power_of_two(self.w, self.xi_bits)
         self._powers = [Poly.one(), self.W]
+        self._real_roots = None
 
     def power(self, j: int) -> Poly:
         """W^j, from the cache."""
@@ -795,6 +790,12 @@ class WBase:
         while len(powers) <= j:
             powers.append(powers[-1] * self.W)
         return powers[j]
+
+    def real_root_count(self) -> int:
+        """Distinct real roots of W on the whole line (Sturm), counted once."""
+        if self._real_roots is None:
+            self._real_roots = sturm_real_root_count(self.W)
+        return self._real_roots
 
     def over(self, p: Poly, k: int) -> "WFun":
         """p / W^k in normal form: one factor W is divided out while it
@@ -818,24 +819,18 @@ class WBase:
         return WFun._of(self, p, k if p.nums else 0)
 
     def lift(self, value) -> "WFun":
-        """``value`` over this base.  A RatFun's denominator must divide a
-        power of W (else ValueError); the smallest such power is the
-        exponent, and the lifted numerator is then prime to W by
-        construction, so no trial is needed."""
+        """``value`` over this base: a WFun over it as it is, a polynomial (a
+        Poly, a scalar or a RatFun with denominator 1) over W^0.  Values
+        with a pole are built over the base (``over``), never lifted to it."""
         if isinstance(value, WFun):
             if value.base is not self:
                 raise ValueError("values over different Wronskians")
             return value
-        if isinstance(value, (Poly, int, Fraction)):
-            return WFun._of(self, _coerce_poly(value), 0)
-        r = as_ratfun(value)
-        if r.den.degree() == 0:  # a monic constant: 1
-            return WFun._of(self, r.num, 0)
-        for k in range(1, r.den.degree() + 1):
-            cofactor, rem = divmod(self.power(k), r.den)
-            if rem.is_zero:
-                return WFun._of(self, r.num * cofactor, k)
-        raise ValueError(f"the denominator {r.den!r} divides no power of {self.W!r}")
+        if isinstance(value, RatFun):
+            if value.den.degree() > 0:
+                raise ValueError(f"{value!r} is not a polynomial")
+            value = value.num
+        return WFun._of(self, _coerce_poly(value), 0)
 
 
 def _eval_at_power_of_two(nums: Sequence[int], bits: int) -> int:
@@ -855,9 +850,10 @@ class WFun:
     is structural, zero is p = 0, and sums, products and derivatives need
     no gcd: only an equal-exponent sum, a product of two non-scalars and a
     derivative can leave a factor W in the numerator, and ``WBase.over``
-    divides it out.  The value reads as a RatFun (``num``, ``den``, ``==``
-    against a RatFun, ``hash``, ``repr``, evaluation) through one cached
-    canonical form, the only place a gcd is taken.
+    divides it out.  A transform holds its derived values in this form
+    only; each reads as a RatFun (``num``, ``den``, ``==`` against a RatFun,
+    ``hash``, ``repr``, evaluation) through one canonical form, built on the
+    first read and cached: the only place a gcd is taken.
     """
 
     __slots__ = ("base", "p", "k", "_canonical")

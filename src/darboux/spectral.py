@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .gaussian import GaussFun
-from .polynomial import Poly, RatFun, sturm_real_root_count
+from .polynomial import Poly, RatFun, WFun, sturm_real_root_count
 from .transform import TransformResult
 
 
@@ -33,7 +33,7 @@ class LevelCountMismatch(RuntimeError):
 
 
 GridFunction = np.ndarray
-Sampleable = Union[Poly, RatFun, GaussFun]
+Sampleable = Union[Poly, RatFun, WFun, GaussFun]
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,17 @@ def _poly_values(p: Poly, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_pole_free(den: Poly, grid: Grid) -> None:
-    if den.degree() <= 0:
-        return
-    lo, hi = Fraction(grid.x_min), Fraction(grid.x_max)
-    if sturm_real_root_count(den, lo, hi) > 0:
-        raise PoleOnGrid(f"denominator {den!r} vanishes inside [{grid.x_min}, {grid.x_max}]")
+def _rational_values(r: RatFun | WFun, grid: Grid, xs: np.ndarray) -> np.ndarray:
+    """Samples of r's canonical form, after proving it has no pole on the
+    grid: a WFun's poles are zeros of its base's W, whose whole-line root
+    count is taken once per base; a RatFun's denominator, or a WFun's over
+    a base with real roots, is counted on the grid interval."""
+    if not (isinstance(r, WFun) and r.base.real_root_count() == 0):
+        den = r.den
+        lo, hi = Fraction(grid.x_min), Fraction(grid.x_max)
+        if den.degree() > 0 and sturm_real_root_count(den, lo, hi) > 0:
+            raise PoleOnGrid(f"denominator {den!r} vanishes inside [{grid.x_min}, {grid.x_max}]")
+    return _poly_values(r.num, xs) / _poly_values(r.den, xs)
 
 
 def sample(f: Sampleable, grid: Grid) -> GridFunction:
@@ -88,13 +93,10 @@ def sample(f: Sampleable, grid: Grid) -> GridFunction:
     with np.errstate(over="raise", invalid="raise"):
         if isinstance(f, Poly):
             return _poly_values(f, xs)
-        if isinstance(f, RatFun):
-            _check_pole_free(f.den, grid)
-            return _poly_values(f.num, xs) / _poly_values(f.den, xs)
+        if isinstance(f, (RatFun, WFun)):
+            return _rational_values(f, grid, xs)
         if isinstance(f, GaussFun):
-            _check_pole_free(f.r.den, grid)
-            base = _poly_values(f.r.num, xs) / _poly_values(f.r.den, xs)
-            return base * np.exp(float(f.s) * xs * xs / 4.0)
+            return _rational_values(f.r, grid, xs) * np.exp(float(f.s) * xs * xs / 4.0)
     raise TypeError(f"cannot sample {type(f).__name__}")
 
 

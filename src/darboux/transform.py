@@ -17,13 +17,12 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
 
 Each coefficient of L, L+ and hN lies over a power of the Wronskian's
 polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
-W^(N-m), V_N over W^2.  ``TransformResult`` keeps canonical RatFun fields,
-which the JSON output reads, and derives from them, once, the same
-operators in W-form (``WFun`` coefficients p/W^k in normal form).  The
-checks, the images L phi and the kernel functions are computed in W-form,
-where a zero test is p = 0 and no gcd is taken; a value meets its canonical
-RatFun form (one gcd) only where it is read: sampled, compared with a
-closed form or printed.
+W^(N-m), V_N over W^2.  So every derived value is built, and held, in one
+form: a ``WFun`` p/W^k in normal form over the transform's one ``WBase``,
+where a zero test is p = 0 and no gcd is taken.  The shift, V_N, L, the
+checks, the images L phi and the kernel functions are all computed there; a
+value meets its canonical RatFun form (one gcd, cached) only where it is
+read: printed, sampled or compared with a closed form.
 
 Deleting an admissible selection removes exactly those levels from the
 partner spectrum while every other level survives with the same energy.
@@ -37,7 +36,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, wronskian
-from .polynomial import Poly, RatFun, WBase, WFun, cleared, sturm_real_root_count
+from .polynomial import Poly, RatFun, WBase, WFun, cleared
 
 
 class InadmissibleSelection(ValueError):
@@ -133,9 +132,12 @@ class TransformResult:
     selection: LevelSelection
     functions: tuple[GaussFun, ...]
     wronskian: GaussFun
-    shift: RatFun
+    # The powers of W, the Wronskian's rational part made monic; shift,
+    # partner_potential and operator's coefficients are WFuns over it.
+    base: WBase = field(compare=False, repr=False)
+    shift: WFun
     base_potential: RatFun
-    partner_potential: RatFun
+    partner_potential: WFun
     operator: DiffOp
     # W(u_1, ..., u_N, phi) over the family's one stored elimination.
     bordered: BorderedWronskian = field(compare=False, repr=False)
@@ -145,42 +147,27 @@ class TransformResult:
         return self.selection.order
 
     @cached_property
-    def w_base(self) -> WBase:
-        """The powers of W, the Wronskian's rational part made monic.  The
-        family is polynomials times one Gaussian, so that part is a
-        polynomial c W."""
-        if self.wronskian.r.den.degree() > 0:
-            raise ValueError("the Wronskian's rational part is not a polynomial")
-        return WBase(self.wronskian.r.num)
-
-    @cached_property
-    def w_operator(self) -> DiffOp:
-        """L in W-form, built on first use and kept."""
-        return DiffOp(self.w_base.lift(c) for c in self.operator.coeffs)
-
-    @cached_property
     def adjoint(self) -> DiffOp:
         """L+ in W-form, built on first use and kept: every check reads this one."""
-        return self.w_operator.adjoint()
-
-    @cached_property
-    def w_partner_potential(self) -> WFun:
-        """V_N in W-form (over W^2)."""
-        return self.w_base.lift(self.partner_potential)
+        return self.operator.adjoint()
 
     def hamiltonian_partner(self) -> DiffOp:
         """hN = -d^2 + V_N in W-form."""
-        return DiffOp.schroedinger(self.w_partner_potential)
+        return DiffOp.schroedinger(self.partner_potential)
 
 
-def _certify_node_free(w: GaussFun) -> None:
-    poly_part = w.r.num
-    if poly_part.degree() > 0 and sturm_real_root_count(poly_part) > 0:
+def _certified_base(w: GaussFun) -> WBase:
+    """The powers of W, certified node-free by W's Sturm root count.  The
+    family is polynomials times one Gaussian, so the Wronskian's rational
+    part is a polynomial c W."""
+    if w.r.den.degree() > 0:
+        raise ValueError("the Wronskian's rational part is not a polynomial")
+    base = WBase(w.r.num)
+    if base.real_root_count():
         raise NodefulWronskian(
             "Krein-admissible selection produced a Wronskian with a real zero"
         )
-    if w.r.den.degree() > 0 and sturm_real_root_count(w.r.den) > 0:
-        raise NodefulWronskian("Wronskian denominator has a real zero")
+    return base
 
 
 def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformResult:
@@ -198,39 +185,36 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
     functions = tuple(model.eigenfunction(k) for k in selection.levels)
     bordered = BorderedWronskian(functions)  # raises DegenerateTransformation
     w = bordered.wronskian
-    _certify_node_free(w)
+    base = _certified_base(w)
 
-    # A = -2 [log W]'' with W = r * exp(s x^2/4):
-    # (log W)' = r'/r + s x / 2, so A = -2 [(r'/r)' + s/2].
-    log_deriv = w.r.derivative() / w.r
-    shift = -2 * (log_deriv.derivative() + RatFun.constant(Fraction(w.s, 2)))
-    partner = model.potential + shift
-
-    operator = crum_krein_operator(functions, w)
+    # A = -2 [log W]'' with the Wronskian c W exp(s x^2/4):
+    # (log)' = W'/W + s x / 2, so A = -2 (W'/W)' - s, over W^2.
+    shift = -2 * base.over(base.dW, 1).derivative() - w.s
     return TransformResult(
         selection=selection,
         functions=functions,
         wronskian=w,
+        base=base,
         shift=shift,
         base_potential=model.potential,
-        partner_potential=partner,
-        operator=operator,
+        partner_potential=shift + model.potential,
+        operator=crum_krein_operator(functions, base),
         bordered=bordered,
     )
 
 
-def crum_krein_operator(functions: Sequence[GaussFun], w: GaussFun) -> DiffOp:
+def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
     """Intertwining operator L = d^N + sum_{m<N} a_m d^m from L u_i = 0.
 
     The N equations sum_m a_m u_i^(m) = -u_i^(N) are cleared to polynomials
     row by row (the shared exponential factor cancels) and solved by one
     fraction-free Gauss-Jordan elimination (Bareiss 1968): after step k every
     entry is a (k+1)-minor, so each division by the previous pivot is exact,
-    and row i ends as det * (e_i | a_i), with det the last pivot.
+    and row i ends as det * (e_i | a_i), with det the last pivot.  For a
+    polynomial family det is the Wronskian's polynomial part, lead * W, so
+    each a_i is built over ``base``, the powers of W, with exponent 1.
     """
     n = len(functions)
-    if w.is_zero:
-        raise DegenerateTransformation("zero Wronskian")
     rows = []
     for u in functions:
         row, _ = cleared([f.r for f in u.derivatives(n)])
@@ -248,15 +232,18 @@ def crum_krein_operator(functions: Sequence[GaussFun], w: GaussFun) -> DiffOp:
                 for j in range(k + 1, n + 1):
                     row[j] = (pivot * row[j] - c * pivot_row[j]).exact_div(prev)
         prev = pivot
-    return DiffOp([RatFun(row[n], prev) for row in rows] + [RatFun.one()])
+    lead = prev.lead()
+    if prev != base.W * lead:
+        raise ValueError("the solve's determinant is not the Wronskian's polynomial part")
+    return DiffOp([base.over(row[n] * (1 / lead), 1) for row in rows] + [base.lift(1)])
 
 
 def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:
     """f / W(u_1, ..., u_N) in W-form: with the Wronskian's rational part
     c W, the numerator takes 1/c and the exponent one more W."""
     w = tr.wronskian
-    v = tr.w_base.lift(f.r)
-    return GaussFun(tr.w_base.over(v.p * (1 / w.r.num.lead()), v.k + 1), f.s - w.s)
+    p = tr.base.lift(f.r).p
+    return GaussFun(tr.base.over(p * (1 / w.r.num.lead()), 1), f.s - w.s)
 
 
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
@@ -267,7 +254,7 @@ def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
     operator application.  Their agreement is a standing assertion, compared
     in W-form; the image is returned in W-form.
     """
-    image = tr.w_operator(GaussFun(tr.w_base.lift(phi.r), phi.s))
+    image = tr.operator(GaussFun(tr.base.lift(phi.r), phi.s))
     if phi.is_zero or phi.s == tr.bordered.weight:
         quotient = _over_wronskian(tr, tr.bordered(phi))
         assert quotient == image, "bordered-Wronskian and operator routes disagree"
@@ -334,15 +321,15 @@ def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     residual.  The report carries residuals (zero operators on success)
     rather than raising.  Every operator is in W-form.
     """
-    op = tr.w_operator
+    op = tr.operator
     alphas = tr.selection.alphas
-    v0 = tr.w_base.lift(tr.base_potential)
+    v0 = tr.base.lift(tr.base_potential)
     residual_base = tr.adjoint.compose(op) - _hamiltonian_product(v0, alphas)
     intertwining = op.compose(DiffOp.schroedinger(v0)) - tr.hamiltonian_partner().compose(op)
     if residual_base.is_zero and intertwining.is_zero:
         residual_partner = DiffOp.zero()
     else:
         residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(
-            tr.w_partner_potential, alphas
+            tr.partner_potential, alphas
         )
     return FactorizationReport(residual_base=residual_base, residual_partner=residual_partner)

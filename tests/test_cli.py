@@ -113,6 +113,16 @@ class TestVerifyCommand:
         assert by_name["eigen_residuals"] == "fail"
         assert "verification failed" in captured.err
 
+    def test_zero_denominator_corruption_rejected(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("exact work started")
+
+        monkeypatch.setattr(cli, "build_transform", refuse)
+        assert run("verify", "--levels", "1,2", "--corrupt-vn", "1/0") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: --corrupt-vn 1/0 has a zero denominator\n"
+        assert captured.out == ""
+
     def test_negative_corruption_needs_the_equals_form(self, capsys):
         # argparse takes a bare "-1/3" for a flag; "--corrupt-vn=-1/3" reaches the hook.
         assert run("verify", "--levels", "1,2", "--nmax", "4", "--corrupt-vn", "-1/3") == 2
@@ -157,7 +167,7 @@ class TestVerifyCommand:
         # per doublet, which eigen_residuals reads for the survivors.  Each
         # is the W-form operator.
         tr = build_transform(OscillatorModel(), (1, 2))
-        named = {"L": tr.w_operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
+        named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
         calls = Counter()
         apply = DiffOp.__call__
 
@@ -172,9 +182,9 @@ class TestVerifyCommand:
         assert calls == {"L": 9, "L+": 11, "hN": 11}
 
     def test_gcd_calls_capped(self, monkeypatch, capsys):
-        # The checks run in W-form and take no gcd; what is left is the
-        # transform's construction (its Sturm certificate, the shift and L's
-        # canonical coefficients) and one canonical form per sampled image.
+        # The transform is built and checked in W-form, which takes no gcd;
+        # what is left is the Sturm certificate's square-free step (1) and
+        # one canonical form per sampled image (5 survivors).
         gcd = polynomial.poly_gcd
         calls = Counter()
 
@@ -189,7 +199,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "poly_gcd", counted)
         assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
         capsys.readouterr()
-        assert 0 < calls["gcd"] <= 17
+        assert 0 < calls["gcd"] <= 6
 
     def test_gcd_routes(self, gcd_routes, capsys):
         # At order 8 every gcd input above the threshold is proved by the
@@ -422,8 +432,9 @@ class TestConfigHandling:
         ({"levels": [1, 2], "format": "xml"}, "'format' in"),
         ({"levels": [True, 2]}, "'levels' in"),
         ({"levels": [1, 2], "n_max": 3}, "unknown key 'n_max'"),
+        ({"levels": [1, 2], "corrupt_vn": "1/0"}, "--corrupt-vn 1/0 has a zero denominator"),
     ], ids=["array", "nested-level", "null-nmax", "int-out", "xml-format", "bool-level",
-            "unknown-key"])
+            "unknown-key", "zero-denominator"])
     def test_malformed_config_is_bad_input(self, content, message, tmp_path, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("exact work started")
@@ -515,6 +526,40 @@ class TestGridAndOutputErrors:
         with pytest.raises(Reached):
             run(command, "--levels", "1,2", "--nmax", "2", "--xmin", "0", "--xmax", xmax,
                 "--points", "11")
+
+    # The cap on float samples held at once, over a command's columns:
+    # transform's CSV x, V0, VN and 7 survivors, spectrum's V0 and VN,
+    # verify's one image.  No grid is built, so no oversized run is made.
+    @pytest.mark.parametrize("command, columns", [
+        (("transform", "--nmax", "8"), 10),
+        (("transform", "--nmax", "8", "--format", "json"), 10),
+        (("spectrum", "--nmax", "8"), 2),
+        (("verify", "--nmax", "8"), 1),
+    ])
+    def test_oversized_grid_rejected(self, command, columns, no_exact_work, capsys):
+        points = cli._MAX_SAMPLES // columns + 1
+        assert run(*command, "--levels", "1,2", "--points", str(points)) == 2
+        captured = capsys.readouterr()
+        assert (f"invalid configuration: --points {points} is too many for {command[0]}: "
+                f"{columns} columns of samples exceed the cap of {cli._MAX_SAMPLES} float "
+                "samples") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, points", [
+        (("transform", "--nmax", "8"), cli._MAX_SAMPLES // 10),
+        (("verify", "--nmax", "8"), cli._MAX_SAMPLES),
+        (("classify", "--nmax", "8"), 10 * cli._MAX_SAMPLES),  # samples nothing
+    ])
+    def test_grid_at_the_cap_accepted(self, command, points, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_transform", reached)
+        with pytest.raises(Reached):
+            run(*command, "--levels", "1,2", "--points", str(points))
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "run"

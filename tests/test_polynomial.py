@@ -592,23 +592,31 @@ class TestWPowers:
             assert xi > 2 * max(map(abs, base.w))
             assert base.w_at_xi == sum(c * xi**i for i, c in enumerate(base.w)) > 0
 
-    def test_lift_takes_the_smallest_power(self):
+    def test_polynomials_lift_with_exponent_zero(self):
         for base in _W_BASES:
-            for j in range(3):
-                r = RatFun(P(1, 2, 3), base.W ** j)
-                v = base.lift(r)
-                _assert_normal(v)
-                assert v.k == j and v == r
-        square = _W_BASES[2]
-        half = square.lift(RatFun(P(1), P(1, 0, 1)))  # (x^2 + 1) / W
-        assert (half.p, half.k) == (P(1, 0, 1), 1)
+            for value in (P(1, 2, 3), RatFun(P(1, 2, 3)), 3, Fraction(-1, 2)):
+                v = base.lift(value)
+                assert v.k == 0 and v == value
 
     def test_foreign_denominator_rejected(self):
+        # A value with a pole is built over a base, never lifted to it.
         for base in _W_BASES:
-            with pytest.raises(ValueError, match="divides no power"):
-                base.lift(RatFun(P(1), P(3, 1)))
+            with pytest.raises(ValueError, match="is not a polynomial"):
+                base.lift(RatFun(P(1), base.W))
         with pytest.raises(ValueError, match="different Wronskians"):
             _W_BASES[0].over(P(0, 1), 1) + _W_BASES[2].over(P(0, 1), 1)
+
+    def test_real_roots_counted_once(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return sturm_real_root_count(p)
+
+        monkeypatch.setattr("darboux.polynomial.sturm_real_root_count", counted)
+        base = WBase(P(-2, 0, 2))  # 2 (x^2 - 1)
+        assert base.real_root_count() == base.real_root_count() == 2
+        assert calls == [P(-1, 0, 1)]
 
 
 # Rational functions with rational coefficients and small denominators.

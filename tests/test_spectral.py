@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from darboux import spectral
-from darboux.polynomial import Poly, RatFun
+from darboux.gaussian import GaussFun
+from darboux.polynomial import Poly, RatFun, WBase
 from darboux.spectral import (
     Grid,
     LevelCountMismatch,
@@ -27,6 +28,7 @@ from darboux.spectral import (
     sample,
     verify_spectrum,
 )
+from darboux.transform import build_transform, crum_krein_apply
 
 
 @pytest.fixture
@@ -78,6 +80,37 @@ class TestGridAndSampling:
             sample(f, Grid(-1.0, 1.0, 11))
         # pole outside the window is fine
         sample(f, Grid(1.0, 2.0, 11))
+
+    def test_w_form_values_read_their_base_certificate(self, model, monkeypatch):
+        # Every pole of a WFun is a zero of its base's W, whose whole-line
+        # count build_transform has taken; a RatFun keeps its interval count.
+        # The samples are those of the canonical form.
+        tr = build_transform(model, (1, 2, 5, 6))
+        image = crum_krein_apply(tr, model.eigenfunction(3))
+        counts = []
+        count = spectral.sturm_real_root_count
+
+        def counted(*args):
+            counts.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(spectral, "sturm_real_root_count", counted)
+        monkeypatch.setattr("darboux.polynomial.sturm_real_root_count", counted)
+        grid = REFERENCE_GRID
+        w_form = [sample(tr.partner_potential, grid), sample(image, grid)]
+        assert counts == []
+        canonical = [sample(tr.partner_potential.canonical(), grid),
+                     sample(GaussFun(image.r.canonical(), image.s), grid)]
+        assert len(counts) == 2
+        for got, want in zip(w_form, canonical):
+            assert np.array_equal(got, want)
+
+    def test_w_form_pole_rejected_over_a_noded_base(self):
+        base = WBase(Poly((0, 1)))  # W = x
+        f = base.over(Poly.one(), 1)  # 1/x
+        with pytest.raises(PoleOnGrid):
+            sample(f, Grid(-1.0, 1.0, 11))
+        assert np.array_equal(sample(f, Grid(1.0, 2.0, 11)), sample(f.canonical(), Grid(1.0, 2.0, 11)))
 
 
 class TestHamiltonian:

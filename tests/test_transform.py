@@ -21,7 +21,15 @@ from darboux.gaussian import (
     wronskian,
 )
 from darboux.oscillator import OscillatorModel
-from darboux.polynomial import Poly, RatFun, WFun, hermite_he, ratfun_det, sturm_real_root_count
+from darboux.polynomial import (
+    Poly,
+    RatFun,
+    WBase,
+    WFun,
+    hermite_he,
+    ratfun_det,
+    sturm_real_root_count,
+)
 from darboux.transform import (
     DegenerateTransformation,
     InadmissibleSelection,
@@ -147,12 +155,12 @@ class TestCrumKreinOperator:
     def test_degenerate_family_rejected(self):
         f = phi(1)
         with pytest.raises((DegenerateTransformation, ZeroDivisionError)):
-            crum_krein_operator([f, 2 * f], wronskian([f, 2 * f]))
+            crum_krein_operator([f, 2 * f], WBase(Poly.one()))
 
     @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
     def test_solve_agrees_with_minors(self, levels):
         tr = _transform(levels)
-        operator = crum_krein_operator(tr.functions, tr.wronskian)
+        operator = crum_krein_operator(tr.functions, tr.base)
         assert operator == _operator_from_minors(tr.functions, tr.wronskian)
         assert operator == tr.operator
 
@@ -210,6 +218,24 @@ class TestWronskianAgainstSympy:
         # its whole rational part.
         expected = GaussFun(poly(sympy.wronskian(hermite, x)), -len(levels))
         assert wronskian(family) == expected
+
+    @settings(deadline=None, max_examples=10, derandomize=True)
+    @given(st.sampled_from(_ADMISSIBLE))
+    @example((1, 2, 5, 6))
+    def test_shift_and_partner_potential(self, levels):
+        # A = -2 [log W]'' for W = r exp(s x^2/4): -2 (log r)'' - s.
+        x = sympy.Symbol("x")
+        r = sympy.wronskian([sympy.hermite_prob(k, x) for k in levels], x)
+        num, den = sympy.fraction(sympy.cancel(-2 * sympy.diff(sympy.log(r), x, 2) + len(levels)))
+
+        def poly(expr):
+            coeffs = sympy.Poly(expr, x).all_coeffs()
+            return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+        shift = RatFun(poly(num), poly(den))
+        tr = _transform(levels)
+        assert tr.shift.canonical() == shift
+        assert tr.partner_potential == OscillatorModel().potential + shift
 
 
 class TestBorderedWronskian:
@@ -382,9 +408,10 @@ def _expanded_product(h: DiffOp, alphas) -> DiffOp:
 def _expanded_residuals(tr):
     """Both identities expanded in full over RatFun coefficients: the route
     the derived check in W-form replaces."""
-    op, adjoint, alphas = tr.operator, tr.operator.adjoint(), tr.selection.alphas
+    op = DiffOp(c.canonical() for c in tr.operator.coeffs)
+    adjoint, alphas = op.adjoint(), tr.selection.alphas
     h0 = DiffOp.schroedinger(tr.base_potential)
-    hn = DiffOp.schroedinger(tr.partner_potential)
+    hn = DiffOp.schroedinger(tr.partner_potential.canonical())
     return (
         adjoint.compose(op) - _expanded_product(h0, alphas),
         op.compose(adjoint) - _expanded_product(hn, alphas),
@@ -432,16 +459,17 @@ class TestDerivedPartnerIdentity:
 
 class TestNodedWronskianGuard:
     def test_certificate_rejects_noded_function(self):
-        from darboux.transform import NodefulWronskian, _certify_node_free
+        from darboux.transform import NodefulWronskian, _certified_base
 
         noded = GaussFun(RatFun(Poly((0, 1))), -2)  # x e^{-x^2/2} vanishes at 0
         with pytest.raises(NodefulWronskian):
-            _certify_node_free(noded)
+            _certified_base(noded)
 
     def test_certificate_accepts_node_free(self):
-        from darboux.transform import _certify_node_free
+        from darboux.transform import _certified_base
 
-        _certify_node_free(GaussFun(RatFun(Poly((1, 0, 1))), -2))
+        base = _certified_base(GaussFun(RatFun(Poly((2, 0, 2))), -2))
+        assert base.W == Poly((1, 0, 1)) and base.real_root_count() == 0
 
 
 class TestAdmissibilityOracleAgreement:
@@ -466,8 +494,9 @@ class TestWRoute:
     @pytest.mark.parametrize("levels", [(1, 2), (1, 2, 5, 6)])
     def test_images_match_the_ratfun_route(self, model, levels):
         tr = _transform(levels)
-        op, adjoint = tr.operator, tr.operator.adjoint()
-        hn = DiffOp.schroedinger(tr.partner_potential)
+        op = DiffOp(c.canonical() for c in tr.operator.coeffs)
+        adjoint = op.adjoint()
+        hn = DiffOp.schroedinger(tr.partner_potential.canonical())
         assert all(isinstance(c, RatFun) for c in (*op.coeffs, *adjoint.coeffs, *hn.coeffs))
         for n in range(9):
             f = model.eigenfunction(n)
@@ -481,20 +510,22 @@ class TestWRoute:
                 assert got == expected and repr(got) == repr(expected)
         for u, v in zip(tr.functions, kernel_functions(tr)):
             rest = [w for w in tr.functions if w is not u]
-            want = (wronskian(rest) if rest else GaussFun.one()) / tr.wronskian
+            w_k = wronskian(rest) if rest else GaussFun.one()
+            want = GaussFun(w_k.r / tr.wronskian.r, w_k.s - tr.wronskian.s)
             for got, expected in [(v, want), (tr.adjoint(v), adjoint(want)),
                                   (tr.hamiltonian_partner()(v), hn(want))]:
                 assert got == expected and repr(got) == repr(expected)
 
     @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
     def test_oscillator_values_lift(self, levels):
-        # Crum (1955): L's coefficients over W, L+'s coefficient of d^m over
-        # W^(N-m), V_N over W^2, the kernel functions W_k / W over W; none
-        # raises the foreign-denominator error.
+        # Crum (1955): the shift and V_N over W^2, L's coefficients over W,
+        # L+'s coefficient of d^m over W^(N-m), the kernel functions W_k / W
+        # over W.  build_transform makes each over the transform's one base.
         tr = _transform(levels)
         n = tr.order
-        assert all(c.k <= 1 for c in tr.w_operator.coeffs)
+        built = [(tr.shift, 2), (tr.partner_potential, 2), *((c, 1) for c in tr.operator.coeffs)]
+        for value, k in built:
+            assert isinstance(value, WFun) and value.base is tr.base and value.k <= k
         assert all(c.k <= n - m for m, c in enumerate(tr.adjoint.coeffs))
-        assert tr.w_partner_potential.k <= 2
-        assert tr.w_base.lift(tr.base_potential).k == 0
+        assert tr.base.lift(tr.base_potential).k == 0
         assert all(v.r.k <= 1 for v in kernel_functions(tr))
