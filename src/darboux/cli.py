@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .oscillator import (
     OscillatorModel,
     golden_cross_check,
@@ -100,9 +102,9 @@ _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 
 
 # Float samples a command holds at once: grid points times its columns.
-# Peak RSS at 100001 points against 2401 gives the cost of a sample: 57 B
-# in transform's CSV (x, V0, VN and one column per survivor, with their
-# 17-digit text), 110 B in spectrum (V0 and VN, each also in its matrix and
+# Peak RSS at 100001 points against 2401 gives the cost of a sample: 74 B
+# in transform's CSV (x, V0, VN and one column per survivor, as floats and
+# as 17-digit text), 110 B in spectrum (V0 and VN, each also in its matrix and
 # Sturm rows).  verify holds one image, classify none.  At 110 B: 0.86 GiB.
 _MAX_SAMPLES = 1 << 23
 
@@ -247,7 +249,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 f"n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
             )
     survivors = cfg.nmax + 1 - sum(k <= cfg.nmax for k in cfg.levels)
-    columns = {"transform": survivors + 3, "spectrum": 2, "verify": 1}.get(args.command, 0)
+    columns = {"spectrum": 2, "verify": 1}.get(args.command, 0)
+    if args.command == "transform" and "csv" in _transform_formats(cfg):
+        columns = survivors + 3
     if cfg.grid.n_points * columns > _MAX_SAMPLES:
         raise ValueError(
             f"--points {cfg.grid.n_points} is too many for {args.command}: {columns} "
@@ -307,10 +311,16 @@ def _emit(text: str, files: dict[str, str]) -> int:
 
 # -- transform ----------------------------------------------------------------
 
+def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
+    """One line per sample: the columns' values side by side, each written
+    as ``_fmt17`` writes it, by one %-format per line."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % values for values in zip(*(col.tolist() for col in columns))]
+
+
 def _transform_csv_lines(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[str]:
     grid = cfg.grid
-    xs = grid.points()
-    columns = [xs, sample(tr.base_potential, grid), sample(tr.partner_potential, grid)]
+    columns = [grid.points(), sample(tr.base_potential, grid), sample(tr.partner_potential, grid)]
     names = ["x", "V0", "VN"]
     for n in tr.selection.survivors(cfg.nmax):
         image = crum_krein_apply(tr, model.eigenfunction(n))
@@ -319,21 +329,26 @@ def _transform_csv_lines(model: OscillatorModel, tr: TransformResult, cfg: RunCo
             norm_sq *= float(model.energy(n) - alpha)
         columns.append(sample(image, grid) / math.sqrt(norm_sq))
         names.append(f"psi_{n}")
-    lines = [",".join(names)]
-    for i in range(len(xs)):
-        lines.append(",".join(_fmt17(col[i]) for col in columns))
-    return lines
+    return [",".join(names), *_csv_rows(columns)]
+
+
+def _transform_formats(cfg: RunConfig) -> tuple[str, ...]:
+    """The texts transform builds: the one it prints, and both for --out."""
+    return _FORMATS if cfg.out else (cfg.format,)
 
 
 def cmd_transform(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> int:
-    doc = transform_to_json(tr)
-    json_text = json.dumps(doc, indent=2)
-    csv_text = "\n".join(_transform_csv_lines(model, tr, cfg)) + "\n"
+    formats = _transform_formats(cfg)
+    text = {}
+    if "json" in formats:
+        text["json"] = json.dumps(transform_to_json(tr), indent=2)
+    if "csv" in formats:
+        text["csv"] = "\n".join(_transform_csv_lines(model, tr, cfg)) + "\n"
     files = {}
     if cfg.out:
         stem = _out_stem(cfg.out)
-        files = {stem + ".json": json_text + "\n", stem + ".csv": csv_text}
-    return _emit(csv_text if cfg.format == "csv" else json_text, files)
+        files = {stem + ".json": text["json"] + "\n", stem + ".csv": text["csv"]}
+    return _emit(text[cfg.format], files)
 
 
 # -- verify ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomial import Poly, RatFun, Scalar, WFun, _frac, cleared, ratfun_det
+from .polynomial import Poly, RatFun, Scalar, WFun, _frac, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -284,44 +284,56 @@ def wronskian(funcs: Sequence[GaussFun]) -> GaussFun:
 class BorderedWronskian:
     """W(u_1, ..., u_N, phi) for a fixed family and any phi of its weight.
 
-    Bareiss step k on the bordered matrix (row m: the m-th derivatives) uses
-    the pivot of column k, the entries below it and the previous pivot; none
-    of them depend on phi's column.  The family columns are eliminated once,
-    here, and each call runs only phi's column through the N stored steps:
-    N(N+1)/2 updates in place of a fresh (N+1)x(N+1) determinant.  Pivot k
-    is the leading (k+1)-minor, the sub-Wronskian W(u_1, ..., u_{k+1}) times
-    row scales, so no row swaps are needed; the last one gives W itself.
+    Jacobi's Wronskian identity (Sylvester's determinant identity on the
+    Wronskian matrix), W(W(F, g), W(F, h)) = W(F) W(F, g, h), turns the
+    bordered determinant of Crum's formula (Crum 1955) into a chain of
+    two-by-two Wronskians.  With P_k = W(u_1, ..., u_k), P_0 = 1, and
+    B_k = W(u_1, ..., u_k, phi), B_0 = phi,
+
+        B_k = (P_k B_{k-1}' - P_k' B_{k-1}) / P_{k-1},
+
+    an exact division.  A Wronskian of k functions with a common factor
+    exp(s x^2/4) is that factor's k-th power times the Wronskian of their
+    rational parts, so P_k and B_{k-1} carry one weight and its terms
+    cancel: the chain runs on rational parts with plain derivatives.  The
+    sub-Wronskians P_k come from the same identity with u_i, i > k, in
+    place of phi: N(N-1)/2 steps, once per family.  Each phi then takes N
+    steps; for phi = b/r the step on b_k = B_k r^(k+1) is
+
+        b_k = (P_k (b_{k-1}' r - k b_{k-1} r') - P_k' b_{k-1} r) / P_{k-1}.
+
+    The last sub-Wronskian P_N is W itself.  The family's rational parts
+    must be polynomials, as every oscillator eigenfunction's is.
     """
 
-    __slots__ = ("weight", "wronskian", "_row_scales", "_scale", "_steps")
+    __slots__ = ("weight", "wronskian", "_chain")
 
     def __init__(self, family: Sequence[GaussFun]):
         n = len(family)
         if n == 0:
             raise ValueError("Wronskian of an empty family")
         self.weight = common_weight(family)
-        rows, row_scales = [], []
-        for row in derivative_table(family, n):
-            polys, common = cleared(row)
-            rows.append(polys)
-            row_scales.append(common)
-        steps = []
+        if any(u.r.den.degree() > 0 for u in family):
+            raise ValueError("the family's rational parts must be polynomials")
+        # After k steps, rest[i] is W(u_1, ..., u_k, u_{k+1+i})'s rational part.
+        rest = [u.r.num for u in family]
+        chain = []
         prev = Poly.one()
-        for k in range(n):
-            pivot = rows[k][k]
-            if pivot.is_zero:
+        for _ in range(n):
+            p, *rest = rest
+            if p.is_zero:
                 raise DegenerateTransformation("transformation functions are linearly dependent")
-            below = tuple(rows[i][k] for i in range(k + 1, n + 1))
-            for i in range(k + 1, n + 1):
-                for j in range(k + 1, n):
-                    rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]).exact_div(prev)
-            steps.append((pivot, below, prev))
-            prev = pivot
-        scale = math.prod(row_scales[:n], start=Poly.one())
-        self.wronskian = GaussFun(RatFun(prev, scale), n * self.weight)
-        self._row_scales = tuple(row_scales)
-        self._scale = scale * row_scales[n]
-        self._steps = tuple(steps)
+            dp = p.derivative()
+            rest = [(p * q.derivative() - dp * q).exact_div(prev) for q in rest]
+            chain.append((p, dp, prev))
+            prev = p
+        self.wronskian = GaussFun(RatFun(prev), n * self.weight)
+        self._chain = tuple(chain)
+
+    @property
+    def sub_wronskians(self) -> tuple[Poly, ...]:
+        """P_1, ..., P_N: the rational parts of W(u_1, ..., u_k)."""
+        return tuple(p for p, _, _ in self._chain)
 
     def __call__(self, phi: GaussFun) -> GaussFun:
         """W(u_1, ..., u_N, phi), equal to ``wronskian(family + [phi])``."""
@@ -331,13 +343,9 @@ class BorderedWronskian:
             raise MixedWeightError(
                 f"functions carry different Gaussian weights: {sorted({self.weight, phi.s})}"
             )
-        n = len(self._steps)
-        # The determinant is linear in phi's column, so it is cleared by its
-        # own lcm on top of the family's row scales.
-        polys, common = cleared([f.r for f in phi.derivatives(n)])
-        col = [c * p for c, p in zip(self._row_scales, polys)]
-        for k, (pivot, below, prev) in enumerate(self._steps):
-            top = col[k]
-            for i, entry in enumerate(below, k + 1):
-                col[i] = (pivot * col[i] - entry * top).exact_div(prev)
-        return GaussFun(RatFun(col[n], self._scale * common), (n + 1) * self.weight)
+        b, r = phi.r.num, phi.r.den
+        dr = r.derivative()
+        for k, (p, dp, prev) in enumerate(self._chain, 1):
+            b = (p * (b.derivative() * r - b * dr * k) - dp * b * r).exact_div(prev)
+        n = len(self._chain)
+        return GaussFun(RatFun(b, r ** (n + 1)), (n + 1) * self.weight)

@@ -49,6 +49,11 @@ class Grid:
             raise ValueError("grid ends must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        # A finite width makes the spacing, width / (n_points - 1), finite too.
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(
+                f"grid width on [{self.x_min}, {self.x_max}] is not a finite float"
+            )
         if self.n_points < 3:
             raise ValueError("need at least 3 grid points")
 

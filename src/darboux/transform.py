@@ -7,9 +7,12 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   (the Krein integer criterion and an exact Sturm root count),
 * the potential difference A(x) = -2 [log W]'' and the partner potential,
 * the intertwining operator L of order N, realised both by one
-  fraction-free solve of L u_i = 0 and as a bordered-Wronskian quotient over
-  one stored elimination of the family (the two routes are asserted against
-  each other),
+  fraction-free solve of L u_i = 0 (forward elimination, then back
+  substitution) and as Crum's bordered-Wronskian quotient
+  W(u_1, ..., u_N, phi)/W (Crum 1955), run as a chain of two-by-two
+  Wronskians over the family's sub-Wronskians by Jacobi's (Sylvester's)
+  Wronskian identity; the chain never reads L, and the two routes are
+  asserted against each other,
 * the kernel functions of the adjoint operator, and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
@@ -139,7 +142,8 @@ class TransformResult:
     base_potential: RatFun
     partner_potential: WFun
     operator: DiffOp
-    # W(u_1, ..., u_N, phi) over the family's one stored elimination.
+    # W(u_1, ..., u_N, phi) by the Jacobi-identity chain over the family's
+    # sub-Wronskians W(u_1, ..., u_k), built once; W is the last of them.
     bordered: BorderedWronskian = field(compare=False, repr=False)
 
     @property
@@ -207,12 +211,19 @@ def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
     """Intertwining operator L = d^N + sum_{m<N} a_m d^m from L u_i = 0.
 
     The N equations sum_m a_m u_i^(m) = -u_i^(N) are cleared to polynomials
-    row by row (the shared exponential factor cancels) and solved by one
-    fraction-free Gauss-Jordan elimination (Bareiss 1968): after step k every
-    entry is a (k+1)-minor, so each division by the previous pivot is exact,
-    and row i ends as det * (e_i | a_i), with det the last pivot.  For a
-    polynomial family det is the Wronskian's polynomial part, lead * W, so
-    each a_i is built over ``base``, the powers of W, with exponent 1.
+    row by row (the shared exponential factor cancels) and solved by
+    fraction-free forward elimination (Bareiss 1968), then back
+    substitution.  After step k every entry below row k is a (k+1)-minor,
+    so each division by the previous pivot is exact; the rows end as an
+    upper-triangular U a = c with U_ii the leading (i+1)-minor and det, the
+    last pivot, the determinant.  By Cramer's rule y_i = det * a_i is a
+    polynomial, so back substitution
+
+        y_i = (det * c_i - sum_{j>i} U_ij y_j) / U_ii
+
+    divides exactly.  For a polynomial family det is the Wronskian's
+    polynomial part, lead * W, so each a_i is built over ``base``, the
+    powers of W, with exponent 1.
     """
     n = len(functions)
     rows = []
@@ -226,16 +237,24 @@ def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
         pivot = pivot_row[k]
         if pivot.is_zero:
             raise DegenerateTransformation("transformation functions are linearly dependent")
-        for i, row in enumerate(rows):
-            if i != k:
-                c = row[k]
-                for j in range(k + 1, n + 1):
-                    row[j] = (pivot * row[j] - c * pivot_row[j]).exact_div(prev)
+        for row in rows[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - c * pivot_row[j]).exact_div(prev)
         prev = pivot
-    lead = prev.lead()
-    if prev != base.W * lead:
+    det = prev
+    lead = det.lead()
+    if det != base.W * lead:
         raise ValueError("the solve's determinant is not the Wronskian's polynomial part")
-    return DiffOp([base.over(row[n] * (1 / lead), 1) for row in rows] + [base.lift(1)])
+    y = [Poly.zero()] * n
+    y[n - 1] = rows[n - 1][n]  # U_{N-1,N-1} is det itself
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        acc = det * row[n]
+        for j in range(i + 1, n):
+            acc = acc - row[j] * y[j]
+        y[i] = acc.exact_div(row[i])
+    return DiffOp([base.over(y_i * (1 / lead), 1) for y_i in y] + [base.lift(1)])
 
 
 def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:

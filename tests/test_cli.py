@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from darboux import cli, polynomial, susy
@@ -74,6 +75,39 @@ class TestTransformCommand:
         cells = doc["partner_potential"]
         rebuilt = RatFun(exact_poly(cells["num"]), exact_poly(cells["den"]))
         assert rebuilt == build_transform(OscillatorModel(), (1, 2)).partner_potential
+
+
+    # SHA-256 of the CSV that `transform --out` writes on the reference grid
+    # at the default nmax, frozen before the CSV rows were written by one
+    # format per line.
+    @pytest.mark.parametrize("levels, digest", [
+        ("1,2", "9bb053566e36ee92b7cd4bb74bc1a77060f450adc8fda09d00d8cb72a463ff41"),
+        ("2,3,6,7,10,11", "84bbf341cf338357468588b46a9f8f553ba12a2dd1594be2a2bb4c30fe6f9425"),
+    ], ids=["1,2", "2,3,6,7,10,11"])
+    def test_frozen_csv(self, levels, digest, tmp_path, capsys):
+        assert run("transform", "--levels", levels, "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
+
+    def test_csv_rows_match_fmt17(self):
+        edges = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0]
+        columns = [np.array(edges), np.array(edges[::-1])]
+        assert cli._csv_rows(columns) == [
+            f"{a:.17g},{b:.17g}" for a, b in zip(edges, edges[::-1])
+        ]
+
+    @pytest.mark.parametrize("fmt, unbuilt", [
+        ("json", ("crum_krein_apply", "sample")),
+        ("csv", ("transform_to_json",)),
+    ])
+    def test_builds_only_the_printed_text(self, fmt, unbuilt, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("built a text that is not printed")
+
+        for name in unbuilt:
+            monkeypatch.setattr(cli, name, refuse)
+        assert run("transform", "--levels", "1,2", "--nmax", "3", "--format", fmt) == 0
+        capsys.readouterr()
 
 
 class TestVerifyCommand:
@@ -487,6 +521,20 @@ class TestGridAndOutputErrors:
 
         monkeypatch.setattr("darboux.cli.build_transform", refuse)
 
+    @pytest.mark.parametrize("command", ["verify", "transform", "spectrum"])
+    def test_overflowing_width_rejected(self, command, no_exact_work, capsys):
+        # Every end is finite but xmax - xmin is not: rejected before any
+        # exact work and before numpy forms the grid and warns.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, "--levels", "3,4,7,8,9,10,11,12", "--nmax", "12",
+                       "--xmin=-1e308", "--xmax=1e308", "--points", "3")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "grid width on [-1e+308, 1e+308] is not a finite float" in err
+        assert "Warning" not in err
+        assert caught == []
+
     def test_too_few_points_rejected(self, no_exact_work, capsys):
         assert run("verify", "--levels", "1,2", "--points", "2") == 2
         assert "need at least 3 grid points" in capsys.readouterr().err
@@ -528,11 +576,12 @@ class TestGridAndOutputErrors:
                 "--points", "11")
 
     # The cap on float samples held at once, over a command's columns:
-    # transform's CSV x, V0, VN and 7 survivors, spectrum's V0 and VN,
-    # verify's one image.  No grid is built, so no oversized run is made.
+    # transform's CSV x, V0, VN and 7 survivors (built to print it or for
+    # --out), spectrum's V0 and VN, verify's one image.  No grid is built, so
+    # no oversized run is made, and no --out file is written.
     @pytest.mark.parametrize("command, columns", [
-        (("transform", "--nmax", "8"), 10),
-        (("transform", "--nmax", "8", "--format", "json"), 10),
+        (("transform", "--nmax", "8", "--format", "csv"), 10),
+        (("transform", "--nmax", "8", "--format", "json", "--out", "unwritten"), 10),
         (("spectrum", "--nmax", "8"), 2),
         (("verify", "--nmax", "8"), 1),
     ])
@@ -549,6 +598,7 @@ class TestGridAndOutputErrors:
         (("transform", "--nmax", "8"), cli._MAX_SAMPLES // 10),
         (("verify", "--nmax", "8"), cli._MAX_SAMPLES),
         (("classify", "--nmax", "8"), 10 * cli._MAX_SAMPLES),  # samples nothing
+        (("transform", "--nmax", "8"), 10 * cli._MAX_SAMPLES),  # JSON alone: no CSV
     ])
     def test_grid_at_the_cap_accepted(self, command, points, monkeypatch):
         class Reached(Exception):
@@ -592,6 +642,15 @@ class TestUnsampleableGrid:
         assert "RuntimeWarning" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_json_alone_samples_nothing(self, capsys):
+        # Without --out, --format json builds no CSV, so a grid that cannot
+        # be sampled does not matter.
+        assert run("transform", "--levels", "1,2", "--format", "json",
+                   "--xmin=-1e300", "--xmax=1e300") == 0
+        wide = capsys.readouterr().out
+        assert run("transform", "--levels", "1,2", "--format", "json") == 0
+        assert capsys.readouterr().out == wide
 
     @pytest.mark.parametrize("ends, code", [(("-100", "100"), 0), (("-1e10", "1e10"), 1)])
     def test_wide_finite_grids_keep_their_codes(self, ends, code, capsys):

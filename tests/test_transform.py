@@ -166,7 +166,7 @@ class TestCrumKreinOperator:
 
     def test_wrong_operator_trips_the_bordered_route(self, tr12):
         # The standing assertion compares the operator with the stored
-        # elimination, so a wrong coefficient cannot pass silently.
+        # sub-Wronskian chain, so a wrong coefficient cannot pass silently.
         coeffs = list(tr12.operator.coeffs)
         coeffs[0] = coeffs[0] + RatFun.constant(Fraction(1, 7))
         wrong = replace(tr12, operator=DiffOp(coeffs))
@@ -262,7 +262,7 @@ class TestBorderedWronskian:
 
     @pytest.mark.parametrize("levels", [(0,), (1, 2), (0, 1, 2), (1, 2, 5, 6)])
     def test_successive_calls_stand_alone(self, levels):
-        # One elimination serves calls with different columns, in any order.
+        # One chain serves calls with different functions, in any order.
         tr = _transform(levels)
         bordered = BorderedWronskian(tr.functions)
         for f in [RATIONAL_PHI, phi(0), phi(7), RATIONAL_PHI, GaussFun.zero(), phi(3)]:
@@ -275,6 +275,25 @@ class TestBorderedWronskian:
         tr = _transform(levels)
         assert tr.wronskian == wronskian(tr.functions)
         assert tr.bordered.wronskian is tr.wronskian
+        # Every link of the chain: P_k is the Wronskian of the first k.
+        bordered = tr.bordered
+        for k, p in enumerate(bordered.sub_wronskians, 1):
+            assert GaussFun(RatFun(p), k * bordered.weight) == wronskian(tr.functions[:k])
+
+    def test_doubled_last_link_trips_the_route_check(self, model):
+        # A seeded mutant of the chain: P_N and P_N' both doubled double
+        # every bordered value, and crum_krein_apply's assertion catches it.
+        tr = build_transform(model, (1, 2, 5, 6))
+        mutant = BorderedWronskian(tr.functions)
+        *head, (p, dp, prev) = mutant._chain
+        mutant._chain = (*head, (2 * p, 2 * dp, prev))
+        assert mutant(phi(0)) == 2 * tr.bordered(phi(0))
+        with pytest.raises(AssertionError, match="routes disagree"):
+            crum_krein_apply(replace(tr, bordered=mutant), phi(0))
+
+    def test_rational_family_rejected(self):
+        with pytest.raises(ValueError, match="must be polynomials"):
+            BorderedWronskian([phi(0), RATIONAL_PHI])
 
     def test_dependent_family_has_a_zero_pivot(self):
         f = phi(2)
@@ -304,8 +323,8 @@ class TestCrumKreinApply:
         assert (h_partner(image) - 2 * image).is_zero
 
     def test_no_fresh_determinant_per_image(self, model, monkeypatch):
-        # Each image's bordered Wronskian runs one column through the stored
-        # elimination: no Wronskian and no determinant of its own.
+        # Each image's bordered Wronskian runs phi through the stored
+        # chain: no Wronskian and no determinant of its own.
         tr = build_transform(model, (1, 2, 5, 6))
 
         def refuse(*args):
