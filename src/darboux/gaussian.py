@@ -328,12 +328,8 @@ class BorderedWronskian:
             chain.append((p, dp, prev))
             prev = p
         self.wronskian = GaussFun(RatFun(prev), n * self.weight)
+        # (P_k, P_k', P_{k-1}) for k = 1, ..., N.
         self._chain = tuple(chain)
-
-    @property
-    def sub_wronskians(self) -> tuple[Poly, ...]:
-        """P_1, ..., P_N: the rational parts of W(u_1, ..., u_k)."""
-        return tuple(p for p, _, _ in self._chain)
 
     def __call__(self, phi: GaussFun) -> GaussFun:
         """W(u_1, ..., u_N, phi), equal to ``wronskian(family + [phi])``."""

@@ -277,7 +277,7 @@ class TestBorderedWronskian:
         assert tr.bordered.wronskian is tr.wronskian
         # Every link of the chain: P_k is the Wronskian of the first k.
         bordered = tr.bordered
-        for k, p in enumerate(bordered.sub_wronskians, 1):
+        for k, (p, _, _) in enumerate(bordered._chain, 1):
             assert GaussFun(RatFun(p), k * bordered.weight) == wronskian(tr.functions[:k])
 
     def test_doubled_last_link_trips_the_route_check(self, model):
