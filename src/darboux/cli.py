@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +64,30 @@ def poly_to_json(p: Poly) -> list:
 
 def ratfun_to_json(r: RatFun) -> dict:
     return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
+
+
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists,
+    strings and ints: the same text, without the pure-Python encoder that
+    ``indent`` selects."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + json_text(v, inner) for v in value)
+        return f"[\n{items}\n{indent}]"
+    if type(value) is int:
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} as JSON text")
 
 
 def transform_to_json(tr: TransformResult) -> dict:
@@ -341,7 +366,7 @@ def cmd_transform(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -
     formats = _transform_formats(cfg)
     text = {}
     if "json" in formats:
-        text["json"] = json.dumps(transform_to_json(tr), indent=2)
+        text["json"] = json_text(transform_to_json(tr))
     if "csv" in formats:
         text["csv"] = "\n".join(_transform_csv_lines(model, tr, cfg)) + "\n"
     files = {}

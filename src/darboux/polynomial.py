@@ -34,6 +34,12 @@ xi above 2 min(|x|, |y|) + 1 and above twice the larger input's
 coefficients, read back as a candidate that counts only once it divides both
 inputs exactly.  Smaller or equal inputs, and inputs on which six evaluation
 points fail, take the primitive pseudo-remainder sequence.
+
+``cramer_numerators``, the one linear solver, works at such a point too:
+every entry of an N x (N+1) system is evaluated once at a xi above twice a
+bound on the coefficients of all its minors, Bareiss's fraction-free
+elimination runs on those integers, and the determinant and the Cramer
+numerators are read back as symmetric base-xi digits.
 """
 
 from __future__ import annotations
@@ -327,6 +333,15 @@ def _int_pseudo_divmod(
     return q, r, e
 
 
+def _int_exact_div(num: int, den: int) -> int:
+    """num / den, which must divide exactly: a remainder raises
+    ``ArithmeticError``."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{den} does not divide {num}")
+    return q
+
+
 def _int_content_free(ints: list[int]) -> list[int]:
     """Divide integer coefficients by their (positive) content."""
     g = math.gcd(*ints)
@@ -432,6 +447,83 @@ def _unpack_symmetric(v: int, nbytes: int) -> list[int]:
     if carry:
         digits.append(1)
     return digits
+
+
+def _unpack_poly(v: int, nbytes: int) -> Poly:
+    """The integer polynomial whose symmetric base-2^(8 nbytes) digits
+    give v, of any sign: the negation of -v's digits when v < 0."""
+    if v > 0:
+        return Poly._of(_unpack_symmetric(v, nbytes), 1)
+    if v < 0:
+        return Poly._of([-d for d in _unpack_symmetric(-v, nbytes)], 1)
+    return Poly.zero()
+
+
+def cramer_numerators(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, list[Poly]]:
+    """Fraction-free solve of the N x (N+1) augmented system
+    sum_j a_ij x_j = c_i, row i = (a_i0, ..., a_i,N-1, c_i): the
+    determinant det of (a_ij) and the Cramer numerators y_i = det * x_i,
+    each a polynomial.
+
+    Each row is first scaled to integer coefficients by the lcm of its
+    denominators; that scales det and every y_i alike, so x_i = y_i / det
+    is unchanged, and det and the y_i returned are the scaled system's.
+    Every entry is then evaluated once at xi = 2^(8b) with xi > 2B,
+
+        B = prod_i max(1, sum_j |a_ij|_1),  c_i counted as column N,
+
+    and Bareiss's fraction-free elimination (Bareiss 1968) runs on those
+    integers, followed by back substitution
+
+        y_i = (det * c_i - sum_{j>i} U_ij y_j) / U_ii.
+
+    Why one point suffices: each Leibniz term of a minor takes one entry
+    per row and |f g|_1 <= |f|_1 |g|_1, so the coefficients of every minor
+    over any subset of the rows, in particular det, every y_i and every
+    entry the elimination forms (a (k+1)-minor after step k), are at most
+    B < xi/2 in size.  Such a polynomial is its symmetric base-xi digits
+    read off its value at xi, and it is the zero polynomial exactly when
+    that value is 0.  Evaluation at xi is a ring homomorphism, so each
+    exact division of polynomials is an exact division of integers.  The
+    max(1, .) keeps an all-zero row from making B zero (and xi 1): minors
+    on the other rows are bounded by their own rows.
+
+    A zero pivot at xi is a zero leading minor; the elimination does not
+    pivot, so it raises ``ZeroDivisionError``.  Every division is exact for
+    any integer matrix (Sylvester's identity), so a remainder can only be a
+    fault in the elimination itself; it raises ``ArithmeticError``, as
+    ``Poly.exact_div`` does.
+    """
+    n = len(rows)
+    scaled = []
+    bound = 1
+    for row in rows:
+        if len(row) != n + 1:
+            raise ValueError("an augmented system needs N rows of N + 1 entries")
+        scale = math.lcm(*(p.den for p in row))
+        ints = [[c * (scale // p.den) for c in p.nums] for p in row]
+        bound *= max(1, sum(sum(map(abs, cs)) for cs in ints))
+        scaled.append(ints)
+    nbytes = ((2 * bound).bit_length() + 7) // 8
+    m = [[_pack_eval(cs, nbytes) for cs in row] for row in scaled]
+    prev = 1
+    for k in range(n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise ZeroDivisionError(f"leading minor {k + 1} of the system is zero")
+        for row in m[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = _int_exact_div(pivot * row[j] - c * pivot_row[j], prev)
+        prev = pivot
+    det = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = _int_exact_div(acc, row[i])
+    return _unpack_poly(det, nbytes), [_unpack_poly(v, nbytes) for v in y]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

@@ -7,13 +7,14 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   (the Krein integer criterion and an exact Sturm root count),
 * the potential difference A(x) = -2 [log W]'' and the partner potential,
 * the intertwining operator L of order N, realised both by one
-  fraction-free solve of L u_i = 0 (forward elimination, then back
-  substitution) and as Crum's bordered-Wronskian quotient
+  fraction-free solve of L u_i = 0 at one integer point
+  (``cramer_numerators``) and as Crum's bordered-Wronskian quotient
   W(u_1, ..., u_N, phi)/W (Crum 1955), run as a chain of two-by-two
   Wronskians over the family's sub-Wronskians by Jacobi's (Sylvester's)
   Wronskian identity; the chain never reads L, and the two routes are
   asserted against each other,
-* the kernel functions of the adjoint operator, and
+* the kernel functions of the adjoint operator, by the same solve on the
+  Wronskian matrix, and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
   the first expanded and the second derived from it and L h0 = hN L.
@@ -38,8 +39,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, wronskian
-from .polynomial import Poly, RatFun, WBase, WFun, cleared
+from .gaussian import (
+    BorderedWronskian,
+    DegenerateTransformation,
+    DiffOp,
+    GaussFun,
+    derivative_table,
+)
+from .polynomial import Poly, RatFun, WBase, WFun, cleared, cramer_numerators
 
 
 class InadmissibleSelection(ValueError):
@@ -212,18 +219,9 @@ def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
 
     The N equations sum_m a_m u_i^(m) = -u_i^(N) are cleared to polynomials
     row by row (the shared exponential factor cancels) and solved by
-    fraction-free forward elimination (Bareiss 1968), then back
-    substitution.  After step k every entry below row k is a (k+1)-minor,
-    so each division by the previous pivot is exact; the rows end as an
-    upper-triangular U a = c with U_ii the leading (i+1)-minor and det, the
-    last pivot, the determinant.  By Cramer's rule y_i = det * a_i is a
-    polynomial, so back substitution
-
-        y_i = (det * c_i - sum_{j>i} U_ij y_j) / U_ii
-
-    divides exactly.  For a polynomial family det is the Wronskian's
-    polynomial part, lead * W, so each a_i is built over ``base``, the
-    powers of W, with exponent 1.
+    ``cramer_numerators``: y_i = det * a_i, det the Wronskian's polynomial
+    part, so each a_i is built over ``base``, the powers of W, with
+    exponent 1.
     """
     n = len(functions)
     rows = []
@@ -231,30 +229,24 @@ def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
         row, _ = cleared([f.r for f in u.derivatives(n)])
         row[n] = -row[n]
         rows.append(row)
-    prev = Poly.one()
-    for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot.is_zero:
-            raise DegenerateTransformation("transformation functions are linearly dependent")
-        for row in rows[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - c * pivot_row[j]).exact_div(prev)
-        prev = pivot
-    det = prev
+    return DiffOp(_solve_over_wronskian(rows, base) + [base.lift(1)])
+
+
+def _solve_over_wronskian(rows: list[list[Poly]], base: WBase) -> list[WFun]:
+    """The solution y_i / det of a system whose determinant is the
+    Wronskian's polynomial part lead * W, each over W with exponent 1.
+
+    Raises DegenerateTransformation on a zero leading minor (a dependent
+    family) and ValueError when det is not a multiple of W.
+    """
+    try:
+        det, ys = cramer_numerators(rows)
+    except ZeroDivisionError as err:
+        raise DegenerateTransformation("transformation functions are linearly dependent") from err
     lead = det.lead()
     if det != base.W * lead:
         raise ValueError("the solve's determinant is not the Wronskian's polynomial part")
-    y = [Poly.zero()] * n
-    y[n - 1] = rows[n - 1][n]  # U_{N-1,N-1} is det itself
-    for i in range(n - 2, -1, -1):
-        row = rows[i]
-        acc = det * row[n]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * y[j]
-        y[i] = acc.exact_div(row[i])
-    return DiffOp([base.over(y_i * (1 / lead), 1) for y_i in y] + [base.lift(1)])
+    return [base.over(y * (1 / lead), 1) for y in ys]
 
 
 def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:
@@ -284,16 +276,24 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
     """Kernel of the adjoint operator: v_k = W_k / W, in W-form.
 
     W_k is the order-(N-1) Wronskian of the family with u_k omitted (the
-    empty Wronskian is 1).  Each v_k satisfies L+ v_k = 0 and is a formal
-    eigenfunction of the partner Hamiltonian at the deleted energy alpha_k;
-    its weight is opposite to the family's, so it is not normalisable.
+    empty Wronskian is 1).  By Cramer's rule on the Wronskian matrix M
+    (row m the m-th derivatives), W_k / W = (-1)^(N-1-k) (M^-1)_{k,N-1}, so
+    one solve of M z = e_{N-1} (``cramer_numerators``) gives every v_k.
+    Each v_k satisfies L+ v_k = 0 and is a formal eigenfunction of the
+    partner Hamiltonian at the deleted energy alpha_k; its weight is
+    opposite to the family's, so it is not normalisable.
     """
-    out = []
-    for k in range(len(tr.functions)):
-        rest = [u for i, u in enumerate(tr.functions) if i != k]
-        w_k = wronskian(rest) if rest else GaussFun.one()
-        out.append(_over_wronskian(tr, w_k))
-    return out
+    n = tr.order
+    rows = []
+    for m, entries in enumerate(derivative_table(tr.functions, n - 1)):
+        row, common = cleared(entries)
+        row.append(common if m == n - 1 else Poly.zero())
+        rows.append(row)
+    weight = -tr.bordered.weight
+    return [
+        GaussFun(v if (n - 1 - k) % 2 == 0 else -v, weight)
+        for k, v in enumerate(_solve_over_wronskian(rows, tr.base))
+    ]
 
 
 @dataclass(frozen=True)

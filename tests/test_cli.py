@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darboux import cli, polynomial, susy
 from darboux.cli import main, transform_to_json
@@ -88,6 +90,22 @@ class TestTransformCommand:
         assert run("transform", "--levels", levels, "--out", str(tmp_path / "run")) == 0
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(st.recursive(
+        st.one_of(st.integers(), st.text(max_size=6)),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.text(), inner, max_size=3)),
+        max_leaves=8,
+    ))
+    @example({"": [], "a": {}, "\"\\\n\t\x00\x7f": ["\u00e9\u2603\U0001f600", -1, 0]})
+    def test_json_text_matches_the_encoder(self, doc):
+        assert cli.json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_json_text_rejects_other_types(self):
+        for value in (True, None, 1.5, (1, 2), {1: 2}):
+            with pytest.raises(TypeError):
+                cli.json_text(value)
 
     def test_csv_rows_match_fmt17(self):
         edges = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0]

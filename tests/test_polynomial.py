@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from darboux.gaussian import GaussFun, wronskian
 from darboux.polynomial import (
     _HEU_MIN_TERMS,
+    _int_exact_div,
     _int_primitive,
     _prs_gcd,
     NormValue,
@@ -18,6 +19,7 @@ from darboux.polynomial import (
     RatFun,
     WBase,
     WFun,
+    cramer_numerators,
     det_cofactor,
     hermite_he,
     poly_det_bareiss,
@@ -650,6 +652,60 @@ class TestDeterminants:
     def test_ratfun_det_matches_cofactor(self, rows):
         # One fraction-free route for every size, the empty matrix included.
         assert ratfun_det(rows) == det_cofactor(rows)
+
+
+# Signed integer polynomials, the zero polynomial and wide coefficients
+# among them, for systems whose point xi spans several bytes.
+_int_entries = st.lists(
+    st.one_of(st.integers(-4, 4), st.integers(-2**40, 2**40)), max_size=3
+).map(Poly)
+
+
+def _system(n: int):
+    return st.lists(st.lists(_int_entries, min_size=n + 1, max_size=n + 1),
+                    min_size=n, max_size=n)
+
+
+class TestCramerNumerators:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.integers(1, 4).flatmap(_system), st.lists(st.integers(1, 6), min_size=4))
+    # det = -129 x meets the bound B = 129 * 1: one byte narrower, xi = 256
+    # cannot hold the digit 129.
+    @example([[P(0, -129), P(), P()], [P(), P(1), P()]], [1, 1, 1, 1])
+    # An all-zero row: B must not collapse to 0 (and xi to 1) before the
+    # zero pivot is reached.
+    @example([[P(2**40, 3), P(5), P(1)], [P(), P(), P()]], [1, 1, 1, 1])
+    def test_against_bareiss_minors(self, rows, dens):
+        n = len(rows)
+        a = [row[:n] for row in rows]
+        if any(poly_det_bareiss([r[:k] for r in a[:k]]).is_zero for k in range(1, n + 1)):
+            with pytest.raises(ZeroDivisionError):
+                cramer_numerators(rows)
+            return
+        det, ys = cramer_numerators(rows)
+        assert det == poly_det_bareiss(a)
+        for i, y in enumerate(ys):
+            minor = poly_det_bareiss([r[:i] + r[i + 1:] for r in rows])
+            assert y == (minor if (n - 1 - i) % 2 == 0 else -minor)
+        # Rows with rational coefficients are scaled to integers first; the
+        # solution y_i / det does not change.
+        scaled = [[p * Fraction(1, d) for p in row] for row, d in zip(rows, dens)]
+        det_q, ys_q = cramer_numerators(scaled)
+        assert all(y_q * det == y * det_q for y_q, y in zip(ys_q, ys))
+
+    def test_empty_system(self):
+        assert cramer_numerators([]) == (Poly.one(), [])
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="N \\+ 1 entries"):
+            cramer_numerators([[P(1), P(2)], [P(3)]])
+
+    def test_remainder_raises(self):
+        # No integer system leaves a remainder (Bareiss divides exactly over
+        # any integral domain), so the check guards the arithmetic itself.
+        assert _int_exact_div(-12, 4) == -3
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _int_exact_div(7, 2)
 
 
 class TestNormValue:

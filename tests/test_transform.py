@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darboux.gaussian
+import darboux.polynomial
 import darboux.transform
-from darboux.cli import main
+from darboux.cli import json_text, main, transform_to_json
 from darboux.gaussian import (
     BorderedWronskian,
     DiffOp,
@@ -154,8 +156,16 @@ class TestCrumKreinOperator:
 
     def test_degenerate_family_rejected(self):
         f = phi(1)
-        with pytest.raises((DegenerateTransformation, ZeroDivisionError)):
+        with pytest.raises(DegenerateTransformation):
             crum_krein_operator([f, 2 * f], WBase(Poly.one()))
+
+    def test_zero_pivot_at_the_last_step_rejected(self):
+        # [f, g, f + g]: the leading minors f and W(f, g) are nonzero, so
+        # only the last pivot, the whole determinant, is zero.
+        f, g = phi(1), phi(2)
+        with pytest.raises(DegenerateTransformation) as err:
+            crum_krein_operator([f, g, f + g], WBase(Poly.one()))
+        assert "leading minor 3 " in str(err.value.__cause__)
 
     @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
     def test_solve_agrees_with_minors(self, levels):
@@ -163,6 +173,11 @@ class TestCrumKreinOperator:
         operator = crum_krein_operator(tr.functions, tr.base)
         assert operator == _operator_from_minors(tr.functions, tr.wronskian)
         assert operator == tr.operator
+
+    @pytest.mark.parametrize("levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11)])
+    def test_json_text_matches_the_encoder(self, levels):
+        doc = transform_to_json(_transform(levels))
+        assert json_text(doc) == json.dumps(doc, indent=2)
 
     def test_wrong_operator_trips_the_bordered_route(self, tr12):
         # The standing assertion compares the operator with the stored
@@ -330,7 +345,7 @@ class TestCrumKreinApply:
         def refuse(*args):
             raise AssertionError("a fresh determinant was computed")
 
-        monkeypatch.setattr(darboux.transform, "wronskian", refuse)
+        monkeypatch.setattr(darboux.gaussian, "wronskian", refuse)
         monkeypatch.setattr(darboux.gaussian, "ratfun_det", refuse)
         for n in tr.selection.survivors(8):
             assert not crum_krein_apply(tr, phi(n)).is_zero
@@ -380,6 +395,47 @@ class TestKernelFunctions:
         for alpha, v in zip(tr.selection.alphas, kernel_functions(tr)):
             assert adjoint(v).is_zero
             assert (h_partner(v) - alpha * v).is_zero
+
+
+class TestKernelSolve:
+    """The kernel functions from one solve against independent routes."""
+
+    @pytest.mark.parametrize("levels", [(0,), (1, 2), (0, 1, 2), (1, 2, 5, 6)])
+    def test_last_column_of_the_inverse(self, levels):
+        # Cramer: W_k / W = (-1)^(N-1-k) (M^-1)_{k,N-1}, M the Wronskian
+        # matrix of the Hermite polynomials times exp(-x^2/4) (row m the
+        # m-th derivatives, over the shared factor), inverted by sympy.
+        x = sympy.Symbol("x")
+        gauss = sympy.exp(-x**2 / 4)
+        n = len(levels)
+        matrix = sympy.Matrix([
+            [sympy.expand(sympy.diff(sympy.hermite_prob(k, x) * gauss, x, m) / gauss)
+             for k in levels]
+            for m in range(n)
+        ])
+        inverse = matrix.inv()
+
+        def poly(expr):
+            coeffs = sympy.Poly(expr, x).all_coeffs()
+            return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+        for k, v in enumerate(kernel_functions(_transform(levels))):
+            num, den = sympy.fraction(sympy.cancel((-1) ** (n - 1 - k) * inverse[k, n - 1]))
+            assert v == GaussFun(RatFun(poly(num), poly(den)), 1)
+
+    def test_verify_computes_no_determinant(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a determinant was computed")
+
+        for module, name in [
+            (darboux.polynomial, "ratfun_det"),
+            (darboux.polynomial, "poly_det_bareiss"),
+            (darboux.gaussian, "ratfun_det"),
+            (darboux.gaussian, "wronskian"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(["verify", "--levels", "1,2,5,6", "--nmax", "8"]) == 0
+        capsys.readouterr()
 
 
 class TestFactorization:
