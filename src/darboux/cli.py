@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification or numeric failure, 2 invalid or
 inadmissible input.  Exact rationals serialise as {"num": str, "den": str}
-so no precision is lost in JSON; CSV output uses a fixed column order and
-17-significant-digit formatting.
+so no precision is lost in JSON, and ``json_text`` writes every JSON
+document; CSV output has a fixed column order and 17-digit floats (``_F17``).
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oscillator import (
-    OscillatorModel,
-    golden_cross_check,
-    partner_eigenfunction_closed_form,
-)
+from .oscillator import OscillatorModel, golden_cross_check
 from .polynomial import Poly, RatFun
 from .spectral import (
     REFERENCE_GRID,
@@ -68,8 +64,8 @@ def ratfun_to_json(r: RatFun) -> dict:
 
 def json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` for dicts with string keys, lists,
-    strings and ints: the same text, without the pure-Python encoder that
-    ``indent`` selects."""
+    strings, ints, floats and None: the same text, without the pure-Python
+    encoder that ``indent`` selects."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = indent + "  "
@@ -87,6 +83,11 @@ def json_text(value, indent: str = "") -> str:
         return f"[\n{items}\n{indent}]"
     if type(value) is int:
         return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if value is None:
+        return "null"
     raise TypeError(f"cannot write {type(value).__name__} as JSON text")
 
 
@@ -123,6 +124,7 @@ class RunConfig:
 _FORMATS = ("json", "csv")
 # transform and verify scale each survivor n by the float squared norm of
 # L phi_n, n! * sqrt(2 pi) * prod_i (n - k_i); it must stay below this.
+# classify builds the same images, so it takes the same cap.
 _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 
 
@@ -265,7 +267,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(grid=grid, **value)
     if cfg.nmax < 0:
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
-    if args.command in ("transform", "verify"):
+    if args.command != "spectrum":
         top = _largest_float_norm_nmax(cfg.levels)
         if cfg.nmax > top:
             raise ValueError(
@@ -306,8 +308,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt17(value: float) -> str:
-    return f"{value:.17g}"
+_F17 = "%.17g"  # the one 17-significant-digit float format
 
 
 def _out_stem(path: str) -> str:
@@ -338,8 +339,8 @@ def _emit(text: str, files: dict[str, str]) -> int:
 
 def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
     """One line per sample: the columns' values side by side, each written
-    as ``_fmt17`` writes it, by one %-format per line."""
-    row = ",".join(["%.17g"] * len(columns))
+    by ``_F17``, with one %-format per line."""
+    row = ",".join([_F17] * len(columns))
     return [row % values for values in zip(*(col.tolist() for col in columns))]
 
 
@@ -390,8 +391,6 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     levels = tr.selection.levels
     alphas = tr.selection.alphas
     n_max = cfg.nmax
-    survivors = tr.selection.survivors(n_max)
-    juxtaposed_pair = len(levels) == 2 and levels[1] == levels[0] + 1
     skipped = "skipped (not a juxtaposed pair)"
     h_partner = tr.hamiltonian_partner()
     results: list[CheckResult] = []
@@ -423,13 +422,15 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     # eigen_residuals reads those residuals for the survivors.
     acomm = anticommutator_check(tr, {n: doublets[n] for n in range(n_max + 1)})
     intertwined = {c.level: c.intertwining_ok for c in acomm.checks}
-    images = {n: doublets[n].lower for n in survivors}
+    images = {n: doublets[n].lower for n in tr.selection.survivors(n_max)}
     bad = [n for n, image in images.items() if image.is_zero or not intertwined[n]]
     record("eigen_residuals", not bad, "(hN - E_n) L phi_n = 0 for all surviving levels",
            f"failed levels {bad}")
 
-    if juxtaposed_pair:
-        record("golden_closed_forms", golden_cross_check(tr, images).ok,
+    juxtaposed_pair = len(levels) == 2 and levels[1] == levels[0] + 1
+    golden = golden_cross_check(tr, images) if juxtaposed_pair else None
+    if golden:
+        record("golden_closed_forms", golden.ok,
                "partner potential and wave functions match the closed forms", "closed-form mismatch")
     else:
         record("golden_closed_forms", True, skipped)
@@ -438,11 +439,10 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
            "factor prod(E - alpha_i) on every eigen-doublet", "mismatch")
 
     grid = cfg.grid
-    if juxtaposed_pair:
+    if golden:
         worst = 0.0
-        for n in survivors:
-            bracket, norm = partner_eigenfunction_closed_form(levels[0], n)
-            values = sample(bracket, grid) / math.sqrt(norm.to_float())
+        for check in golden.levels:
+            values = sample(check.bracket, grid) / math.sqrt(check.norm.to_float())
             worst = max(worst, abs(quadrature_simpson(values**2, grid) - 1.0))
         record("closed_form_normalization", worst <= 1e-4, f"max |1 - norm| {worst:.3e}")
     else:
@@ -475,7 +475,7 @@ def cmd_verify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> i
             for r in results
         ],
     }
-    text = json.dumps(report, indent=2)
+    text = json_text(report)
     if _emit(text, {cfg.out: text + "\n"} if cfg.out else {}) != EXIT_OK:
         return EXIT_BAD_INPUT
     failures = [r for r in results if not r.passed]
@@ -487,24 +487,24 @@ def cmd_verify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> i
 
 # -- spectrum --------------------------------------------------------------------
 
-def _partner_cells(row: SpectrumRow, fmt_err: Callable[[float], str]) -> tuple[str, str]:
+def _partner_cells(row: SpectrumRow, err_format: str) -> tuple[str, str]:
     """The hN and hN_err cells of a spectrum row; deleted levels say so."""
     if row.partner_deleted:
         return "deleted", ""
-    return _fmt17(row.partner_value), fmt_err(row.partner_error)
+    return _F17 % row.partner_value, err_format % row.partner_error
 
 
 def _spectrum_file_text(report: SpectrumReport, cfg: RunConfig) -> str:
     if cfg.format == "csv":
         csv_lines = ["level,predicted,h0,h0_err,hN,hN_err"]
         for row in report.rows:
-            hn, hn_err = _partner_cells(row, _fmt17)
+            hn, hn_err = _partner_cells(row, _F17)
             csv_lines.append(
-                f"{row.level},{row.predicted},{_fmt17(row.base_value)},"
-                f"{_fmt17(row.base_error)},{hn},{hn_err}"
+                f"{row.level},{row.predicted},{_F17 % row.base_value},"
+                f"{_F17 % row.base_error},{hn},{hn_err}"
             )
         return "\n".join(csv_lines) + "\n"
-    return json.dumps(
+    return json_text(
         {
             "levels": list(cfg.levels),
             "max_error": report.max_error,
@@ -519,8 +519,7 @@ def _spectrum_file_text(report: SpectrumReport, cfg: RunConfig) -> str:
                 }
                 for row in report.rows
             ],
-        },
-        indent=2,
+        }
     ) + "\n"
 
 
@@ -530,9 +529,9 @@ def cmd_spectrum(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) ->
     header = f"{'level':>5} {'predicted':>10} {'h0':>22} {'h0_err':>12} {'hN':>22} {'hN_err':>12}"
     lines = [header]
     for row in report.rows:
-        hn, hn_err = _partner_cells(row, lambda err: f"{err:.3e}")
+        hn, hn_err = _partner_cells(row, "%.3e")
         lines.append(
-            f"{row.level:>5} {str(row.predicted):>10} {_fmt17(row.base_value):>22}"
+            f"{row.level:>5} {str(row.predicted):>10} {_F17 % row.base_value:>22}"
             f" {row.base_error:>12.3e} {hn:>22} {hn_err:>12}"
         )
     return _emit("\n".join(lines), {cfg.out: _spectrum_file_text(report, cfg)} if cfg.out else {})
@@ -548,7 +547,7 @@ def cmd_classify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) ->
         "tags": {str(n): tag for n, tag in sorted(result.tags.items())},
         "below_vacuum": sorted(result.below_vacuum),
     }
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     return _emit(text, {cfg.out: text + "\n"} if cfg.out else {})
 
 

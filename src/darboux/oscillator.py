@@ -79,7 +79,10 @@ def partner_potential_closed_form(k: int) -> RatFun:
 
     Pole-free on the real line since P_k has no real roots.
     """
-    p = RatFun(pair_wronskian_poly(k))
+    return _potential_over(RatFun(pair_wronskian_poly(k)))
+
+
+def _potential_over(p: RatFun) -> RatFun:
     base = RatFun(Poly((Fraction(3, 2), 0, Fraction(1, 4))))
     ratio = p.derivative() / p
     return base - 2 * (p.derivative().derivative() / p) + 2 * ratio * ratio
@@ -99,11 +102,14 @@ def partner_eigenfunction_closed_form(k: int, n: int) -> tuple[GaussFun, NormVal
     root of the latter yields the unit-norm wave function.  The product
     (n-k)(n-k-1) is positive on both sides of the deleted pair.
     """
+    return _eigenfunction_over(RatFun(pair_wronskian_poly(k)), k, n)
+
+
+def _eigenfunction_over(p: RatFun, k: int, n: int) -> tuple[GaussFun, NormValue]:
     if n < 0:
         raise ValueError("level index must be nonnegative")
     if n in (k, k + 1):
         raise ForbiddenLevel(f"level {n} is deleted by the pair ({k}, {k + 1})")
-    p = RatFun(pair_wronskian_poly(k))
     bracket_r = (n - k) * RatFun(hermite_he(n)) + RatFun(cross_polynomial(k, n)) * RatFun(
         hermite_he(k + 1)
     ) / p
@@ -117,6 +123,8 @@ class GoldenLevelCheck:
     level: int
     ratio: Fraction          # engine image / closed-form bracket
     ratio_constant: bool
+    bracket: GaussFun        # as partner_eigenfunction_closed_form returns it
+    norm: NormValue
 
 
 @dataclass(frozen=True)
@@ -141,41 +149,31 @@ def golden_cross_check(tr: TransformResult, images: Mapping[int, GaussFun]) -> G
     is P_k up to a rational constant, that the partner potential matches
     structurally, and that each image is a constant multiple of the
     closed-form bracket.  The sign of that constant is a phase convention;
-    it is recorded, never assumed.  A deleted level in ``images`` raises
-    ForbiddenLevel.
+    it is recorded, never assumed.  Each level's check carries its bracket
+    and exact norm, so the caller builds neither again.  A deleted level in
+    ``images`` raises ForbiddenLevel.
     """
     levels = tr.selection.levels
     if len(levels) != 2 or levels[1] != levels[0] + 1:
         raise ValueError("golden cross-check applies to juxtaposed pairs {k, k+1}")
     k = levels[0]
 
-    p_k = pair_wronskian_poly(k)
-    w_ratio = tr.wronskian.r / RatFun(p_k)
+    p_k = RatFun(pair_wronskian_poly(k))
+    w_ratio = tr.wronskian.r / p_k
     if not w_ratio.is_constant:
         raise AssertionError("engine Wronskian is not proportional to the closed form")
 
-    potential_matches = tr.partner_potential == partner_potential_closed_form(k)
+    potential_matches = tr.partner_potential == _potential_over(p_k)
 
     checks = []
     for n, image in images.items():
-        bracket, _ = partner_eigenfunction_closed_form(k, n)
+        bracket, norm = _eigenfunction_over(p_k, k, n)
         # Ratio of canonical leading coefficients, then a structural equality
         # check; no pointwise division, so special points cannot interfere.
-        if image.is_zero:
-            checks.append(GoldenLevelCheck(level=n, ratio=Fraction(0), ratio_constant=False))
-            continue
-        c = image.r.num.lead() / bracket.r.num.lead()
-        constant = image.s == bracket.s and image.r == c * bracket.r
-        checks.append(
-            GoldenLevelCheck(
-                level=n,
-                ratio=c if constant else Fraction(0),
-                ratio_constant=constant,
-            )
-        )
-    return GoldenReport(
-        k=k,
-        wronskian_ratio=w_ratio.as_fraction(),
-        potential_matches=potential_matches,
-        levels=tuple(checks),
-    )
+        ratio = Fraction(0)  # a zero image matches no bracket
+        if not image.is_zero:
+            c = image.r.num.lead() / bracket.r.num.lead()
+            if image.s == bracket.s and image.r == c * bracket.r:
+                ratio = c
+        checks.append(GoldenLevelCheck(n, ratio, ratio != 0, bracket, norm))
+    return GoldenReport(k, w_ratio.as_fraction(), potential_matches, tuple(checks))

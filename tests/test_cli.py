@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darboux import cli, polynomial, susy
+from darboux import cli, oscillator, polynomial, susy
 from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
@@ -93,17 +94,18 @@ class TestTransformCommand:
 
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(st.recursive(
-        st.one_of(st.integers(), st.text(max_size=6)),
+        st.one_of(st.integers(), st.text(max_size=6), st.none(), st.floats()),
         lambda inner: st.one_of(st.lists(inner, max_size=3),
                                 st.dictionaries(st.text(), inner, max_size=3)),
         max_leaves=8,
     ))
     @example({"": [], "a": {}, "\"\\\n\t\x00\x7f": ["\u00e9\u2603\U0001f600", -1, 0]})
+    @example([-0.0, 5e-324, 1e308, 0.1, 1 / 3, np.float64(0.1), math.nan, math.inf, -math.inf, None])
     def test_json_text_matches_the_encoder(self, doc):
         assert cli.json_text(doc) == json.dumps(doc, indent=2)
 
     def test_json_text_rejects_other_types(self):
-        for value in (True, None, 1.5, (1, 2), {1: 2}):
+        for value in (True, (1, 2), {1: 2}):
             with pytest.raises(TypeError):
                 cli.json_text(value)
 
@@ -213,6 +215,22 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert calls == {"adjoint": 1, "apply": 9}
 
+    def test_closed_forms_built_once(self, monkeypatch, capsys):
+        # A juxtaposed pair sums P_k once and builds each of its 7 survivors'
+        # brackets once: the golden and normalisation checks share them.
+        calls = Counter()
+        for name in ("pair_wronskian_poly", "cross_polynomial"):
+            def counted(*args, name=name, fn=getattr(oscillator, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(oscillator, name, counted)
+        command, code, digest = _FROZEN_REPORTS[0]
+        got = run(*command.split())
+        captured = capsys.readouterr()
+        text = json.dumps([got, captured.out, captured.err])
+        assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+        assert calls == {"pair_wronskian_poly": 1, "cross_polynomial": 7}
+
     def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
         # L: the 9 doublets.  L+: the 2 kernel functions and one Q+ per
         # doublet.  hN: the 2 kernel functions and one intertwining residual
@@ -316,6 +334,8 @@ _FROZEN_REPORTS = [
      "20192fd839424dc51b8430ca375647a5e84357c4b2da05f7cf08beaef4c165ef"),
     ("verify --levels 3,4,7,8,9,10,11,12 --nmax 12", 0,
      "9205fd6aacaab668b80814e38a8a11a603bd2d953cad150918b5ac8944efc20b"),
+    ("spectrum --levels 1,2 --nmax 8", 0,
+     "8717566643fa0e082b5df1128267f9c86aedf1b7b40e12d27315036e2a98c34b"),
 ]
 
 
@@ -361,6 +381,19 @@ class TestSpectrumCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert [r["hN"] for r in doc["rows"][:2]] == ["deleted", "deleted"]
+
+    # SHA-256 of the files `spectrum --levels 1,2 --nmax 8 --out` writes,
+    # frozen before the JSON and the 17-digit cells were given one writer each.
+    @pytest.mark.parametrize("args, name, digest", [
+        ((), "x.json", "cd7f576e84868d9f311486dca162316ecc73cc4e1a45296bf670dee283bc1295"),
+        (("--format", "csv"), "x.csv",
+         "757e65ad993a897f43840fa20c8fb65c2134500cbe426c6241d1162b58474719"),
+    ], ids=["json", "csv"])
+    def test_frozen_spectrum_files(self, args, name, digest, tmp_path, capsys):
+        out = tmp_path / name
+        assert run("spectrum", "--levels", "1,2", "--nmax", "8", *args, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_nmax_beyond_grid_rejected(self, capsys):
         assert run("spectrum", "--levels", "1,2", "--nmax", "3000") == 2
@@ -445,7 +478,7 @@ class TestConfigHandling:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n0"] == [0, 1]
 
-    @pytest.mark.parametrize("command", ["transform", "verify"])
+    @pytest.mark.parametrize("command", ["transform", "verify", "classify"])
     def test_nmax_above_float_norm_bound_rejected(self, command, monkeypatch, capsys):
         _assert_float_norm_bound(command, "1,2", 171, 168, monkeypatch, capsys)
 
