@@ -9,7 +9,7 @@ document; CSV output has a fixed column order and 17-digit floats (``_F17``).
 from __future__ import annotations
 
 import argparse
-import itertools
+import bisect
 import json
 import math
 import sys
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oscillator import OscillatorModel, golden_cross_check
+from .oscillator import OscillatorModel, golden_cross_check, is_juxtaposed_pair
 from .polynomial import Poly, RatFun
 from .spectral import (
     REFERENCE_GRID,
@@ -36,6 +36,7 @@ from .spectral import (
 from .susy import anticommutator_check, classify, eigen_doublet
 from .transform import (
     InadmissibleSelection,
+    LevelSelection,
     TransformResult,
     build_transform,
     crum_krein_apply,
@@ -123,7 +124,8 @@ class RunConfig:
 
 _FORMATS = ("json", "csv")
 # transform and verify scale each survivor n by the float squared norm of
-# L phi_n, n! * sqrt(2 pi) * prod_i (n - k_i); it must stay below this.
+# L phi_n, the model's squared norm times P(E_n); its rational part
+# squared_norm(n).q * |P(E_n)| must stay below this.
 # classify builds the same images, so it takes the same cap.
 _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 
@@ -136,21 +138,24 @@ _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 _MAX_SAMPLES = 1 << 23
 
 
-def _largest_float_norm_nmax(levels: tuple[int, ...]) -> int:
+def _largest_float_norm_nmax(model: OscillatorModel, selection: LevelSelection) -> int:
     """Largest nmax whose survivors all have a finite float norm.
 
-    Every survivor has |n - k_i| >= 1, so the scan ends at the first
-    survivor from 171 on, where n! alone overflows.
+    Every survivor has an integer energy n and |P(n)| >= 1, so the first
+    survivor from 171 on overflows, as n! alone does.  Above the top level,
+    n! and every factor n - alpha_i grow with n, so the first overflow there
+    is found by bisection; below it, each survivor is tried in turn.
     """
-    deleted = set(levels)
-    factorial = 1
-    for n in itertools.count():
-        if n:
-            factorial *= n
-        if n in deleted:
-            continue
-        if factorial * math.prod(abs(n - k) for k in levels) > _FLOAT_NORM_LIMIT:
+    def overflows(n: int) -> bool:
+        norm = model.squared_norm(n).q * abs(selection.factor(model.energy(n)))
+        return norm > _FLOAT_NORM_LIMIT
+
+    top = selection.levels[-1]
+    for n in range(top):
+        if n not in selection.levels and overflows(n):
             return n - 1
+    above = range(top + 1, max(top + 1, 171) + 1)
+    return above[bisect.bisect_left(above, True, key=overflows)] - 1
 
 
 def _is_int(value) -> bool:
@@ -252,7 +257,7 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace, model: OscillatorModel) -> RunConfig:
     """Each option from its flag, else the config file, else its default."""
     file_cfg = _read_config(args.config) if args.config else {}
     value = {}
@@ -267,18 +272,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(grid=grid, **value)
     if cfg.nmax < 0:
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
+    selection = LevelSelection.for_model(model, cfg.levels)
     if args.command != "spectrum":
-        top = _largest_float_norm_nmax(cfg.levels)
+        top = _largest_float_norm_nmax(model, selection)
         if cfg.nmax > top:
             raise ValueError(
                 f"--nmax {cfg.nmax} is above {top}, the largest for levels "
                 f"{','.join(map(str, cfg.levels))}: the float norm "
                 f"n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
             )
-    survivors = cfg.nmax + 1 - sum(k <= cfg.nmax for k in cfg.levels)
     columns = {"spectrum": 2, "verify": 1}.get(args.command, 0)
     if args.command == "transform" and "csv" in _transform_formats(cfg):
-        columns = survivors + 3
+        columns = len(selection.survivors(cfg.nmax)) + 3
     if cfg.grid.n_points * columns > _MAX_SAMPLES:
         raise ValueError(
             f"--points {cfg.grid.n_points} is too many for {args.command}: {columns} "
@@ -350,6 +355,7 @@ def _transform_csv_lines(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     names = ["x", "V0", "VN"]
     for n in tr.selection.survivors(cfg.nmax):
         image = crum_krein_apply(tr, model.eigenfunction(n))
+        # Norm first, then one float factor per alpha: another order moves last bits.
         norm_sq = model.squared_norm(n).to_float()
         for alpha in tr.selection.alphas:
             norm_sq *= float(model.energy(n) - alpha)
@@ -379,24 +385,17 @@ def cmd_transform(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -
 
 # -- verify ---------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[CheckResult]:
-    """Run every check once; results come in report order."""
+def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> list[dict]:
+    """Run every check once; the report's entries, in report order."""
     levels = tr.selection.levels
-    alphas = tr.selection.alphas
     n_max = cfg.nmax
     skipped = "skipped (not a juxtaposed pair)"
     h_partner = tr.hamiltonian_partner()
-    results: list[CheckResult] = []
+    results: list[dict] = []
 
     def record(name: str, ok: bool, detail: str, failure: str | None = None) -> None:
-        results.append(CheckResult(name, ok, detail if ok or failure is None else failure))
+        results.append({"name": name, "status": "pass" if ok else "fail",
+                        "detail": detail if ok or failure is None else failure})
 
     factorization = factorization_identity_check(tr)
     record("L_dagger_L_factorization", factorization.base_ok, "exact-zero residual",
@@ -411,7 +410,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
     bad = []
-    for k, alpha, v in zip(levels, alphas, kernel_functions(tr)):
+    for k, alpha, v in zip(levels, tr.selection.alphas, kernel_functions(tr)):
         if not tr.adjoint(v).is_zero:
             bad.append(("adjoint", k))
         if not (h_partner(v) - v * alpha).is_zero:
@@ -421,14 +420,13 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     # The anticommutator check forms every (hN - E_n) L phi_n once;
     # eigen_residuals reads those residuals for the survivors.
     acomm = anticommutator_check(tr, {n: doublets[n] for n in range(n_max + 1)})
-    intertwined = {c.level: c.intertwining_ok for c in acomm.checks}
+    by_level = {c.level: c for c in acomm.checks}
     images = {n: doublets[n].lower for n in tr.selection.survivors(n_max)}
-    bad = [n for n, image in images.items() if image.is_zero or not intertwined[n]]
+    bad = [n for n, image in images.items() if image.is_zero or not by_level[n].intertwining_ok]
     record("eigen_residuals", not bad, "(hN - E_n) L phi_n = 0 for all surviving levels",
            f"failed levels {bad}")
 
-    juxtaposed_pair = len(levels) == 2 and levels[1] == levels[0] + 1
-    golden = golden_cross_check(tr, images) if juxtaposed_pair else None
+    golden = golden_cross_check(tr, images) if is_juxtaposed_pair(levels) else None
     if golden:
         record("golden_closed_forms", golden.ok,
                "partner potential and wave functions match the closed forms", "closed-form mismatch")
@@ -450,9 +448,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
 
     worst = 0.0
     for n, image in images.items():
-        expected = 1.0
-        for alpha in alphas:
-            expected *= float(model.energy(n) - alpha)
+        expected = float(by_level[n].factor)
         num = quadrature_simpson(sample(image, grid) ** 2, grid)
         got = num / model.squared_norm(n).to_float()
         worst = max(worst, abs(got - expected) / abs(expected))
@@ -466,21 +462,13 @@ def cmd_verify(model: OscillatorModel, tr: TransformResult, cfg: RunConfig) -> i
         # potential must trip the residual checks.
         tr = replace(tr, partner_potential=tr.partner_potential + cfg.corrupt_vn)
 
-    results = _verification_checks(model, tr, cfg)
-
-    report = {
-        "levels": list(cfg.levels),
-        "checks": [
-            {"name": r.name, "status": "pass" if r.passed else "fail", "detail": r.detail}
-            for r in results
-        ],
-    }
-    text = json_text(report)
+    checks = _verification_checks(model, tr, cfg)
+    text = json_text({"levels": list(cfg.levels), "checks": checks})
     if _emit(text, {cfg.out: text + "\n"} if cfg.out else {}) != EXIT_OK:
         return EXIT_BAD_INPUT
-    failures = [r for r in results if not r.passed]
+    failures = [check["name"] for check in checks if check["status"] == "fail"]
     if failures:
-        print(f"verification failed: {failures[0].name}", file=sys.stderr)
+        print(f"verification failed: {failures[0]}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -583,12 +571,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors; keep the contract
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
+    model = OscillatorModel()
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, model)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    model = OscillatorModel()
     try:
         tr = build_transform(model, cfg.levels)
         command, _ = _COMMANDS[args.command]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .gaussian import GaussFun
 from .polynomial import NormValue, Poly, RatFun, hermite_he
@@ -141,6 +141,11 @@ class GoldenReport:
         return self.potential_matches and all(c.ratio_constant for c in self.levels)
 
 
+def is_juxtaposed_pair(levels: Sequence[int]) -> bool:
+    """Whether the selection is a pair {k, k+1}, the one with closed forms."""
+    return len(levels) == 2 and levels[1] == levels[0] + 1
+
+
 def golden_cross_check(tr: TransformResult, images: Mapping[int, GaussFun]) -> GoldenReport:
     """Compare an engine transform over {k, k+1} against the closed forms.
 
@@ -153,10 +158,9 @@ def golden_cross_check(tr: TransformResult, images: Mapping[int, GaussFun]) -> G
     and exact norm, so the caller builds neither again.  A deleted level in
     ``images`` raises ForbiddenLevel.
     """
-    levels = tr.selection.levels
-    if len(levels) != 2 or levels[1] != levels[0] + 1:
+    if not is_juxtaposed_pair(tr.selection.levels):
         raise ValueError("golden cross-check applies to juxtaposed pairs {k, k+1}")
-    k = levels[0]
+    k = tr.selection.levels[0]
 
     p_k = RatFun(pair_wronskian_poly(k))
     w_ratio = tr.wronskian.r / p_k

@@ -128,14 +128,11 @@ def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -
     one hN residual: (hN - E)(L phi_n) = 0 exactly confirms that Q commutes
     with the super-Hamiltonian.
     """
-    alphas = tr.selection.alphas
     h_partner = tr.hamiltonian_partner()
     checks = []
     for n, state in doublets.items():
         energy = state.energy
-        factor = Fraction(1)
-        for alpha in alphas:
-            factor *= energy - alpha
+        factor = tr.selection.factor(energy)
 
         # {Q, Q+} (phi, L phi) = (L+ L phi, L L+ L phi).  The lower component
         # needs no Q pass: when L+ L phi equals factor * phi, L of it equals

@@ -34,6 +34,7 @@ partner spectrum while every other level survives with the same energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -109,6 +110,11 @@ class LevelSelection:
         """Levels 0..n_max that the transformation keeps, in increasing order."""
         return [n for n in range(n_max + 1) if n not in self.levels]
 
+    def factor(self, energy: Fraction) -> Fraction:
+        """P(E) = prod_i (E - alpha_i): {Q, Q+} on a level of energy E, and
+        the factor by which L scales a squared norm there."""
+        return math.prod((energy - alpha for alpha in self.alphas), start=Fraction(1))
+
 
 def krein_failure_index(levels: Sequence[int]) -> int | None:
     """First integer k >= 0 with prod_i (k - k_i) < 0, or None if none exists.
@@ -169,10 +175,8 @@ class TransformResult:
 
 def _certified_base(w: GaussFun) -> WBase:
     """The powers of W, certified node-free by W's Sturm root count.  The
-    family is polynomials times one Gaussian, so the Wronskian's rational
-    part is a polynomial c W."""
-    if w.r.den.degree() > 0:
-        raise ValueError("the Wronskian's rational part is not a polynomial")
+    Wronskian's rational part is the polynomial c W: ``BorderedWronskian``
+    admits only polynomial families, and its chain divides exactly."""
     base = WBase(w.r.num)
     if base.real_root_count():
         raise NodefulWronskian(

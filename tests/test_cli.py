@@ -17,7 +17,7 @@ from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
 from darboux.polynomial import Poly, RatFun, WFun
-from darboux.transform import build_transform, crum_krein_apply
+from darboux.transform import LevelSelection, build_transform, crum_krein_apply
 
 
 def run(*argv):
@@ -489,6 +489,37 @@ class TestConfigHandling:
         # 170! * sqrt(2 pi) * 170 and 169! * sqrt(2 pi) * 168 * 167 overflow,
         # though n! * sqrt(2 pi) alone is finite up to n = 170.
         _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys)
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(st.integers(1, 4).flatmap(
+        lambda order: st.lists(st.integers(0, 39 if order <= 2 else 25),
+                               min_size=order, max_size=order, unique=True)))
+    @example([0])
+    @example([1, 2])
+    @example([38, 39])
+    @example([200])  # the first overflow lies below the top level
+    @example([100, 160])
+    @example([168, 169])  # the first overflow is at 171
+    @example([171, 173])  # ... and at 172, just below the top level
+    def test_float_norm_cap_is_where_the_csv_normaliser_overflows(self, levels):
+        # The CSV scales psi_n by the float norm, formed as _transform_csv_lines
+        # forms it: the base norm as a float, then one float factor per alpha.
+        model = OscillatorModel()
+        selection = LevelSelection.for_model(model, sorted(levels))
+
+        def normaliser_finite(n):
+            try:
+                norm_sq = model.squared_norm(n).to_float()
+            except OverflowError:
+                return False
+            for alpha in selection.alphas:
+                norm_sq *= float(model.energy(n) - alpha)
+            return math.isfinite(norm_sq)
+
+        n = 0
+        while n in selection.levels or normaliser_finite(n):
+            n += 1
+        assert cli._largest_float_norm_nmax(model, selection) == n - 1
 
     @pytest.mark.parametrize("levels, nmax", [("0", 169), ("1,2", 168)])
     def test_nmax_at_float_norm_bound_accepted(self, levels, nmax, monkeypatch):

@@ -8,6 +8,7 @@ from darboux.oscillator import (
     ForbiddenLevel,
     cross_polynomial,
     golden_cross_check,
+    is_juxtaposed_pair,
     pair_wronskian_poly,
     partner_eigenfunction_closed_form,
     partner_potential_closed_form,
@@ -124,6 +125,12 @@ class TestGoldenCrossCheck:
         report = golden_cross_check(tr12, survivor_images(model, tr12, 4))
         by_level = {c.level: c.ratio for c in report.levels}
         assert by_level[0] == -1
+
+    @pytest.mark.parametrize("levels, expected", [
+        ((0, 1), True), ((4, 5), True), ((1, 3), False), ((1,), False), ((1, 2, 3), False),
+    ])
+    def test_juxtaposed_pair_predicate(self, levels, expected):
+        assert is_juxtaposed_pair(levels) is expected
 
     def test_rejects_non_pairs(self, model):
         tr = build_transform(model, (0,))

@@ -106,7 +106,7 @@ class TestAnticommutator:
             factor = Fraction(1)
             for alpha in tr.selection.alphas:
                 factor *= model.energy(n) - alpha
-            assert check.factor == factor
+            assert check.factor == factor == tr.selection.factor(state.energy)
             assert acomm == Doublet(state.upper * factor, state.lower * factor, state.energy)
 
     def test_one_supercharge_application_per_level(self, model, tr12, monkeypatch):

@@ -109,6 +109,30 @@ class TestLevelSelection:
         with pytest.raises(ValueError):
             LevelSelection((-1,), (Fraction(-1),))
 
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(st.lists(st.fractions(max_denominator=9, min_value=-20, max_value=20),
+                    min_size=1, max_size=5),
+           st.fractions(max_denominator=9, min_value=-20, max_value=20))
+    def test_factor_matches_sympy_product(self, alphas, energy):
+        def rational(f):
+            return sympy.Rational(f.numerator, f.denominator)
+
+        got = LevelSelection(tuple(range(len(alphas))), tuple(alphas)).factor(energy)
+        assert isinstance(got, Fraction)
+        assert rational(got) == sympy.prod(rational(energy) - rational(a) for a in alphas)
+
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_factor_nonnegative_exactly_when_krein_admissible(self, model, order):
+        # The superalgebra's factor on the oscillator's levels and Krein's
+        # criterion share no code; two levels past the top suffice, since
+        # beyond it every factor is positive.
+        for levels in combinations(range(9), order):
+            selection = LevelSelection.for_model(model, levels)
+            nonnegative = all(
+                selection.factor(model.energy(k)) >= 0 for k in range(levels[-1] + 3)
+            )
+            assert nonnegative == krein_admissible(levels), levels
+
 
 class TestBuildTransform:
     def test_ground_pair_constant_shift(self, model, tr01):
