@@ -137,6 +137,13 @@ _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 # Sturm rows).  verify holds one image, classify none.  At 110 B: 0.86 GiB.
 _MAX_SAMPLES = 1 << 23
 
+# The Wronskian's degree sum(k_i) - N(N-1)/2, known before any exact work,
+# drives the exact layer's cost.  On a 2-vCPU host an order-10 verify
+# --nmax 8 took 8.1 s at degree 64 and 33 s at degree 100, and transform
+# --nmax 5 took 28 s at degree 400.  The cap keeps an order-10 verify near
+# 10 s; a higher order costs more at the same degree.
+_MAX_WRONSKIAN_DEGREE = 64
+
 
 def _largest_float_norm_nmax(model: OscillatorModel, selection: LevelSelection) -> int:
     """Largest nmax whose survivors all have a finite float norm.
@@ -310,6 +317,13 @@ def _merge_config(args: argparse.Namespace, model: OscillatorModel) -> RunConfig
                     f"grid spacing h = {grid.h!r} on [{grid.x_min}, {grid.x_max}] with "
                     f"--points {grid.n_points} is too small: {name} is not a finite float"
                 )
+    order = len(cfg.levels)
+    degree = sum(cfg.levels) - order * (order - 1) // 2
+    if degree > _MAX_WRONSKIAN_DEGREE:
+        raise ValueError(
+            f"levels {','.join(map(str, cfg.levels))} give a Wronskian of degree {degree}, "
+            f"above the cap of {_MAX_WRONSKIAN_DEGREE}"
+        )
     return cfg
 
 

@@ -11,11 +11,11 @@ gcd-reduced with a monic denominator.  Structural equality therefore
 coincides with value equality, which is what lets the operator identity
 checks elsewhere reduce to ``==``.
 
-Each ``RatFun`` operation puts its result in that form once.  A sum cancels
-the gcd of the two denominators, a product cross-cancels numerators against
-denominators, and a derivative takes the one gcd of its denominator and that
-denominator's derivative; a part that is a constant needs no gcd.  A scalar
-multiple never reduces: c * p / q is as reduced as p / q.
+Each ``RatFun`` operation forms the exact fraction, (a d + c b) / (b d) for
+a/b + c/d, and the constructor reduces it once: one gcd, or none when either
+side is a constant.  Two shortcuts skip the constructor: a scalar multiple
+c p / q is as reduced as p / q, and a polynomial's derivative is a
+polynomial.
 
 A ``WFun`` is a value of Q[x][1/W], p / W^k over one ``WBase`` (a
 transform's Wronskian W), held in a normal form rather than the canonical
@@ -646,9 +646,14 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             num, den = Poly.zero(), Poly.one()
-        else:
-            num, den = _cancel(num, den)
-        self.num, self.den = _monic_den(num, den)
+        elif num.degree() > 0 and den.degree() > 0:  # a constant side needs no gcd
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
+        lc = den.lead()
+        if lc != 1:
+            num, den = num * (1 / lc), den * (1 / lc)
+        self.num, self.den = num, den
 
     # -- constructors ---------------------------------------------------
 
@@ -697,31 +702,7 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        # Knuth-style rational addition: cancel the denominator gcd first so
-        # the remaining reduction is against a small polynomial only.  A
-        # constant denominator is 1 (monic), so it needs no gcd, and neither
-        # do two equal (monic) denominators: their gcd is either one.
-        if self.den.degree() == 0 or other.den.degree() == 0:
-            g = Poly.one()
-        elif self.den == other.den:
-            g = self.den
-        else:
-            g = poly_gcd(self.den, other.den)
-        if g.degree() == 0:
-            return RatFun._raw(
-                self.num * other.den + other.num * self.den, self.den * other.den
-            )
-        left = self.den.exact_div(g)
-        right = other.den.exact_div(g)
-        num = self.num * right + other.num * left
-        if num.is_zero:
-            return RatFun.zero()
-        num, g = _cancel(num, g)
-        return RatFun._raw(num, left * right * g)
+        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -737,16 +718,6 @@ class RatFun:
     def __rsub__(self, other) -> "RatFun":
         return _as_ratfun(other) - self
 
-    @staticmethod
-    def _mul_reduced(a_num: Poly, a_den: Poly, b_num: Poly, b_den: Poly) -> "RatFun":
-        # Cross-cancellation keeps both gcd calls on already-reduced pairs,
-        # after which the product is reduced by construction.
-        if a_num.is_zero or b_num.is_zero:
-            return RatFun.zero()
-        a_num, b_den = _cancel(a_num, b_den)
-        b_num, a_den = _cancel(b_num, a_den)
-        return RatFun._raw(*_monic_den(a_num * b_num, a_den * b_den))
-
     def __mul__(self, other) -> "RatFun":
         if isinstance(other, (int, Fraction)):
             # num * c over den is as reduced as num over den; only c = 0
@@ -755,7 +726,7 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun._mul_reduced(self.num, self.den, other.num, other.den)
+        return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -765,28 +736,19 @@ class RatFun:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun._mul_reduced(self.num, self.den, other.den, other.num)
+        return RatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RatFun":
         return _as_ratfun(other) / self
 
     def derivative(self, weight: Scalar = 0) -> "RatFun":
-        """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4).
-
-        With r = p/q and g = gcd(q, q'), the value is
-        ((p' + (w/2) x p)(q/g) - p (q'/g)) / (q (q/g)).  Modulo q/g, the
-        square-free part of q, the numerator is -p (q'/g), and both factors
-        are coprime to q/g; so the quotient is already reduced and g is the
-        one gcd taken.
-        """
+        """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4): for
+        r = p/q it is ((p' + (w/2) x p) q - p q') / q^2."""
         p, q = self.num, self.den
         top = _weighted_top(p, weight)
         if q.degree() == 0:
             return RatFun._raw(top, q)
-        q_prime = q.derivative()
-        g = poly_gcd(q, q_prime)
-        rad = q.exact_div(g)
-        return RatFun._raw(top * rad - p * q_prime.exact_div(g), q * rad)
+        return RatFun(top * q - p * q.derivative(), q * q)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
@@ -816,24 +778,6 @@ def _weighted_top(p: Poly, weight: Scalar) -> Poly:
     if h:
         top = top + Poly._of([0, *(c * h.numerator for c in p.nums)], p.den * h.denominator)
     return top
-
-
-def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """a and b divided by their gcd (both nonzero); a constant needs none."""
-    if a.degree() == 0 or b.degree() == 0:
-        return a, b
-    g = poly_gcd(a, b)
-    if g.degree() == 0:
-        return a, b
-    return a.exact_div(g), b.exact_div(g)
-
-
-def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/den with both scaled so that den is monic (den nonzero)."""
-    lc = den.lead()
-    if lc == 1:
-        return num, den
-    return num * (1 / lc), den * (1 / lc)
 
 
 def _coerce_poly(value) -> Poly:

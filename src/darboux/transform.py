@@ -264,15 +264,16 @@ def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
     """Apply the intertwiner to phi; result may be exactly zero.
 
-    Two independent routes are evaluated whenever phi shares the family's
-    weight: the bordered Wronskian W(u_1, ..., u_N, phi)/W and the literal
-    operator application.  Their agreement is a standing assertion, compared
-    in W-form; the image is returned in W-form.
+    phi carries the family's weight and a polynomial rational part:
+    ``WBase.lift`` rejects any other rational part (ValueError) and the
+    bordered Wronskian any other weight (MixedWeightError).  Two independent
+    routes are evaluated: the bordered Wronskian W(u_1, ..., u_N, phi)/W and
+    the literal operator application.  Their agreement is a standing
+    assertion, compared in W-form; the image is returned in W-form.
     """
     image = tr.operator(GaussFun(tr.base.lift(phi.r), phi.s))
-    if phi.is_zero or phi.s == tr.bordered.weight:
-        quotient = _over_wronskian(tr, tr.bordered(phi))
-        assert quotient == image, "bordered-Wronskian and operator routes disagree"
+    quotient = _over_wronskian(tr, tr.bordered(phi))
+    assert quotient == image, "bordered-Wronskian and operator routes disagree"
     return image
 
 

@@ -490,6 +490,30 @@ class TestConfigHandling:
         # though n! * sqrt(2 pi) alone is finite up to n = 170.
         _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys)
 
+    @pytest.mark.parametrize("command", ["transform", "verify", "spectrum", "classify"])
+    def test_wronskian_degree_above_cap_rejected(self, command, monkeypatch, capsys):
+        class Sentinel(Exception):
+            pass
+
+        def refuse(*args):
+            raise Sentinel
+
+        monkeypatch.setattr(cli, "build_transform", refuse)
+        argv = ("--nmax", "70", "--points", "101")
+        # Degree sum(k_i) - N(N-1)/2: 64, the cap, reaches the exact layer.
+        for levels in ("64", "32,33"):
+            with pytest.raises(Sentinel):
+                run(command, "--levels", levels, *argv)
+        rejected = [("65", 65), ("33,34", 66)]
+        if command != "classify":  # classify's nmax must reach 1000001: rejected before
+            rejected.append(("1000000,1000001", 2000000))
+        for levels, degree in rejected:
+            assert run(command, "--levels", levels, *argv) == 2
+            assert capsys.readouterr().err == (
+                f"invalid configuration: levels {levels} give a Wronskian of degree "
+                f"{degree}, above the cap of 64\n"
+            )
+
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(st.integers(1, 4).flatmap(
         lambda order: st.lists(st.integers(0, 39 if order <= 2 else 25),

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -400,6 +401,26 @@ class TestSturm:
         assert sturm_real_root_count(p, lo, hi) == expected
 
 
+_X = sympy.Symbol("x")
+
+
+def _from_sympy(expr) -> Poly:
+    coeffs = sympy.Poly(expr, _X).all_coeffs()
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+_small_polys = (
+    st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0).map(Poly)
+)
+# Denominators of degree 0, and a * b^k whose repeated factor b makes
+# gcd(q, q') nontrivial.
+_denominators = st.one_of(
+    st.integers(-4, 4).filter(bool).map(lambda c: Poly((c,))),
+    st.builds(lambda a, b, k: a * b ** k, _small_polys, _small_polys, st.integers(1, 3)),
+)
+_weights = st.sampled_from([Fraction(w) for w in (0, 1, -1, 4)] + [Fraction(1, 2), Fraction(-1, 2)])
+
+
 class TestRatFun:
     def test_reduce_scalar(self):
         r = RatFun(P(0, 0, 2), P(2))
@@ -433,51 +454,37 @@ class TestRatFun:
         with pytest.raises(ZeroDivisionError):
             RatFun(P(1), Poly.zero())
 
-    def test_field_ops_value_oracle(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            a = RatFun(
-                Poly([rng.randint(-5, 5) for _ in range(3)]),
-                Poly([rng.randint(-3, 3) for _ in range(2)] + [1]),
-            )
-            b = RatFun(
-                Poly([rng.randint(-5, 5) for _ in range(2)]),
-                Poly([rng.randint(-3, 3) for _ in range(1)] + [1]),
-            )
-            x = Fraction(rng.randint(2, 40), 7)
-            if a.den(x) == 0 or b.den(x) == 0:
-                continue
-            assert (a + b)(x) == a(x) + b(x)
-            assert (a - b)(x) == a(x) - b(x)
-            assert (a * b)(x) == a(x) * b(x)
-            if not b.is_zero and b(x) != 0:
-                assert (a / b)(x) == a(x) / b(x)
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(
+        st.lists(st.integers(-5, 5), max_size=3).map(Poly), st.one_of(_small_polys, _denominators),
+        st.lists(st.integers(-5, 5), max_size=3).map(Poly), st.one_of(_small_polys, _denominators),
+        st.integers(2, 40),
+    )
+    def test_field_ops_value_oracle(self, a_num, a_den, b_num, b_den, k):
+        # A value oracle at x = k/7, and a structural one: each result is the
+        # RatFun of sympy's cancelled fraction, so it is left fully reduced.
+        a, b = RatFun(a_num, a_den), RatFun(b_num, b_den)
+        (an, ad), (bn, bd) = ((_sympy_poly(r.num), _sympy_poly(r.den)) for r in (a, b))
+        cases = [(operator.add, an * bd + bn * ad, ad * bd),
+                 (operator.sub, an * bd - bn * ad, ad * bd),
+                 (operator.mul, an * bn, ad * bd)]
+        if not b.is_zero:
+            cases.append((operator.truediv, an * bd, ad * bn))
+        x = Fraction(k, 7)
+        defined = a.den(x) and b.den(x)
+        for op, top, bottom in cases:
+            got = op(a, b)
+            top, bottom = top.cancel(bottom, include=True)
+            expected = RatFun(_from_sympy(top), _from_sympy(bottom))
+            assert (got.num, got.den) == (expected.num, expected.den)
+            if defined and (op is not operator.truediv or b(x)):
+                assert got(x) == op(a(x), b(x))
 
     def test_derivative_quotient_rule(self):
         r = RatFun(P(0, 1), P(1, 0, 1))  # x/(1+x^2)
         d = r.derivative()
         expected = RatFun(P(1, 0, -1), P(1, 0, 2, 0, 1))  # (1-x^2)/(1+x^2)^2
         assert d == expected
-
-
-_X = sympy.Symbol("x")
-
-
-def _from_sympy(expr) -> Poly:
-    coeffs = sympy.Poly(expr, _X).all_coeffs()
-    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
-
-
-_small_polys = (
-    st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0).map(Poly)
-)
-# Denominators of degree 0, and a * b^k whose repeated factor b makes
-# gcd(q, q') nontrivial.
-_denominators = st.one_of(
-    st.integers(-4, 4).filter(bool).map(lambda c: Poly((c,))),
-    st.builds(lambda a, b, k: a * b ** k, _small_polys, _small_polys, st.integers(1, 3)),
-)
-_weights = st.sampled_from([Fraction(w) for w in (0, 1, -1, 4)] + [Fraction(1, 2), Fraction(-1, 2)])
 
 
 class TestWeightedDerivative:

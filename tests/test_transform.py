@@ -361,6 +361,14 @@ class TestCrumKreinApply:
         h_partner = tr01.hamiltonian_partner()
         assert (h_partner(image) - 2 * image).is_zero
 
+    def test_phi_outside_the_family_space_rejected(self, tr12):
+        # Both routes run on every phi: another weight, which the operator
+        # alone would accept, fails in the bordered route.
+        with pytest.raises(MixedWeightError):
+            crum_krein_apply(tr12, GaussFun(RatFun.one(), 1))
+        with pytest.raises(ValueError, match="is not a polynomial"):
+            crum_krein_apply(tr12, RATIONAL_PHI)
+
     def test_no_fresh_determinant_per_image(self, model, monkeypatch):
         # Each image's bordered Wronskian runs phi through the stored
         # chain: no Wronskian and no determinant of its own.
