@@ -2,8 +2,8 @@
 
 ``GaussFun`` is r(x)*exp(s*x^2/4) with s a rational weight and r an exact
 rational function: a canonical ``RatFun`` (the model's eigenfunctions, the
-Wronskians of its families, closed forms) or a ``WFun`` p/W^k in normal
-form over one transform's Wronskian (everything the transform derives).
+Wronskians of its families) or a ``WFun`` p/W^k in normal form over the
+powers of one W (a transform's Wronskian, or a closed form's P_k).
 The class is closed under differentiation and products, which is exactly
 what Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
 sum_j a_j(x) d^j/dx^j with coefficients of either type; its composition and

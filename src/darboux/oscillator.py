@@ -12,7 +12,8 @@ convention is forced by the -1/2 offset).  Deleting the juxtaposed pair
     c_n     = [ sqrt(2 pi) n! (n-k)(n-k-1) ]^(-1/2)
 
 These serve both as the transformation-function source and as independent
-references the Wronskian engine must reproduce.
+references the Wronskian engine must reproduce.  They are built in W-form
+over the powers of their own P_k (``WBase``), never over a transform's W.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gaussian import GaussFun
-from .polynomial import NormValue, Poly, RatFun, hermite_he
+from .polynomial import NormValue, Poly, RatFun, WBase, WFun, hermite_he
 from .transform import TransformResult
 
 
@@ -61,8 +62,8 @@ class OscillatorModel:
 def pair_wronskian_poly(k: int) -> Poly:
     """Closed-form polynomial sum_{i<=k} (k!/i!) He_i^2 for the pair {k, k+1}.
 
-    Degree 2k, positive leading coefficient, and no real roots; it is the
-    polynomial part of the engine Wronskian up to a rational constant.
+    Monic of degree 2k (only i = k reaches x^(2k)), with no real roots; it
+    is the polynomial part of the engine Wronskian up to a rational constant.
     """
     if k < 0:
         raise ValueError("pair index must be nonnegative")
@@ -79,13 +80,14 @@ def partner_potential_closed_form(k: int) -> RatFun:
 
     Pole-free on the real line since P_k has no real roots.
     """
-    return _potential_over(RatFun(pair_wronskian_poly(k)))
+    return _potential_over(WBase(pair_wronskian_poly(k))).canonical()
 
 
-def _potential_over(p: RatFun) -> RatFun:
-    base = RatFun(Poly((Fraction(3, 2), 0, Fraction(1, 4))))
-    ratio = p.derivative() / p
-    return base - 2 * (p.derivative().derivative() / p) + 2 * ratio * ratio
+def _potential_over(base: WBase) -> WFun:
+    """[(x^2/4 + 3/2) P^2 - 2 P'' P + 2 P'^2] / P^2 for P = base.W."""
+    quadratic = Poly((Fraction(3, 2), 0, Fraction(1, 4)))
+    p, dp = base.W, base.dW
+    return base.over(quadratic * base.power(2) - 2 * dp.derivative() * p + 2 * dp * dp, 2)
 
 
 def cross_polynomial(k: int, n: int) -> Poly:
@@ -102,18 +104,17 @@ def partner_eigenfunction_closed_form(k: int, n: int) -> tuple[GaussFun, NormVal
     root of the latter yields the unit-norm wave function.  The product
     (n-k)(n-k-1) is positive on both sides of the deleted pair.
     """
-    return _eigenfunction_over(RatFun(pair_wronskian_poly(k)), k, n)
+    return _eigenfunction_over(WBase(pair_wronskian_poly(k)), k, n)
 
 
-def _eigenfunction_over(p: RatFun, k: int, n: int) -> tuple[GaussFun, NormValue]:
+def _eigenfunction_over(base: WBase, k: int, n: int) -> tuple[GaussFun, NormValue]:
+    """The bracket [(n-k) He_n P_k + g_kn He_{k+1}] / P_k for P_k = base.W."""
     if n < 0:
         raise ValueError("level index must be nonnegative")
     if n in (k, k + 1):
         raise ForbiddenLevel(f"level {n} is deleted by the pair ({k}, {k + 1})")
-    bracket_r = (n - k) * RatFun(hermite_he(n)) + RatFun(cross_polynomial(k, n)) * RatFun(
-        hermite_he(k + 1)
-    ) / p
-    bracket = GaussFun(bracket_r, Fraction(-1))
+    top = (n - k) * hermite_he(n) * base.W + cross_polynomial(k, n) * hermite_he(k + 1)
+    bracket = GaussFun(base.over(top, 1), Fraction(-1))
     norm = NormValue(Fraction(math.factorial(n) * (n - k) * (n - k - 1)))
     return bracket, norm
 
@@ -156,28 +157,31 @@ def golden_cross_check(tr: TransformResult, images: Mapping[int, GaussFun]) -> G
     closed-form bracket.  The sign of that constant is a phase convention;
     it is recorded, never assumed.  Each level's check carries its bracket
     and exact norm, so the caller builds neither again.  A deleted level in
-    ``images`` raises ForbiddenLevel.
+    ``images`` raises ForbiddenLevel.  The closed forms are built over the
+    powers of P_k, not the engine's W, so the check stays independent.
     """
     if not is_juxtaposed_pair(tr.selection.levels):
         raise ValueError("golden cross-check applies to juxtaposed pairs {k, k+1}")
     k = tr.selection.levels[0]
 
-    p_k = RatFun(pair_wronskian_poly(k))
-    w_ratio = tr.wronskian.r / p_k
-    if not w_ratio.is_constant:
+    p_k = pair_wronskian_poly(k)
+    base = WBase(p_k)
+    w_ratio = tr.wronskian.r.num.lead() / p_k.lead()
+    if tr.wronskian.r != w_ratio * p_k:
         raise AssertionError("engine Wronskian is not proportional to the closed form")
 
-    potential_matches = tr.partner_potential == _potential_over(p_k)
+    potential_matches = tr.partner_potential == _potential_over(base)
 
     checks = []
     for n, image in images.items():
-        bracket, norm = _eigenfunction_over(p_k, k, n)
-        # Ratio of canonical leading coefficients, then a structural equality
-        # check; no pointwise division, so special points cannot interfere.
+        bracket, norm = _eigenfunction_over(base, k, n)
+        # Ratio of canonical leading coefficients, then structural equality of
+        # the canonical forms: no pointwise division, no special points.
         ratio = Fraction(0)  # a zero image matches no bracket
         if not image.is_zero:
-            c = image.r.num.lead() / bracket.r.num.lead()
-            if image.s == bracket.s and image.r == c * bracket.r:
+            num, den = bracket.r.num, bracket.r.den
+            c = image.r.num.lead() / num.lead()
+            if image.s == bracket.s and image.r.den == den and image.r.num == c * num:
                 ratio = c
         checks.append(GoldenLevelCheck(n, ratio, ratio != 0, bracket, norm))
-    return GoldenReport(k, w_ratio.as_fraction(), potential_matches, tuple(checks))
+    return GoldenReport(k, w_ratio, potential_matches, tuple(checks))

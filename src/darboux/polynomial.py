@@ -18,22 +18,21 @@ c p / q is as reduced as p / q, and a polynomial's derivative is a
 polynomial.
 
 A ``WFun`` is a value of Q[x][1/W], p / W^k over one ``WBase`` (a
-transform's Wronskian W), held in a normal form rather than the canonical
-one: k is the smallest exponent, so W does not divide p unless k = 0
-(Geddes, Czapor and Labahn 1992, ch. 3: a zero test needs only a normal
-form).  The normal form is unique, so equality is still structural and zero
-is p = 0, but sums, products and derivatives take no gcd: a factor W left
-in the numerator is divided out after a cheap evaluation pretest and one
-pseudo-division.  The canonical RatFun, one gcd, is formed only where a
-value is read.
+transform's Wronskian W, or a closed form's P_k), held in a normal form
+rather than the canonical one: k is the smallest exponent, so W does not
+divide p unless k = 0 (Geddes, Czapor and Labahn 1992, ch. 3: a zero test
+needs only a normal form).  The normal form is unique, so equality is still
+structural and zero is p = 0, but sums, products and derivatives take no
+gcd: a factor W left in the numerator is divided out after a cheap
+evaluation pretest and one pseudo-division.  The canonical RatFun, one gcd,
+is formed only where a value is read.
 
-``poly_gcd`` works on the primitive integer numerators by one of two routes.
-Inputs of more than 26 coefficients together take the heuristic GCD
-(GCDHEU): one big-integer gcd of both inputs evaluated at xi = 2^(8b), with
-xi above 2 min(|x|, |y|) + 1 and above twice the larger input's
-coefficients, read back as a candidate that counts only once it divides both
-inputs exactly.  Smaller or equal inputs, and inputs on which six evaluation
-points fail, take the primitive pseudo-remainder sequence.
+``poly_gcd`` works on the primitive integer numerators in one order: the
+heuristic GCD (GCDHEU) first, one big-integer gcd of both inputs evaluated
+at xi = 2^(8b), with xi above 2 min(|x|, |y|) + 1 and above twice the larger
+input's coefficients, read back as a candidate that counts only once it
+divides both inputs exactly.  Inputs on which six evaluation points fail
+take the primitive pseudo-remainder sequence.
 
 ``cramer_numerators``, the one linear solver, works at such a point too:
 every entry of an N x (N+1) system is evaluated once at a xi above twice a
@@ -233,6 +232,9 @@ class Poly:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
+        # A constant equals its Fraction (and an int), so it hashes as one.
+        if len(self.nums) <= 1:
+            return hash(self[0])
         return hash(("Poly", self.nums, self.den))
 
     def __repr__(self) -> str:
@@ -353,9 +355,6 @@ def _int_primitive(p: Poly) -> list[int]:
     return _int_content_free(list(p.nums))
 
 
-# Inputs with more integer coefficients than this, both together, take the
-# heuristic route; smaller ones go straight to the remainder sequence.
-_HEU_MIN_TERMS = 26
 # Evaluation points the heuristic tries, one byte wider each, before the
 # remainder sequence takes over.
 _HEU_POINTS = 6
@@ -364,18 +363,12 @@ _HEU_POINTS = 6
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.
 
-    Both numerators are made primitive first.  Inputs of more than
-    ``_HEU_MIN_TERMS`` = 26 integer coefficients together take the
-    heuristic GCD (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
-    1989), ``_heu_gcd``: one integer gcd of the two inputs evaluated at
+    Both numerators are made primitive first.  Two non-constant inputs take
+    the heuristic GCD (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput.
+    7, 1989), ``_heu_gcd``: one integer gcd of the two inputs evaluated at
     xi = 2^(8b), read back as a candidate and proved by exact division.
-    Smaller inputs, equal inputs (one pseudo-division proves those) and
-    inputs on which all ``_HEU_POINTS`` evaluation points fail take the
-    primitive pseudo-remainder sequence, ``_prs_gcd``.  The threshold is
-    the measured crossover: replaying the gcd inputs of ``verify`` at
-    orders 2, 4 and 6 and ``transform`` at order 8 through both routes, the
-    heuristic took 0.9-1.3 times the sequence's time at 18-26 coefficients
-    and 0.64-0.97 times at each size from 27 to 34.
+    Only inputs on which all ``_HEU_POINTS`` evaluation points fail take the
+    primitive pseudo-remainder sequence, ``_prs_gcd``.
     """
     if a.is_zero:
         return b.monic()
@@ -385,7 +378,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.one()
     x = _int_primitive(a)
     y = _int_primitive(b)
-    g = _heu_gcd(x, y) if len(x) + len(y) > _HEU_MIN_TERMS and x != y else None
+    g = _heu_gcd(x, y)
     if g is None:
         g = _prs_gcd(x, y)
     return Poly._of(g, g[-1])
@@ -762,6 +755,9 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # A polynomial equals its Poly, so it hashes as one.
+        if self.den.degree() == 0:
+            return hash(self.num)
         return hash(("RatFun", self.num, self.den))
 
     def __repr__(self) -> str:

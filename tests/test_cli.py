@@ -231,6 +231,16 @@ class TestVerifyCommand:
         assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
         assert calls == {"pair_wronskian_poly": 1, "cross_polynomial": 7}
 
+    def test_wrong_closed_form_fails_the_golden_check(self, monkeypatch, capsys):
+        # A seeded mutant: g_kn + 1 in place of g_kn in every bracket.
+        cross = oscillator.cross_polynomial
+        monkeypatch.setattr(oscillator, "cross_polynomial", lambda k, n: cross(k, n) + 1)
+        assert run("verify", "--levels", "1,2", "--nmax", "8") == 1
+        captured = capsys.readouterr()
+        by_name = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
+        assert by_name["golden_closed_forms"] == "fail"
+        assert "verification failed: golden_closed_forms" in captured.err
+
     def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
         # L: the 9 doublets.  L+: the 2 kernel functions and one Q+ per
         # doublet.  hN: the 2 kernel functions and one intertwining residual
@@ -272,17 +282,19 @@ class TestVerifyCommand:
         assert 0 < calls["gcd"] <= 6
 
     def test_gcd_routes(self, gcd_routes, capsys):
-        # At order 8 every gcd input above the threshold is proved by the
-        # heuristic at its first evaluation point, with no fallback.
+        # Every gcd of two non-constant inputs tries the heuristic first.  At
+        # order 8 each is proved at its first evaluation point, with no
+        # fallback.
         with gcd_routes() as routes:
             assert run("transform", "--levels", "3,4,7,8,9,10,11,12", "--format", "csv") == 0
         assert routes["heuristic"] > 0 and routes["fallback"] == 0
         assert routes["accepted"] == routes["points"] == routes["heuristic"]
-        # Order 2 stays below the threshold: the remainder sequence only.
+        # Order 2 takes the same order: the remainder sequence runs only
+        # where the heuristic gives up.
         with gcd_routes() as routes:
             assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
-        assert routes["prs"] > 0 and routes["heuristic"] == 0
+        assert routes["heuristic"] > 0 and routes["prs"] == routes["fallback"]
 
 
 @pytest.mark.parametrize("command", [
@@ -315,6 +327,47 @@ def test_operators_act_in_w_form(command, monkeypatch, capsys):
     run(*command.split())
     capsys.readouterr()
     assert seen["ops"] > 0
+
+
+@pytest.mark.parametrize("command", [
+    "verify --levels 1,2 --nmax 8",
+    "verify --levels 2,3 --nmax 16",
+    "verify --levels 1,2,5,6 --nmax 8",
+    "transform --levels 1,2,5,6 --format csv",
+    "classify --levels 2,3,6,7 --nmax 9",
+    "spectrum --levels 1,2 --nmax 8",
+])
+def test_one_exact_route(command, monkeypatch, capsys):
+    # No command does field arithmetic on a RatFun with a pole, and none
+    # counts roots on an interval: the closed forms, like the transform,
+    # live over the powers of their own W, whose poles one whole-line Sturm
+    # count rules out.  RatFun's arithmetic is left to the tests.
+    reached = []
+
+    def checked(name, fn):
+        def wrapper(*args):
+            if any(isinstance(a, RatFun) and a.den.degree() > 0 for a in args):
+                reached.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "derivative"):
+        monkeypatch.setattr(RatFun, name, checked(name, getattr(RatFun, name)))
+    sturm = polynomial.sturm_real_root_count
+
+    def whole_line(p, lo=None, hi=None):
+        if lo is not None or hi is not None:
+            reached.append("interval Sturm count")
+        return sturm(p, lo, hi)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("darboux") and \
+                getattr(module, "sturm_real_root_count", None) is sturm:
+            monkeypatch.setattr(module, "sturm_real_root_count", whole_line)
+    assert run(*command.split()) == 0
+    capsys.readouterr()
+    assert reached == []
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from darboux.gaussian import GaussFun, wronskian
 from darboux.polynomial import (
-    _HEU_MIN_TERMS,
     _int_exact_div,
     _int_primitive,
     _prs_gcd,
@@ -226,9 +225,27 @@ class TestIntegerCore:
             (Poly(x * k for x in a) * Fraction(1, k), pa),
             (pa.derivative(), (pa * 2).derivative() * Fraction(1, 2)),
         ]
-        for x, y in routes:
-            _assert_canonical(x)
-            assert x == y and hash(x) == hash(y)
+        # One value in several types: a polynomial as a Poly, a RatFun and a
+        # WFun, and a constant also as an int or a Fraction.
+        lift = WBase(Poly((2, 0, 1))).lift
+        c0 = a[0] if a else Fraction(0)
+        cross = [
+            (pa, RatFun(pa)),
+            (pa, lift(pa)),
+            (RatFun(pa), lift(pa)),
+            (Poly((c0,)), c0),
+            (RatFun(Poly((c0,))), c0),
+            (Poly.constant(k), k),
+            (RatFun.constant(k), k),
+            (lift(k), k),
+            (Poly.constant(Fraction(1, k)), Fraction(1, k)),
+            (RatFun.constant(Fraction(1, k)), Fraction(1, k)),
+            (Poly.zero(), 0),
+        ]
+        for x, y in routes + cross:
+            if isinstance(x, Poly):
+                _assert_canonical(x)
+            assert x == y and y == x and hash(x) == hash(y)
             assert len({x, y}) == 1
 
     def test_zero_is_canonical(self):
@@ -256,8 +273,8 @@ _BELOW_THE_BOUND = ([-255, 1], 1, [1] * 16, [1, 1] + [0] * 11 + [1])
 
 
 class TestHeuristicGcd:
-    """``poly_gcd`` above the heuristic threshold against the primitive
-    pseudo-remainder sequence it falls back to."""
+    """``poly_gcd``, heuristic first on every pair of non-constant inputs,
+    against the primitive pseudo-remainder sequence it falls back to."""
 
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(_int_lists(2, 4), st.integers(0, 3), _int_lists(14, 18), _int_lists(14, 18),
@@ -270,13 +287,12 @@ class TestHeuristicGcd:
         a = Poly(g) ** k * Poly(u) * scale
         b = Poly(g) ** k * Poly(v)
         x, y = _int_primitive(a), _int_primitive(b)
-        assert len(x) + len(y) > _HEU_MIN_TERMS
         want = _prs_gcd(x, y)
         with gcd_routes() as routes:
             got = poly_gcd(a, b)
         _assert_canonical(got)
         assert got == Poly(want).monic()
-        assert routes["heuristic"] == (x != y)
+        assert routes["heuristic"] == 1
         assert routes["accepted"] + routes["fallback"] == routes["heuristic"]
         assert routes["prs"] == 1 - routes["accepted"]
 
