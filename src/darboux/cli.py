@@ -277,6 +277,8 @@ def _merge_config(args: argparse.Namespace, model: OscillatorModel) -> RunConfig
     # work on them.
     grid = Grid(value.pop("xmin"), value.pop("xmax"), value.pop("points"))
     cfg = RunConfig(grid=grid, **value)
+    if cfg.out == "":
+        raise ValueError("--out is an empty path: it names no file to write")
     if cfg.nmax < 0:
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
     selection = LevelSelection.for_model(model, cfg.levels)

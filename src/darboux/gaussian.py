@@ -249,11 +249,13 @@ def _d_left(coeffs: Sequence[RatFun | WFun]) -> list[RatFun | WFun]:
 # ---------------------------------------------------------------------------
 
 def derivative_table(funcs: Sequence[GaussFun], max_order: int) -> list[list[RatFun]]:
-    """Rational parts of derivative rows for a common-weight family.
+    """Rational parts of derivative rows for a common-weight family, as
+    RatFuns: the oracle route, read by ``wronskian`` and the tests.
 
     ``table[m][i]`` is the RatFun part of the m-th derivative of funcs[i];
     the shared exp(s x^2/4) factor is kept out of the matrix so determinants
-    stay in the rational-function field.
+    stay in the rational-function field.  Commands build the family's rows
+    as polynomials instead (``transform``).
     """
     common_weight(funcs)  # a mixed-weight family raises MixedWeightError
     columns = [f.derivatives(max_order) for f in funcs]

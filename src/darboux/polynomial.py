@@ -13,9 +13,7 @@ checks elsewhere reduce to ``==``.
 
 Each ``RatFun`` operation forms the exact fraction, (a d + c b) / (b d) for
 a/b + c/d, and the constructor reduces it once: one gcd, or none when either
-side is a constant.  Two shortcuts skip the constructor: a scalar multiple
-c p / q is as reduced as p / q, and a polynomial's derivative is a
-polynomial.
+side is a constant.
 
 A ``WFun`` is a value of Q[x][1/W], p / W^k over one ``WBase`` (a
 transform's Wronskian W, or a closed form's P_k), held in a normal form
@@ -46,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -206,8 +204,16 @@ class Poly:
 
     # -- calculus and evaluation ---------------------------------------
 
-    def derivative(self) -> "Poly":
-        return Poly._of([i * c for i, c in enumerate(self.nums[1:], 1)], self.den)
+    def derivative(self, weight: Scalar = 0) -> "Poly":
+        """p' + (w/2) x p, that is d/dx[p exp(w x^2/4)] * exp(-w x^2/4); the
+        plain derivative p' at the default w = 0."""
+        out = [i * c for i, c in enumerate(self.nums[1:], 1)]
+        if not weight:
+            return Poly._of(out, self.den)
+        h = _frac(weight) / 2
+        a, b = h.numerator, h.denominator
+        out = [d * b + a * c for d, c in zip_longest(out, (0, *self.nums), fillvalue=0)]
+        return Poly._of(out, self.den * b)
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and float arguments alike."""
@@ -712,10 +718,6 @@ class RatFun:
         return _as_ratfun(other) - self
 
     def __mul__(self, other) -> "RatFun":
-        if isinstance(other, (int, Fraction)):
-            # num * c over den is as reduced as num over den; only c = 0
-            # needs the canonical zero.
-            return RatFun._raw(self.num * other, self.den) if other else RatFun.zero()
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
@@ -738,10 +740,7 @@ class RatFun:
         """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4): for
         r = p/q it is ((p' + (w/2) x p) q - p q') / q^2."""
         p, q = self.num, self.den
-        top = _weighted_top(p, weight)
-        if q.degree() == 0:
-            return RatFun._raw(top, q)
-        return RatFun(top * q - p * q.derivative(), q * q)
+        return RatFun(p.derivative(weight) * q - p * q.derivative(), q * q)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
@@ -764,16 +763,6 @@ class RatFun:
         if self.den == Poly.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def _weighted_top(p: Poly, weight: Scalar) -> Poly:
-    """p' + (w/2) x p: the numerator of a weighted derivative over a
-    denominator that the caller differentiates."""
-    h = _frac(weight) / 2
-    top = p.derivative()
-    if h:
-        top = top + Poly._of([0, *(c * h.numerator for c in p.nums)], p.den * h.denominator)
-    return top
 
 
 def _coerce_poly(value) -> Poly:
@@ -981,7 +970,7 @@ class WFun:
         """r' + (w/2) x r, as ``RatFun.derivative``: for r = p / W^k it is
         ((p' + (w/2) x p) W - k p W') / W^(k+1)."""
         p, k, base = self.p, self.k, self.base
-        top = _weighted_top(p, weight)
+        top = p.derivative(weight)
         if not k:
             return WFun._of(base, top, 0)
         return base.over(top * base.W - p * (k * base.dW), k + 1)
@@ -992,7 +981,8 @@ class WFun:
     # -- comparison / display -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, WFun) and other.base is self.base:
+        if isinstance(other, WFun) and (other.base is self.base or other.base.W == self.base.W):
+            # One monic W, one normal form: compare it as it is.
             return self.k == other.k and self.p == other.p
         if isinstance(other, (Poly, int, Fraction)):
             return self.k == 0 and self.p == other
@@ -1075,8 +1065,8 @@ def det_cofactor(rows: Sequence[Sequence[RatFun]]) -> RatFun:
 def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     """Exact determinant of a square RatFun matrix.
 
-    Rows are cleared to polynomials (tracking the scaling) and the core
-    determinant runs fraction-free, for every size.
+    Each row is cleared to polynomials by the lcm of its denominators
+    (tracking the scaling) and the core determinant runs fraction-free.
     """
     n = len(rows)
     poly_rows: list[list[Poly]] = []
@@ -1084,19 +1074,10 @@ def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-        polys, common = cleared(row)
-        poly_rows.append(polys)
+        common = reduce(poly_lcm, (e.den for e in row), Poly.one())
+        poly_rows.append([e.num * common.exact_div(e.den) for e in row])
         scale = scale * common
     return RatFun(poly_det_bareiss(poly_rows), scale)
-
-
-def cleared(entries: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
-    """Polynomials c * e for each entry e, with c the lcm of their denominators."""
-    common = Poly.one()
-    for e in entries:
-        if e.den.degree() > 0:  # a polynomial entry leaves the lcm as it is
-            common = poly_lcm(common, e.den)
-    return [e.num * common.exact_div(e.den) for e in entries], common
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,9 @@ def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -
         # needs no Q pass: when L+ L phi equals factor * phi, L of it equals
         # factor * L phi, because L is linear and exact values are canonical;
         # when it differs, the check fails on the upper component already.
+        # The two sides meet in W-form: phi is lifted to the transform's base.
         back = supercharge_apply("Q+", tr, state)
-        acomm_ok = back.upper == state.upper * factor
+        acomm_ok = back.upper == GaussFun(tr.base.lift(state.upper.r) * factor, state.upper.s)
 
         residual = h_partner(state.lower) - state.lower * energy
         checks.append(

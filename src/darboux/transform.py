@@ -40,14 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .gaussian import (
-    BorderedWronskian,
-    DegenerateTransformation,
-    DiffOp,
-    GaussFun,
-    derivative_table,
-)
-from .polynomial import Poly, RatFun, WBase, WFun, cleared, cramer_numerators
+from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
+from .polynomial import Poly, RatFun, WBase, WFun, cramer_numerators
 
 
 class InadmissibleSelection(ValueError):
@@ -218,21 +212,35 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
     )
 
 
+def _derivative_rows(functions: Sequence[GaussFun], order: int) -> list[list[Poly]]:
+    """Row i: the polynomial parts of u_i, u_i', ..., u_i^(order), each the
+    weighted derivative of the one before (the factor exp(s x^2/4) is kept
+    out).  Raises ValueError on a rational part that is not a polynomial,
+    as ``BorderedWronskian`` does."""
+    rows = []
+    for u in functions:
+        if u.r.den.degree() > 0:
+            raise ValueError("the family's rational parts must be polynomials")
+        row = [u.r.num]
+        for _ in range(order):
+            row.append(row[-1].derivative(u.s))
+        rows.append(row)
+    return rows
+
+
 def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
     """Intertwining operator L = d^N + sum_{m<N} a_m d^m from L u_i = 0.
 
-    The N equations sum_m a_m u_i^(m) = -u_i^(N) are cleared to polynomials
-    row by row (the shared exponential factor cancels) and solved by
-    ``cramer_numerators``: y_i = det * a_i, det the Wronskian's polynomial
-    part, so each a_i is built over ``base``, the powers of W, with
-    exponent 1.
+    The N equations sum_m a_m u_i^(m) = -u_i^(N) are written over the
+    polynomial parts of the derivatives (the shared exponential factor
+    cancels) and solved by ``cramer_numerators``: y_i = det * a_i, det the
+    Wronskian's polynomial part, so each a_i is built over ``base``, the
+    powers of W, with exponent 1.
     """
     n = len(functions)
-    rows = []
-    for u in functions:
-        row, _ = cleared([f.r for f in u.derivatives(n)])
+    rows = _derivative_rows(functions, n)
+    for row in rows:
         row[n] = -row[n]
-        rows.append(row)
     return DiffOp(_solve_over_wronskian(rows, base) + [base.lift(1)])
 
 
@@ -289,11 +297,11 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
     opposite to the family's, so it is not normalisable.
     """
     n = tr.order
-    rows = []
-    for m, entries in enumerate(derivative_table(tr.functions, n - 1)):
-        row, common = cleared(entries)
-        row.append(common if m == n - 1 else Poly.zero())
-        rows.append(row)
+    columns = _derivative_rows(tr.functions, n - 1)
+    rows = [
+        [col[m] for col in columns] + [Poly.one() if m == n - 1 else Poly.zero()]
+        for m in range(n)
+    ]
     weight = -tr.bordered.weight
     return [
         GaussFun(v if (n - 1 - k) % 2 == 0 else -v, weight)

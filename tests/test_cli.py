@@ -333,26 +333,28 @@ def test_operators_act_in_w_form(command, monkeypatch, capsys):
     "verify --levels 1,2 --nmax 8",
     "verify --levels 2,3 --nmax 16",
     "verify --levels 1,2,5,6 --nmax 8",
+    "verify --levels 2,3,6,7,10,11 --nmax 13",
+    "transform --levels 1,2,5,6",
     "transform --levels 1,2,5,6 --format csv",
     "classify --levels 2,3,6,7 --nmax 9",
     "spectrum --levels 1,2 --nmax 8",
 ])
 def test_one_exact_route(command, monkeypatch, capsys):
-    # No command does field arithmetic on a RatFun with a pole, and none
-    # counts roots on an interval: the closed forms, like the transform,
-    # live over the powers of their own W, whose poles one whole-line Sturm
-    # count rules out.  RatFun's arithmetic is left to the tests.
+    # No command does RatFun arithmetic, whatever the operands, and none
+    # counts roots on an interval.  The family's derivative rows are
+    # polynomials, the transform and the closed forms live over the powers
+    # of their own W, whose poles one whole-line Sturm count rules out, and
+    # a RatFun is only read.  RatFun's arithmetic is left to the tests.
     reached = []
 
     def checked(name, fn):
-        def wrapper(*args):
-            if any(isinstance(a, RatFun) and a.den.degree() > 0 for a in args):
-                reached.append(name)
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            reached.append(name)
+            return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "derivative"):
+    for name in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "derivative"):
         monkeypatch.setattr(RatFun, name, checked(name, getattr(RatFun, name)))
     sturm = polynomial.sturm_real_root_count
 
@@ -782,6 +784,23 @@ class TestGridAndOutputErrors:
         captured = capsys.readouterr()
         assert "cannot write --out file" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["transform", "verify", "spectrum", "classify"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_rejected(self, command, source, no_exact_work, tmp_path, monkeypatch,
+                                capsys):
+        # An empty path names no file: bad input, before any exact work,
+        # whether it comes from the flag or from a config file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+        given = ["--out="] if source == "flag" else ["--config", "cfg.json"]
+        assert run(command, "--levels", "1,2", "--nmax", "3", *given) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "invalid configuration: --out is an empty path: it names no file to write\n"
+        )
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestUnsampleableGrid:

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darboux import polynomial
 from darboux.gaussian import GaussFun, wronskian
 from darboux.polynomial import (
     _int_exact_div,
@@ -519,6 +521,9 @@ class TestWeightedDerivative:
         got = r.derivative(w)
         expected = RatFun(_from_sympy(top), _from_sympy(bottom))
         assert (got.num, got.den) == (expected.num, expected.den)
+        # The polynomial route, p' + (w/2) x p, against the same oracle.
+        poly_value = _sympy_poly(num).as_expr()
+        assert num.derivative(w) == _from_sympy(sympy.cancel(sympy.diff(poly_value * e, _X) / e))
 
 
 class TestScalarMultiple:
@@ -535,8 +540,8 @@ class TestScalarMultiple:
     @example(P(1, 1), P(1, 0, 1) ** 2, 0)
     @example(P(0, 2), P(3, 1), Fraction(-7, 3))
     def test_scalar_route_is_canonical(self, num, den, c):
-        # The scalar route keeps the denominator; its result must be the
-        # one the full constructor reduces to, a zero scalar included.
+        # A scalar multiple is a product like any other: its result must be
+        # the canonical form of c p / q, a zero scalar included.
         r = RatFun(num, den)
         expected = RatFun(r.num * c, r.den)
         for got in (r * c, c * r, (GaussFun(r, -1) * c).r):
@@ -630,6 +635,20 @@ class TestWPowers:
                 base.lift(RatFun(P(1), base.W))
         with pytest.raises(ValueError, match="different Wronskians"):
             _W_BASES[0].over(P(0, 1), 1) + _W_BASES[2].over(P(0, 1), 1)
+
+    def test_one_w_over_two_bases_compares_without_gcd(self):
+        # Two bases that hold one monic W share its normal form, so values
+        # over them compare as they are: the result is the canonical
+        # comparison's, and no gcd is taken.
+        specs = [(P(1, 1), 0, 2), (P(0, 1), 2, 1), (P(0, 1), 1, 2), (P(3, 0, 1), 0, 1), (P(), 0, 1)]
+        for base in _W_BASES:
+            twin = WBase(base.W * 3)
+            assert twin is not base and twin.W == base.W
+            pairs = [(_w_value(base, a)[0], _w_value(twin, b)[0]) for a in specs for b in specs]
+            with patch.object(polynomial, "poly_gcd", side_effect=AssertionError("gcd taken")):
+                got = [a == b for a, b in pairs]
+            assert got == [a.canonical() == b.canonical() for a, b in pairs]
+            assert any(got) and not all(got)
 
     def test_real_roots_counted_once(self, monkeypatch):
         calls = []
