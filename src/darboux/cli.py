@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import json
 import math
 import sys
@@ -138,10 +139,11 @@ _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 _MAX_SAMPLES = 1 << 23
 
 # The Wronskian's degree sum(k_i) - N(N-1)/2, known before any exact work,
-# drives the exact layer's cost.  On a 2-vCPU host an order-10 verify
-# --nmax 8 took 8.1 s at degree 64 and 33 s at degree 100, and transform
-# --nmax 5 took 28 s at degree 400.  The cap keeps an order-10 verify near
-# 10 s; a higher order costs more at the same degree.
+# drives the exact layer's cost.  On a 2-vCPU host, verify --nmax 8 at
+# degree 64 took 0.3, 0.5-0.7, 2.0-2.2, 2.2-3.9, 5.4-7.1 and 15-17 s at
+# orders 2, 4, 6, 8, 10 and 12 (two runs each); transform --nmax 5 took 28 s
+# at degree 400.  The cap keeps an order-10 verify under 10 s; a higher
+# order costs more at the same degree.
 _MAX_WRONSKIAN_DEGREE = 64
 
 
@@ -413,15 +415,22 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
         results.append({"name": name, "status": "pass" if ok else "fail",
                         "detail": detail if ok or failure is None else failure})
 
-    factorization = factorization_identity_check(tr)
+    # Each image L phi_n is built once: the kernel check reads the selected
+    # levels, the partner-side checks read the survivors.  The anticommutator
+    # check forms every (hN - E_n) L phi_n once, up to 2N - 1 at least: the
+    # factorisation check proves both identities from those levels, and
+    # levels above nmax are checked but not reported.
+    top = max(n_max, 2 * tr.order - 1)
+    doublets = {n: eigen_doublet(model, tr, n) for n in sorted({*range(top + 1), *levels})}
+    acomm = anticommutator_check(tr, doublets)
+    by_level = {c.level: c for c in acomm.checks}
+
+    factorization = factorization_identity_check(tr, acomm.checks)
     record("L_dagger_L_factorization", factorization.base_ok, "exact-zero residual",
            f"residual {factorization.residual_base!r}")
     record("L_L_dagger_factorization", factorization.partner_ok, "exact-zero residual",
            f"residual {factorization.residual_partner!r}")
 
-    # Each image L phi_n is built once: the kernel check reads the selected
-    # levels, the partner-side checks read the survivors.
-    doublets = {n: eigen_doublet(model, tr, n) for n in sorted({*range(n_max + 1), *levels})}
     bad = [k for k in levels if not doublets[k].lower.is_zero]
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
@@ -433,10 +442,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
             bad.append(("eigen", k))
     record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 
-    # The anticommutator check forms every (hN - E_n) L phi_n once;
-    # eigen_residuals reads those residuals for the survivors.
-    acomm = anticommutator_check(tr, {n: doublets[n] for n in range(n_max + 1)})
-    by_level = {c.level: c for c in acomm.checks}
+    # eigen_residuals reads the intertwining residuals for the survivors.
     images = {n: doublets[n].lower for n in tr.selection.survivors(n_max)}
     bad = [n for n, image in images.items() if image.is_zero or not by_level[n].intertwining_ok]
     record("eigen_residuals", not bad, "(hN - E_n) L phi_n = 0 for all surviving levels",
@@ -449,7 +455,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     else:
         record("golden_closed_forms", True, skipped)
 
-    record("superalgebra_anticommutator", acomm.ok,
+    record("superalgebra_anticommutator", all(by_level[n].ok for n in range(n_max + 1)),
            "factor prod(E - alpha_i) on every eigen-doublet", "mismatch")
 
     grid = cfg.grid
@@ -565,7 +571,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call and kept: each ``parse_args``
+    starts from a fresh namespace, so calls share nothing else."""
     parser = argparse.ArgumentParser(
         prog="darboux",
         description="Exact higher-order Darboux partner potentials of the harmonic "

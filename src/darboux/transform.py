@@ -17,7 +17,9 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   Wronskian matrix, and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
-  the first expanded and the second derived from it and L h0 = hN L.
+  proved from exact per-level checks by an order bound where those cover
+  it, else the first expanded and the second derived from it and
+  L h0 = hN L.
 
 Each coefficient of L, L+ and hN lies over a power of the Wronskian's
 polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
@@ -38,10 +40,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
 from .polynomial import Poly, RatFun, WBase, WFun, cramer_numerators
+
+if TYPE_CHECKING:
+    from .susy import AnticommutatorCheck
 
 
 class InadmissibleSelection(ValueError):
@@ -329,20 +334,54 @@ class FactorizationReport:
         return self.base_ok and self.partner_ok
 
 
-def _hamiltonian_product(potential: WFun, alphas: Sequence[Fraction]) -> DiffOp:
-    identity = DiffOp((potential * 0 + 1,))  # its coefficient of V's type
-    h = DiffOp.schroedinger(potential)
+def _hamiltonian_product(h: DiffOp, alphas: Sequence[Fraction]) -> DiffOp:
+    identity = DiffOp((h.coeffs[-1] * 0 + 1,))  # its coefficient of h's type
     product = identity
     for alpha in alphas:
         product = product.compose(h - identity * alpha)
     return product
 
 
-def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
+def _proved_by_levels(tr: TransformResult, checks: Iterable[AnticommutatorCheck]) -> bool:
+    """Whether the per-level results cover the premise of the order-bound
+    proof in ``factorization_identity_check`` and all hold."""
+    n = tr.order
+    by_level = {c.level: c for c in checks}
+    if any(k not in by_level for k in range(2 * n)):
+        return False
+    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
+    adjoint = tr.adjoint
+    return (
+        adjoint.order() == n
+        and adjoint.coeffs[-1] == (-1) ** n
+        and all(by_level[k].anticommutator_ok for k in range(2 * n))
+        and all(by_level[k].intertwining_ok for k in range(n + 1))
+    )
+
+
+def factorization_identity_check(
+    tr: TransformResult, checks: Iterable[AnticommutatorCheck] = ()
+) -> FactorizationReport:
     """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i).
 
-    The base identity is expanded to a residual in normal form.  The partner
-    identity is derived (Crum 1955): with P(h) = prod (h - alpha_i),
+    ``checks`` are per-level results of ``anticommutator_check`` on the
+    model's eigenfunctions phi_n, exact with h0 phi_n = E_n phi_n.  When
+    they cover levels 0 .. 2N-1 and all hold, both identities are proved
+    from them and nothing is expanded.  The proof rests on order bounds:
+
+    * L is monic of order N (asserted) and L+ has top coefficient (-1)^N
+      (checked), so R = L+ L - P(h0), with P(h) = prod (h - alpha_i), has
+      order at most 2N - 1; and T = L h0 - hN L has order at most N, since
+      its d^(N+2) and d^(N+1) terms cancel.
+    * A nonzero operator of order m has an m-dimensional kernel on any
+      interval free of its coefficients' poles and its top coefficient's
+      zeros; W has no real zero, and the phi_n are linearly independent.
+    * So R = 0 once L+ L phi_n = P(E_n) phi_n for n = 0 .. 2N-1
+      (``anticommutator_ok``), and T = 0 once (hN - E_n) L phi_n = 0 for
+      n = 0 .. N (``intertwining_ok``; on a deleted level L phi_n = 0).
+
+    Otherwise, or without ``checks``, the base identity is expanded to a
+    residual in normal form.  The partner identity is derived (Crum 1955):
 
         (L L+ - P(hN)) L = L (L+ L - P(h0)) + (L P(h0) - P(hN) L),
 
@@ -353,15 +392,16 @@ def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     residual.  The report carries residuals (zero operators on success)
     rather than raising.  Every operator is in W-form.
     """
+    if _proved_by_levels(tr, checks):
+        return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
     op = tr.operator
     alphas = tr.selection.alphas
     v0 = tr.base.lift(tr.base_potential)
-    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(v0, alphas)
-    intertwining = op.compose(DiffOp.schroedinger(v0)) - tr.hamiltonian_partner().compose(op)
+    h0, h_partner = DiffOp.schroedinger(v0), tr.hamiltonian_partner()
+    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(h0, alphas)
+    intertwining = op.compose(h0) - h_partner.compose(op)
     if residual_base.is_zero and intertwining.is_zero:
         residual_partner = DiffOp.zero()
     else:
-        residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(
-            tr.partner_potential, alphas
-        )
+        residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(h_partner, alphas)
     return FactorizationReport(residual_base=residual_base, residual_partner=residual_partner)

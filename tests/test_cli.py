@@ -17,7 +17,7 @@ from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp
 from darboux.polynomial import Poly, RatFun, WFun
-from darboux.transform import LevelSelection, build_transform, crum_krein_apply
+from darboux.transform import LevelSelection, TransformResult, build_transform, crum_krein_apply
 
 
 def run(*argv):
@@ -396,11 +396,78 @@ _FROZEN_REPORTS = [
 
 @pytest.mark.parametrize("command, code, digest", _FROZEN_REPORTS,
                          ids=[c for c, _, _ in _FROZEN_REPORTS])
-def test_frozen_report(command, code, digest, capsys):
+def test_frozen_report(command, code, digest, monkeypatch, capsys):
+    # A passing report expands no operator product: verify proves both
+    # factorisation identities from its per-level checks.  A failing one
+    # expands them, and its residuals are in the digest.
+    compose = DiffOp.compose
+    composed = []
+
+    def checked(self, other):
+        assert code != 0, "a passing report composed operators"
+        composed.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(DiffOp, "compose", checked)
     got = run(*command.split())
     captured = capsys.readouterr()
     text = json.dumps([got, captured.out, captured.err])
     assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+    assert bool(composed) == ("--corrupt-vn" in command)
+
+
+def _perturbed(op: DiffOp, j: int, delta) -> DiffOp:
+    coeffs = list(op.coeffs)
+    coeffs[j] = coeffs[j] + delta
+    return DiffOp(coeffs)
+
+
+@pytest.mark.parametrize("operator, j", [("L+", 0), ("L+", 4), ("hN", 0), ("hN", 1)])
+def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch, capsys):
+    # Seeded mutants: x/7 added to one coefficient of the cached L+ or of
+    # hN.  The per-level checks then prove nothing, and the expansion
+    # reports the residual.
+    x = Poly((0, 1)) * Fraction(1, 7)
+    if operator == "L+":
+        build = cli.build_transform
+
+        def mutant_transform(model, levels):
+            tr = build(model, levels)
+            vars(tr)["adjoint"] = _perturbed(tr.adjoint, j, x)
+            return tr
+
+        monkeypatch.setattr(cli, "build_transform", mutant_transform)
+    else:
+        partner = TransformResult.hamiltonian_partner
+        monkeypatch.setattr(TransformResult, "hamiltonian_partner",
+                            lambda tr: _perturbed(partner(tr), j, x))
+    assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 1
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    name = "L_dagger_L_factorization" if operator == "L+" else "L_L_dagger_factorization"
+    assert status[name] == "fail"
+
+
+def test_cached_parser_keeps_each_call_alone(capsys):
+    # One parser serves every call: bad input, a verify and a spectrum
+    # print and exit as they do from a parser built for each call.
+    commands = [("verify", "--levels", "1,2", "--nmax", "x"),
+                ("verify", "--levels", "1,2", "--nmax", "4"),
+                ("spectrum", "--levels", "1,2", "--nmax", "4")]
+
+    def outcomes(fresh: bool) -> list:
+        got = []
+        for argv in commands:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    fresh = outcomes(fresh=True)
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert outcomes(fresh=False) == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestSpectrumCommand:
