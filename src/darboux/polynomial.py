@@ -27,10 +27,10 @@ is formed only where a value is read.
 
 ``poly_gcd`` works on the primitive integer numerators in one order: the
 heuristic GCD (GCDHEU) first, one big-integer gcd of both inputs evaluated
-at xi = 2^(8b), with xi above 2 min(|x|, |y|) + 1 and above twice the larger
-input's coefficients, read back as a candidate that counts only once it
-divides both inputs exactly.  Inputs on which six evaluation points fail
-take the primitive pseudo-remainder sequence.
+at xi = 2^(8b), with xi above 2 min(|x|, |y|) + 1, read back as a
+candidate that counts only once it divides both inputs exactly.  Inputs on
+which six evaluation points fail take the primitive pseudo-remainder
+sequence.
 
 ``cramer_numerators``, the one linear solver, works at such a point too:
 every entry of an N x (N+1) system is evaluated once at a xi above twice a
@@ -404,16 +404,14 @@ def _heu_gcd(x: list[int], y: list[int]) -> list[int] | None:
 
     At xi = 2^(8b) > 2 min(|x|, |y|) + 1 (max norms), a primitive candidate
     that divides both inputs is their gcd (GCDHEU's theorem), so the exact
-    division test makes each accepted candidate a proof.  xi also exceeds
-    twice the larger input's coefficients, so that ``_pack_eval`` is exact.
+    division test makes each accepted candidate a proof.
     """
-    nx = max(map(abs, x))
-    ny = max(map(abs, y))
-    need = max(2 * min(nx, ny) + 1, 2 * max(nx, ny))
+    need = 2 * min(max(map(abs, x)), max(map(abs, y))) + 1
     width = (need.bit_length() + 7) // 8
     shorter = min(len(x), len(y))
     for nbytes in range(width, width + _HEU_POINTS):
-        h = _unpack_symmetric(math.gcd(_pack_eval(x, nbytes), _pack_eval(y, nbytes)), nbytes)
+        bits = 8 * nbytes
+        h = _unpack_symmetric(math.gcd(_at_power_of_two(x, bits), _at_power_of_two(y, bits)), nbytes)
         if len(h) > shorter:
             continue
         h = _int_content_free(h if h[-1] > 0 else [-c for c in h])
@@ -422,13 +420,13 @@ def _heu_gcd(x: list[int], y: list[int]) -> list[int] | None:
     return None
 
 
-def _pack_eval(cs: list[int], nbytes: int) -> int:
-    """cs evaluated at 2^(8 nbytes), every |c| below that: the positive and
-    the negative coefficients packed into bytes as two base-2^(8 nbytes)
-    numbers, one subtracted from the other."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in cs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in cs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _at_power_of_two(cs: Sequence[int], bits: int) -> int:
+    """Integer coefficients cs evaluated at 2^bits by Horner's rule on
+    shifts, exactly for coefficients of any size."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << bits) + c
+    return acc
 
 
 def _unpack_symmetric(v: int, nbytes: int) -> list[int]:
@@ -504,7 +502,7 @@ def cramer_numerators(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, list[Poly]]
         bound *= max(1, sum(sum(map(abs, cs)) for cs in ints))
         scaled.append(ints)
     nbytes = ((2 * bound).bit_length() + 7) // 8
-    m = [[_pack_eval(cs, nbytes) for cs in row] for row in scaled]
+    m = [[_at_power_of_two(cs, 8 * nbytes) for cs in row] for row in scaled]
     prev = 1
     for k in range(n):
         pivot_row = m[k]
@@ -556,36 +554,30 @@ def hermite_he(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _sturm_chain(p: Poly) -> list[list[int]]:
-    # Square-free reduction first so the classical sign-variation count
-    # applies verbatim.  Every member is a positive multiple of the classical
-    # Sturm polynomial, held as coprime integer coefficients: a remainder
-    # scaled by lead^e with lead < 0 and e odd has its sign restored.
-    g = poly_gcd(p, p.derivative())
-    if g.degree() > 0:
-        p = p.exact_div(g)
+    """The signed remainder sequence of p and p', up to its last nonzero
+    member, each a positive multiple of the classical one held as coprime
+    integer coefficients: a remainder scaled by lead^e with lead < 0 and e
+    odd has its sign restored.
+
+    No square-free step is taken: Sturm's theorem holds for this sequence
+    whether or not p has multiple roots, so its sign variations at -inf
+    less those at +inf, where no root lies, are the number of p's distinct
+    real roots (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, 2nd ed., Thm 2.50).  The last member is a constant multiple of
+    gcd(p, p').
+    """
     chain = [_int_primitive(p)]
     chain.append(_int_content_free([i * c for i, c in enumerate(chain[0]) if i]))
-    # p is square-free, so the sequence ends at a nonzero constant.
-    while len(chain[-1]) > 1:
+    while True:
         _, rem, e = _int_pseudo_divmod(chain[-2], chain[-1])
+        if not rem:
+            return chain
         sign = -1 if chain[-1][-1] > 0 or e % 2 == 0 else 1
         chain.append(_int_content_free([sign * c for c in rem]))
-    return chain
 
 
-def _variations(signs: Iterable[int]) -> int:
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
-
-
-def _sign_at(q: list[int], x: Fraction) -> int:
-    # Sign of den(x)^deg(q) * q(x), a homogeneous integer Horner sum.
-    num, den = x.numerator, x.denominator
-    acc, den_pow = 0, 1
-    for c in reversed(q):
-        acc = acc * num + c * den_pow
-        den_pow *= den
-    return (acc > 0) - (acc < 0)
+def _variations(signs: Sequence[int]) -> int:
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def _sign_at_inf(q: list[int], positive: bool) -> int:
@@ -595,38 +587,18 @@ def _sign_at_inf(q: list[int], positive: bool) -> int:
     return s
 
 
-def sturm_real_root_count(
-    p: Poly,
-    lo: Scalar | None = None,
-    hi: Scalar | None = None,
-) -> int:
-    """Count distinct real roots of ``p``, exactly.
-
-    With no bounds the count is over the whole real line.  With bounds the
-    count is over the closed interval [lo, hi].  Multiple roots are counted
-    once (the chain is built from the square-free part).
-    """
+def sturm_real_root_count(p: Poly) -> int:
+    """The number of distinct real roots of ``p`` on the whole line,
+    exactly: the sign variations of ``_sturm_chain(p)`` at -inf less those
+    at +inf.  A multiple root is counted once."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial is undefined")
     if p.degree() == 0:
         return 0
     chain = _sturm_chain(p)
-    if lo is None and hi is None:
-        v_lo = _variations(_sign_at_inf(q, positive=False) for q in chain)
-        v_hi = _variations(_sign_at_inf(q, positive=True) for q in chain)
-        return v_lo - v_hi
-    if lo is None or hi is None:
-        raise ValueError("interval count needs both endpoints")
-    a, b = Fraction(lo), Fraction(hi)
-    if a > b:
-        raise ValueError("empty interval")
-    v_a = _variations(_sign_at(q, a) for q in chain)
-    v_b = _variations(_sign_at(q, b) for q in chain)
-    # V(a) - V(b) counts roots in (a, b]; the left endpoint is patched in.
-    count = v_a - v_b
-    if _sign_at(chain[0], a) == 0:
-        count += 1
-    return count
+    v_lo = _variations([_sign_at_inf(q, positive=False) for q in chain])
+    v_hi = _variations([_sign_at_inf(q, positive=True) for q in chain])
+    return v_lo - v_hi
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +773,7 @@ class WBase:
         self.w = _int_primitive(self.W)
         self.dW = self.W.derivative()
         self.xi_bits = 8 * (((2 * max(map(abs, self.w))).bit_length() + 7) // 8)
-        self.w_at_xi = _eval_at_power_of_two(self.w, self.xi_bits)
+        self.w_at_xi = _at_power_of_two(self.w, self.xi_bits)
         self._powers = [Poly.one(), self.W]
         self._real_roots = None
 
@@ -829,7 +801,7 @@ class WBase:
         """
         w = self.w
         while k and p.nums:
-            if _eval_at_power_of_two(p.nums, self.xi_bits) % self.w_at_xi:
+            if _at_power_of_two(p.nums, self.xi_bits) % self.w_at_xi:
                 break
             q, r, e = _int_pseudo_divmod(p.nums, w)
             if r:
@@ -852,14 +824,6 @@ class WBase:
                 raise ValueError(f"{value!r} is not a polynomial")
             value = value.num
         return WFun._of(self, _coerce_poly(value), 0)
-
-
-def _eval_at_power_of_two(nums: Sequence[int], bits: int) -> int:
-    """Integer coefficients evaluated at 2^bits, by Horner's rule on shifts."""
-    acc = 0
-    for c in reversed(nums):
-        acc = (acc << bits) + c
-    return acc
 
 
 class WFun:

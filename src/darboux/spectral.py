@@ -21,7 +21,7 @@ from .transform import TransformResult
 
 
 class PoleOnGrid(ValueError):
-    """A sampled rational function has a pole inside the grid interval."""
+    """A sampled rational function has a real pole."""
 
 
 class NonConvergence(RuntimeError):
@@ -75,21 +75,23 @@ def _poly_values(p: Poly, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _rational_values(r: RatFun | WFun, grid: Grid, xs: np.ndarray) -> np.ndarray:
-    """Samples of r's canonical form, after proving it has no pole on the
-    grid: a WFun's poles are zeros of its base's W, whose whole-line root
-    count is taken once per base; a RatFun's denominator, or a WFun's over
-    a base with real roots, is counted on the grid interval."""
+def _rational_values(r: RatFun | WFun, xs: np.ndarray) -> np.ndarray:
+    """Samples of r's canonical form, after proving it has no real pole: a
+    WFun's poles are zeros of its base's W, whose whole-line root count is
+    taken once per base, so a WFun over a node-free base needs no count;
+    any other value's canonical denominator is counted on the whole line."""
     if not (isinstance(r, WFun) and r.base.real_root_count() == 0):
         den = r.den
-        lo, hi = Fraction(grid.x_min), Fraction(grid.x_max)
-        if den.degree() > 0 and sturm_real_root_count(den, lo, hi) > 0:
-            raise PoleOnGrid(f"denominator {den!r} vanishes inside [{grid.x_min}, {grid.x_max}]")
+        if den.degree() > 0 and sturm_real_root_count(den) > 0:
+            raise PoleOnGrid(
+                f"the sampled function has a real pole: its denominator {den!r} has a real root"
+            )
     return _poly_values(r.num, xs) / _poly_values(r.den, xs)
 
 
 def sample(f: Sampleable, grid: Grid) -> GridFunction:
-    """Pointwise float samples of an exact object; poles are rejected exactly.
+    """Pointwise float samples of an exact object; one with a real pole is
+    rejected exactly, with ``PoleOnGrid``.
 
     An overflow or an invalid operation raises numpy's FloatingPointError
     instead of leaving an inf or a nan in the samples.
@@ -99,9 +101,9 @@ def sample(f: Sampleable, grid: Grid) -> GridFunction:
         if isinstance(f, Poly):
             return _poly_values(f, xs)
         if isinstance(f, (RatFun, WFun)):
-            return _rational_values(f, grid, xs)
+            return _rational_values(f, xs)
         if isinstance(f, GaussFun):
-            return _rational_values(f.r, grid, xs) * np.exp(float(f.s) * xs * xs / 4.0)
+            return _rational_values(f.r, xs) * np.exp(float(f.s) * xs * xs / 4.0)
     raise TypeError(f"cannot sample {type(f).__name__}")
 
 

@@ -262,9 +262,9 @@ class TestVerifyCommand:
         assert calls == {"L": 9, "L+": 11, "hN": 11}
 
     def test_gcd_calls_capped(self, monkeypatch, capsys):
-        # The transform is built and checked in W-form, which takes no gcd;
-        # what is left is the Sturm certificate's square-free step (1) and
-        # one canonical form per sampled image (5 survivors).
+        # The transform is built and checked in W-form, which takes no gcd,
+        # and the Sturm certificate's whole-line count takes none either:
+        # what is left is one canonical form per sampled image (5 survivors).
         gcd = polynomial.poly_gcd
         calls = Counter()
 
@@ -279,7 +279,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "poly_gcd", counted)
         assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 0
         capsys.readouterr()
-        assert 0 < calls["gcd"] <= 6
+        assert calls["gcd"] == 5
 
     def test_gcd_routes(self, gcd_routes, capsys):
         # Every gcd of two non-constant inputs tries the heuristic first.  At
@@ -340,11 +340,11 @@ def test_operators_act_in_w_form(command, monkeypatch, capsys):
     "spectrum --levels 1,2 --nmax 8",
 ])
 def test_one_exact_route(command, monkeypatch, capsys):
-    # No command does RatFun arithmetic, whatever the operands, and none
-    # counts roots on an interval.  The family's derivative rows are
-    # polynomials, the transform and the closed forms live over the powers
-    # of their own W, whose poles one whole-line Sturm count rules out, and
-    # a RatFun is only read.  RatFun's arithmetic is left to the tests.
+    # No command does RatFun arithmetic, whatever the operands.  The
+    # family's derivative rows are polynomials, the transform and the closed
+    # forms live over the powers of their own W, whose poles one whole-line
+    # Sturm count rules out, and a RatFun is only read.  RatFun's arithmetic
+    # is left to the tests.
     reached = []
 
     def checked(name, fn):
@@ -356,17 +356,6 @@ def test_one_exact_route(command, monkeypatch, capsys):
     for name in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "derivative"):
         monkeypatch.setattr(RatFun, name, checked(name, getattr(RatFun, name)))
-    sturm = polynomial.sturm_real_root_count
-
-    def whole_line(p, lo=None, hi=None):
-        if lo is not None or hi is not None:
-            reached.append("interval Sturm count")
-        return sturm(p, lo, hi)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("darboux") and \
-                getattr(module, "sturm_real_root_count", None) is sturm:
-            monkeypatch.setattr(module, "sturm_real_root_count", whole_line)
     assert run(*command.split()) == 0
     capsys.readouterr()
     assert reached == []

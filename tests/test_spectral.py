@@ -5,13 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from darboux import spectral
 from darboux.gaussian import GaussFun
-from darboux.polynomial import Poly, RatFun, WBase
+from darboux.polynomial import Poly, RatFun, WBase, WFun
 from darboux.spectral import (
     Grid,
     LevelCountMismatch,
@@ -29,6 +30,25 @@ from darboux.spectral import (
     verify_spectrum,
 )
 from darboux.transform import build_transform, crum_krein_apply
+
+
+_X = sympy.Symbol("x")
+# Two bases with real nodes and one node-free base.
+_W_X, _W_ROOT2, _W_FREE = WBase(Poly((0, 1))), WBase(Poly((-2, 0, 1))), WBase(Poly((1, 0, 1)))
+_nonzero_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any).map(Poly)
+_sampled_values = st.one_of(
+    st.builds(RatFun, _nonzero_polys, _nonzero_polys.filter(lambda p: p.degree() > 0)),
+    st.builds(lambda base, p, k: base.over(p, k),
+              st.sampled_from([_W_X, _W_ROOT2, _W_FREE]), _nonzero_polys, st.integers(1, 2)),
+)
+# Windows both around and beside the poles the values above can have.
+_small_grids = st.builds(lambda lo, width: Grid(lo, lo + width, 11),
+                         st.integers(-3, 1).map(float), st.integers(1, 3).map(float))
+
+
+def _sympy_expr(p: Poly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _X**i
+                for i, c in enumerate(p.coeffs)), sympy.Integer(0))
 
 
 @pytest.fixture
@@ -74,17 +94,34 @@ class TestGridAndSampling:
         assert np.all(np.isfinite(values))
         assert values[0] == 0.0
 
-    def test_pole_rejected(self):
-        f = RatFun(Poly.one(), Poly((0, 1)))  # 1/x
-        with pytest.raises(PoleOnGrid):
-            sample(f, Grid(-1.0, 1.0, 11))
-        # pole outside the window is fine
-        sample(f, Grid(1.0, 2.0, 11))
+    @settings(deadline=None, max_examples=120, derandomize=True)
+    @given(_sampled_values, _small_grids)
+    @example(RatFun(Poly.one(), Poly((0, 1))), Grid(-1.0, 1.0, 11))  # 1/x
+    @example(RatFun(Poly.one(), Poly((0, 1))), Grid(1.0, 2.0, 11))  # its pole beside the grid
+    @example(_W_X.over(Poly.one(), 1), Grid(-1.0, 1.0, 11))
+    @example(_W_X.over(Poly.one(), 1), Grid(1.0, 2.0, 11))
+    @example(_W_ROOT2.over(Poly((1, 1)), 2), Grid(-1.0, 1.0, 11))  # poles at +-sqrt(2)
+    @example(_W_X.over(Poly((0, 0, 1)), 1), Grid(-1.0, 1.0, 11))  # x^2 / x: no pole left
+    @example(_W_FREE.over(Poly((0, 1)), 2), Grid(-1.0, 1.0, 11))
+    def test_sample_rejects_a_value_exactly_when_sympy_finds_a_real_pole(self, f, grid):
+        # The one pole rule: a value is rejected when its canonical
+        # denominator has a real root anywhere on the line, whether or not
+        # the grid reaches it.  sympy cancels the fraction and counts the
+        # roots on its own.
+        num, den = (f.p, f.base.power(f.k)) if isinstance(f, WFun) else (f.num, f.den)
+        reduced = sympy.fraction(sympy.cancel(_sympy_expr(num) / _sympy_expr(den)))[1]
+        if sympy.Poly(reduced, _X).count_roots() > 0:
+            with pytest.raises(PoleOnGrid, match="has a real pole"):
+                sample(f, grid)
+        elif isinstance(f, WFun):
+            assert np.array_equal(sample(f, grid), sample(f.canonical(), grid))
+        else:
+            assert np.all(np.isfinite(sample(f, grid)))
 
     def test_w_form_values_read_their_base_certificate(self, model, monkeypatch):
         # Every pole of a WFun is a zero of its base's W, whose whole-line
-        # count build_transform has taken; a RatFun keeps its interval count.
-        # The samples are those of the canonical form.
+        # count build_transform has taken; a RatFun's denominator is counted
+        # on the whole line.  The samples are those of the canonical form.
         tr = build_transform(model, (1, 2, 5, 6))
         image = crum_krein_apply(tr, model.eigenfunction(3))
         counts = []
@@ -104,13 +141,6 @@ class TestGridAndSampling:
         assert len(counts) == 2
         for got, want in zip(w_form, canonical):
             assert np.array_equal(got, want)
-
-    def test_w_form_pole_rejected_over_a_noded_base(self):
-        base = WBase(Poly((0, 1)))  # W = x
-        f = base.over(Poly.one(), 1)  # 1/x
-        with pytest.raises(PoleOnGrid):
-            sample(f, Grid(-1.0, 1.0, 11))
-        assert np.array_equal(sample(f, Grid(1.0, 2.0, 11)), sample(f.canonical(), Grid(1.0, 2.0, 11)))
 
 
 class TestHamiltonian:
