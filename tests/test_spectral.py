@@ -94,6 +94,17 @@ class TestGridAndSampling:
         assert np.all(np.isfinite(values))
         assert values[0] == 0.0
 
+    def test_pole_rejected(self):
+        f = RatFun(Poly.one(), Poly((0, 1)))  # 1/x
+        with pytest.raises(PoleOnGrid, match="has a real pole"):
+            sample(f, Grid(-1.0, 1.0, 11))
+        # A pole beside the window is rejected too: the count is whole-line.
+        with pytest.raises(PoleOnGrid, match="has a real pole"):
+            sample(f, Grid(1.0, 2.0, 11))
+        # A denominator with no real root is sampled.
+        g = RatFun(Poly.one(), Poly((1, 0, 1)))  # 1/(1 + x^2)
+        assert np.all(np.isfinite(sample(g, Grid(-1.0, 1.0, 11))))
+
     @settings(deadline=None, max_examples=120, derandomize=True)
     @given(_sampled_values, _small_grids)
     @example(RatFun(Poly.one(), Poly((0, 1))), Grid(-1.0, 1.0, 11))  # 1/x
@@ -141,6 +152,18 @@ class TestGridAndSampling:
         assert len(counts) == 2
         for got, want in zip(w_form, canonical):
             assert np.array_equal(got, want)
+
+    def test_w_form_pole_rejected_over_a_noded_base(self):
+        base = WBase(Poly((0, 1)))  # W = x
+        f = base.over(Poly.one(), 1)  # 1/x
+        with pytest.raises(PoleOnGrid, match="has a real pole"):
+            sample(f, Grid(-1.0, 1.0, 11))
+        # A pole beside the window is rejected too: the count is whole-line.
+        with pytest.raises(PoleOnGrid, match="has a real pole"):
+            sample(f, Grid(1.0, 2.0, 11))
+        # A value whose pole cancels is sampled as its canonical form.
+        g = base.over(Poly((0, 0, 1)), 1)  # x^2 / x
+        assert np.array_equal(sample(g, Grid(-1.0, 1.0, 11)), sample(g.canonical(), Grid(-1.0, 1.0, 11)))
 
 
 class TestHamiltonian:
