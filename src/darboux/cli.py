@@ -42,6 +42,7 @@ from .transform import (
     build_transform,
     crum_krein_apply,
     factorization_identity_check,
+    intertwining_proved,
     kernel_functions,
 )
 
@@ -140,10 +141,10 @@ _MAX_SAMPLES = 1 << 23
 
 # The Wronskian's degree sum(k_i) - N(N-1)/2, known before any exact work,
 # drives the exact layer's cost.  On a 2-vCPU host, verify --nmax 8 at
-# degree 64 took 0.3, 0.5-0.7, 2.0-2.2, 2.2-3.9, 5.4-7.1 and 15-17 s at
-# orders 2, 4, 6, 8, 10 and 12 (two runs each); transform --nmax 5 took 28 s
-# at degree 400.  The cap keeps an order-10 verify under 10 s; a higher
-# order costs more at the same degree.
+# degree 64 took 0.3, 0.3-0.4, 0.4, 0.6, 0.9-1.0 and 1.5 s at orders 2, 4,
+# 6, 8, 10 and 12 (two runs each); transform --nmax 5 took 28 s at degree
+# 400.  The cap keeps an order-12 verify under 2 s; a higher order costs
+# more at the same degree.
 _MAX_WRONSKIAN_DEGREE = 64
 
 
@@ -434,11 +435,19 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     bad = [k for k in levels if not doublets[k].lower.is_zero]
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
+    # With T = L h0 - hN L = 0 and (hN - alpha_k) v_k = 0, L+ v_k solves
+    # h0 y = alpha_k y, so its 1-jet at 0 decides it (``anticommutator_check``).
+    t_zero = intertwining_proved(tr, {n: c.intertwining_ok for n, c in by_level.items()})
     bad = []
     for k, alpha, v in zip(levels, tr.selection.alphas, kernel_functions(tr)):
-        if not tr.adjoint(v).is_zero:
+        eigen_ok = (h_partner(v) - v * alpha).is_zero
+        if t_zero and eigen_ok:
+            adjoint_ok = tr.adjoint_jet(v) == (0, 0)
+        else:
+            adjoint_ok = tr.adjoint(v).is_zero
+        if not adjoint_ok:
             bad.append(("adjoint", k))
-        if not (h_partner(v) - v * alpha).is_zero:
+        if not eigen_ok:
             bad.append(("eigen", k))
     record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 

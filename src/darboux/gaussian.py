@@ -10,14 +10,17 @@ sum_j a_j(x) d^j/dx^j with coefficients of either type; its composition and
 adjoint both rest on the one commutation rule d o a = a d + a'
 (``_d_left``).  Both classes run one algorithm over either coefficient
 type: a RatFun reduces by a gcd at every step, a WFun only divides out
-factors W, and a polynomial meeting a WFun is lifted to it.  Everything is
-exact and immutable.
+factors W, and a polynomial meeting a WFun is lifted to it.
+``AdjointJet`` reads the value and slope at x = 0 of the formal adjoint's
+action off an operator's WFun coefficients, without building the adjoint.
+Everything is exact and immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .polynomial import Poly, RatFun, Scalar, WFun, _frac, ratfun_det
@@ -242,6 +245,103 @@ def _d_left(coeffs: Sequence[RatFun | WFun]) -> list[RatFun | WFun]:
     d o c = c d + c': the coefficients of c_j' d^j + c_j d^(j+1)."""
     shifted = [coeffs[0] * 0, *coeffs]
     return [s + c.derivative() for s, c in zip(shifted, coeffs)] + [coeffs[-1]]
+
+
+class AdjointJet:
+    """The exact 1-jet (y(0), y'(0)) of y = L+ f, for L = sum_j a_j d^j with
+    WFun coefficients over one base and f = p/W^k exp(s x^2/4) over it.
+
+    L+ is the formal adjoint by definition: y = sum_j (-d)^j (a_j f), read
+    from L's own coefficients, so L+ itself is never built.  With c_j = a_j
+    W^K polynomials (K the largest exponent among the a_j) and the series
+    S = exp(s x^2/4) / W^(k+K) at 0 (W(0) != 0 on a node-free base),
+
+        y(0)  = sum_j (-1)^j j! [x^j] (c_j S p),
+        y'(0) = sum_j (-1)^j (j+1)! [x^(j+1)] (c_j S p),
+
+    linear in p's coefficients of degree 0 .. N+1.  So each pair (k, s)
+    takes one integer vector per jet entry, built on first use and kept on
+    this object, and each jet is then two integer dot products.
+    """
+
+    __slots__ = ("op", "base", "_functionals")
+
+    def __init__(self, op: DiffOp):
+        self.op = op
+        self.base = op.coeffs[-1].base
+        self._functionals: dict[tuple[int, Fraction], tuple[list[int], list[int], int]] = {}
+
+    def __call__(self, f: GaussFun) -> tuple[Fraction, Fraction]:
+        if f.is_zero:
+            return Fraction(0), Fraction(0)
+        r = self.base.lift(f.r)
+        value, slope, den = self._functional(r.k, f.s)
+        nums, den = r.p.nums, den * r.p.den
+        return (Fraction(sum(map(mul, value, nums)), den),
+                Fraction(sum(map(mul, slope, nums)), den))
+
+    def _functional(self, k: int, s: Fraction) -> tuple[list[int], list[int], int]:
+        """Integer vectors v0, v1 and a denominator D with y(0) = v0 . p / D
+        and y'(0) = v1 . p / D for f = p/W^k exp(s x^2/4), all in integers:
+        W's numerators over its denominator, and exp(s x^2/4) =
+        sum_i (s/4)^i x^(2i) / i! over one denominator."""
+        key = (k, s)
+        if key not in self._functionals:
+            coeffs = self.op.coeffs
+            W = self.base.W
+            m = len(coeffs) + 1  # Taylor terms x^0 .. x^(N+1)
+            top = max(c.k for c in coeffs)
+            w_power = [1]
+            for _ in range(k + top):
+                w_power = _series_mul(w_power, W.nums, m)
+            inverse = _series_inverse(w_power, m)
+            half = (m - 1) // 2
+            b = 4 * s.denominator
+            gauss = [0] * m
+            for i in range(half + 1):
+                gauss[2 * i] = s.numerator**i * b ** (half - i) * math.perm(half, half - i)
+            # S = exp(s x^2/4) / W^(k+top) = series / s_den.
+            series = [c * W.den ** (k + top) for c in _series_mul(gauss, inverse, m)]
+            s_den = b**half * math.factorial(half) * w_power[0] ** m
+            # c_j = a_j W^top = p_j W^(top - k_j), each over its own denominator.
+            cs = []
+            for a in coeffs:
+                c, c_den = a.p.nums[:m], a.p.den
+                for _ in range(top - a.k):
+                    c, c_den = _series_mul(c, W.nums, m), c_den * W.den
+                cs.append((c, c_den))
+            den = math.lcm(*(c_den for _, c_den in cs))
+            value, slope = [0] * m, [0] * m
+            for j, (c, c_den) in enumerate(cs):
+                h = _series_mul(c, series, m)
+                scale = (-1) ** j * math.factorial(j) * (den // c_den)
+                for i in range(j + 1):
+                    value[i] += scale * h[j - i]
+                for i in range(j + 2):
+                    slope[i] += scale * (j + 1) * h[j + 1 - i]
+            self._functionals[key] = (value, slope, den * s_den)
+        return self._functionals[key]
+
+
+def _series_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    """The first m Taylor coefficients of a * b, forming no others."""
+    out = [0] * m
+    for i, x in enumerate(a[:m]):
+        if x:
+            for j, y in enumerate(b[: m - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _series_inverse(q: Sequence[int], m: int) -> list[int]:
+    """q0^m / q in its first m Taylor coefficients, q0 = q(0) != 0: with
+    1/q = sum_i z_i x^i / q0^(i+1), z_0 = 1 and
+    z_i = -sum_{j=1..i} q_j z_(i-j) q0^(j-1)."""
+    q0 = q[0]
+    z = [1]
+    for i in range(1, m):
+        z.append(-sum(q[j] * z[i - j] * q0 ** (j - 1) for j in range(1, min(i, len(q) - 1) + 1)))
+    return [c * q0 ** (m - 1 - i) for i, c in enumerate(z)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
-from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
+from .gaussian import AdjointJet, BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
 from .polynomial import Poly, RatFun, WBase, WFun, cramer_numerators
 
 if TYPE_CHECKING:
@@ -164,8 +164,15 @@ class TransformResult:
 
     @cached_property
     def adjoint(self) -> DiffOp:
-        """L+ in W-form, built on first use and kept: every check reads this one."""
+        """L+ in W-form, built on first use and kept: the full route's checks
+        read this one."""
         return self.operator.adjoint()
+
+    @cached_property
+    def adjoint_jet(self) -> AdjointJet:
+        """The 1-jet at x = 0 of L+ f, from L's own coefficients, with its
+        functionals kept for this transform: the proof route reads this."""
+        return AdjointJet(self.operator)
 
     def hamiltonian_partner(self) -> DiffOp:
         """hN = -d^2 + V_N in W-form."""
@@ -342,21 +349,36 @@ def _hamiltonian_product(h: DiffOp, alphas: Sequence[Fraction]) -> DiffOp:
     return product
 
 
+def intertwining_proved(tr: TransformResult, verdicts: Mapping[int, bool]) -> bool:
+    """Whether exact intertwining results prove T = L h0 - hN L = 0.
+
+    ``verdicts`` maps a level n to whether (hN - E_n) L phi_n = 0 holds
+    exactly, with h0 phi_n = E_n phi_n, so T phi_n = -(hN - E_n) L phi_n.
+    L is monic of order N (asserted) and hN = -d^2 + V_N (checked), so the
+    d^(N+2) and d^(N+1) terms of T cancel and T has order at most N.  A
+    nonzero operator of order m kills at most m independent functions on an
+    interval free of its coefficients' poles and its top coefficient's
+    zeros; W has no real zero and the phi_n are independent.  So T = 0 once
+    levels 0 .. N all hold.
+    """
+    n = tr.order
+    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
+    h = tr.hamiltonian_partner()
+    return (
+        h.order() == 2
+        and h.coeffs[2] == -1
+        and h.coeffs[1].is_zero
+        and all(verdicts.get(k, False) for k in range(n + 1))
+    )
+
+
 def _proved_by_levels(tr: TransformResult, checks: Iterable[AnticommutatorCheck]) -> bool:
     """Whether the per-level results cover the premise of the order-bound
     proof in ``factorization_identity_check`` and all hold."""
-    n = tr.order
     by_level = {c.level: c for c in checks}
-    if any(k not in by_level for k in range(2 * n)):
-        return False
-    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
-    adjoint = tr.adjoint
-    return (
-        adjoint.order() == n
-        and adjoint.coeffs[-1] == (-1) ** n
-        and all(by_level[k].anticommutator_ok for k in range(2 * n))
-        and all(by_level[k].intertwining_ok for k in range(n + 1))
-    )
+    return all(
+        k in by_level and by_level[k].anticommutator_ok for k in range(2 * tr.order)
+    ) and intertwining_proved(tr, {k: c.intertwining_ok for k, c in by_level.items()})
 
 
 def factorization_identity_check(
@@ -369,16 +391,16 @@ def factorization_identity_check(
     they cover levels 0 .. 2N-1 and all hold, both identities are proved
     from them and nothing is expanded.  The proof rests on order bounds:
 
-    * L is monic of order N (asserted) and L+ has top coefficient (-1)^N
-      (checked), so R = L+ L - P(h0), with P(h) = prod (h - alpha_i), has
-      order at most 2N - 1; and T = L h0 - hN L has order at most N, since
-      its d^(N+2) and d^(N+1) terms cancel.
-    * A nonzero operator of order m has an m-dimensional kernel on any
-      interval free of its coefficients' poles and its top coefficient's
-      zeros; W has no real zero, and the phi_n are linearly independent.
-    * So R = 0 once L+ L phi_n = P(E_n) phi_n for n = 0 .. 2N-1
-      (``anticommutator_ok``), and T = 0 once (hN - E_n) L phi_n = 0 for
-      n = 0 .. N (``intertwining_ok``; on a deleted level L phi_n = 0).
+    * T = L h0 - hN L = 0 once (hN - E_n) L phi_n = 0 for n = 0 .. N
+      (``intertwining_ok``, read by ``intertwining_proved``).  Exactly then
+      ``anticommutator_check`` took its jet route, so the verdicts read
+      below rest on T = 0 alone and are on the formal adjoint
+      sum_j (-d)^j a_j of L, whose top coefficient is (-1)^N by
+      construction: ``tr.adjoint`` is not read.
+    * L is monic of order N, so R = L+ L - P(h0), with P(h) =
+      prod (h - alpha_i), has order at most 2N - 1, and R = 0 once
+      L+ L phi_n = P(E_n) phi_n for n = 0 .. 2N-1 (``anticommutator_ok``),
+      by the kernel bound that ``intertwining_proved`` states.
 
     Otherwise, or without ``checks``, the base identity is expanded to a
     residual in normal form.  The partner identity is derived (Crum 1955):

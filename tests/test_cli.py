@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from darboux import cli, oscillator, polynomial, susy
 from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
-from darboux.gaussian import DiffOp
+from darboux.gaussian import DiffOp, GaussFun
 from darboux.polynomial import Poly, RatFun, WFun
 from darboux.transform import LevelSelection, TransformResult, build_transform, crum_krein_apply
 
@@ -196,9 +196,9 @@ class TestVerifyCommand:
         assert "--nmax -1 is below 0" in capsys.readouterr().err
 
     def test_each_exact_object_built_once(self, monkeypatch, capsys):
-        # L+ has one owner, the transform, and each image L phi_n has one
-        # owner, its eigen-doublet: 9 doublets, and the anticommutator check
-        # applies no Q.
+        # Each image L phi_n has one owner, its eigen-doublet: 9 doublets,
+        # and the anticommutator check applies no Q.  A passing run proves
+        # every L+ identity from 1-jets read off L, so it builds L+ 0 times.
         calls = Counter()
 
         def counted(name, fn):
@@ -213,7 +213,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "crum_krein_apply", apply)
         assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
         capsys.readouterr()
-        assert calls == {"adjoint": 1, "apply": 9}
+        assert calls == {"apply": 9}
 
     def test_closed_forms_built_once(self, monkeypatch, capsys):
         # A juxtaposed pair sums P_k once and builds each of its 7 survivors'
@@ -242,24 +242,68 @@ class TestVerifyCommand:
         assert "verification failed: golden_closed_forms" in captured.err
 
     def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
-        # L: the 9 doublets.  L+: the 2 kernel functions and one Q+ per
-        # doublet.  hN: the 2 kernel functions and one intertwining residual
-        # per doublet, which eigen_residuals reads for the survivors.  Each
-        # is the W-form operator.
-        tr = build_transform(OscillatorModel(), (1, 2))
-        named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
-        calls = Counter()
+        # L: the 9 doublets.  hN: the N kernel functions and one
+        # intertwining residual per level 0 .. N, which prove L h0 = hN L;
+        # eigen_residuals reads the survivors' verdicts.  L+: none, since
+        # every L+ identity then follows from a 1-jet.  Each is the W-form
+        # operator.
         apply = DiffOp.__call__
+        for levels, want in [((1, 2), {"L": 9, "hN": 5}), ((1, 2, 5, 6), {"L": 9, "hN": 9})]:
+            tr = build_transform(OscillatorModel(), levels)
+            named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
+            calls = Counter()
 
-        def counted(op, f):
-            assert all(isinstance(c, WFun) for c in op.coeffs)
-            calls[next(name for name, known in named.items() if op == known)] += 1
+            def counted(op, f):
+                assert all(isinstance(c, WFun) for c in op.coeffs)
+                calls[next(name for name, known in named.items() if op == known)] += 1
+                return apply(op, f)
+
+            monkeypatch.setattr(DiffOp, "__call__", counted)
+            assert run("verify", "--levels", ",".join(map(str, levels)), "--nmax", "8") == 0
+            monkeypatch.setattr(DiffOp, "__call__", apply)
+            capsys.readouterr()
+            assert calls == want
+
+    @pytest.mark.parametrize("premise", ["intertwining at N", "eigen of v_k"])
+    def test_fallback_when_a_premise_fails(self, premise, monkeypatch, capsys):
+        # The jet route rests on (hN - E_n) L phi_n = 0 at levels 0 .. N and,
+        # for L+ v_k = 0, on (hN - alpha_k) v_k = 0.  When one fails, L+ is
+        # built and applied.
+        levels = (1, 2, 5, 6)
+        if premise == "intertwining at N":
+            intertwines = susy._intertwines
+            top = OscillatorModel().energy(len(levels))
+            monkeypatch.setattr(susy, "_intertwines",
+                                lambda h, state: state.energy != top and intertwines(h, state))
+        else:
+            kernel = cli.kernel_functions
+
+            def wrong_kernel(tr):
+                v = kernel(tr)
+                return [v[0] + GaussFun(Poly((0, Fraction(1, 7))), v[0].s), *v[1:]]
+
+            monkeypatch.setattr(cli, "kernel_functions", wrong_kernel)
+        built = []
+        adjoint, apply = DiffOp.adjoint, DiffOp.__call__
+        applied = Counter()
+
+        def counted_adjoint(op):
+            built.append(adjoint(op))
+            return built[-1]
+
+        def counted_apply(op, f):
+            applied["L+"] += any(op is b for b in built)
             return apply(op, f)
 
-        monkeypatch.setattr(DiffOp, "__call__", counted)
-        assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
-        capsys.readouterr()
-        assert calls == {"L": 9, "L+": 11, "hN": 11}
+        monkeypatch.setattr(DiffOp, "adjoint", counted_adjoint)
+        monkeypatch.setattr(DiffOp, "__call__", counted_apply)
+        assert run("verify", "--levels", ",".join(map(str, levels)), "--nmax", "8") == 1
+        status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert len(built) == 1 and applied["L+"] > 0
+        if premise == "intertwining at N":
+            assert status["superalgebra_anticommutator"] == "fail"
+        else:
+            assert status["adjoint_kernel"] == "fail"
 
     def test_gcd_calls_capped(self, monkeypatch, capsys):
         # The transform is built and checked in W-form, which takes no gcd,
@@ -411,18 +455,34 @@ def _perturbed(op: DiffOp, j: int, delta) -> DiffOp:
     return DiffOp(coeffs)
 
 
+def _at_zero(f) -> Fraction:
+    """f(0) exactly: exp(s x^2/4) is 1 there."""
+    return f.r(Fraction(0)) if not f.is_zero else Fraction(0)
+
+
+def _perturbed_jet(jet, j: int):
+    """The 1-jet at 0 of (L+ + (x/7) d^j) f: (x/7) f^(j) adds f^(j)(0)/7 to
+    the derivative and nothing to the value."""
+    def perturbed(f):
+        value, slope = jet(f)
+        return value, slope + _at_zero(f.derivatives(j)[j]) / 7
+    return perturbed
+
+
 @pytest.mark.parametrize("operator, j", [("L+", 0), ("L+", 4), ("hN", 0), ("hN", 1)])
 def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch, capsys):
-    # Seeded mutants: x/7 added to one coefficient of the cached L+ or of
-    # hN.  The per-level checks then prove nothing, and the expansion
-    # reports the residual.
+    # Seeded mutants: x/7 added to one coefficient of L+, as the jet route
+    # reads it, or of hN.  A wrong L+ jet fails {Q, Q+} = P(H) on the
+    # doublets, and the factorisation then expands the true L+ L.  A wrong
+    # hN fails the intertwining at level 0, so every level takes the full
+    # route, and the expansion reports the partner residual.
     x = Poly((0, 1)) * Fraction(1, 7)
     if operator == "L+":
         build = cli.build_transform
 
         def mutant_transform(model, levels):
             tr = build(model, levels)
-            vars(tr)["adjoint"] = _perturbed(tr.adjoint, j, x)
+            vars(tr)["adjoint_jet"] = _perturbed_jet(tr.adjoint_jet, j)
             return tr
 
         monkeypatch.setattr(cli, "build_transform", mutant_transform)
@@ -432,8 +492,11 @@ def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch
                             lambda tr: _perturbed(partner(tr), j, x))
     assert run("verify", "--levels", "1,2,5,6", "--nmax", "8") == 1
     status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    name = "L_dagger_L_factorization" if operator == "L+" else "L_L_dagger_factorization"
-    assert status[name] == "fail"
+    if operator == "L+":
+        assert status["superalgebra_anticommutator"] == "fail"
+        assert status["L_dagger_L_factorization"] == "pass"
+    else:
+        assert status["L_L_dagger_factorization"] == "fail"
 
 
 def test_cached_parser_keeps_each_call_alone(capsys):

@@ -1,0 +1,178 @@
+"""A mutant matrix for the proofs that ``verify`` rests on.
+
+Each row injects one exact fault, by a monkeypatch, and runs ``verify`` on an
+order-2 and an order-4 selection.  It names the check that must fail (exit
+1) and the route the anticommutator check ran: "jet" when every L+ identity
+came from a 1-jet at 0, "full" when L+ was applied.
+
+Two rows mutate the proof's premise, with x/7 added to hN, on the selections
+0 .. N-1, where level N is the only level 0 .. N that L does not annihilate,
+so its intertwining residual alone sees a wrong hN.  Unmutated, that fault
+takes the full route and fails ``eigen_residuals`` and
+``L_L_dagger_factorization`` (the "hN d^0" rows).  Each premise mutant
+instead takes the jet route and lets one of those checks pass (``hides``):
+the hN rows kill both mutants.
+"""
+
+import json
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+import pytest
+
+from darboux import cli, susy, transform
+from darboux.cli import main
+from darboux.gaussian import AdjointJet, DiffOp, GaussFun
+from darboux.oscillator import OscillatorModel
+from darboux.polynomial import Poly
+from darboux.transform import TransformResult
+
+_X7 = Poly((0, Fraction(1, 7)))
+_MODEL = OscillatorModel()
+
+
+def _perturbed(op: DiffOp, j: int) -> DiffOp:
+    coeffs = list(op.coeffs)
+    coeffs[j] = coeffs[j] + _X7
+    return DiffOp(coeffs)
+
+
+def _on_transform(monkeypatch, change):
+    build = cli.build_transform
+    monkeypatch.setattr(cli, "build_transform", lambda model, levels: change(build(model, levels)))
+
+
+def _l_coefficient(monkeypatch, levels):
+    _on_transform(monkeypatch, lambda tr: replace(tr, operator=_perturbed(tr.operator, 0)))
+
+
+def _adjoint_jet(monkeypatch, levels):
+    # (L+ + x/7) f has the 1-jet of L+ f plus (0, f(0)/7).
+    def change(tr):
+        jet = tr.adjoint_jet
+
+        def perturbed(f):
+            value, slope = jet(f)
+            return value, slope + (f.r(Fraction(0)) / 7 if not f.is_zero else 0)
+
+        vars(tr)["adjoint_jet"] = perturbed
+        return tr
+
+    _on_transform(monkeypatch, change)
+
+
+def _partner(j):
+    def inject(monkeypatch, levels):
+        partner = TransformResult.hamiltonian_partner
+        monkeypatch.setattr(TransformResult, "hamiltonian_partner",
+                            lambda tr: _perturbed(partner(tr), j))
+    return inject
+
+
+def _image(above_n: bool):
+    # x/7 exp(-x^2/4) added to L phi_n at the first survivor n <= N or > N.
+    def inject(monkeypatch, levels):
+        n = len(levels)
+        level = next(k for k in range(20) if k not in levels and (k > n) == above_n)
+        phi = _MODEL.eigenfunction(level)
+        apply = susy.crum_krein_apply
+
+        def wrong(tr, f):
+            image = apply(tr, f)
+            return image + GaussFun(tr.base.lift(_X7), -1) if f == phi else image
+
+        monkeypatch.setattr(susy, "crum_krein_apply", wrong)
+    return inject
+
+
+def _kernel_function(monkeypatch, levels):
+    kernel = cli.kernel_functions
+
+    def wrong(tr):
+        v = kernel(tr)
+        return [v[0] + GaussFun(tr.base.lift(_X7), v[0].s), *v[1:]]
+
+    monkeypatch.setattr(cli, "kernel_functions", wrong)
+
+
+def _jet_cut(monkeypatch, levels):
+    # The jet reads f's numerator only up to x^N, not x^(N+1).
+    functional = AdjointJet._functional
+
+    def cut(self, k, s):
+        value, slope, den = functional(self, k, s)
+        return value[:-1], slope[:-1], den
+
+    monkeypatch.setattr(AdjointJet, "_functional", cut)
+
+
+def _verdict_forced_true(monkeypatch, levels):
+    _partner(0)(monkeypatch, levels)
+    intertwines = susy._intertwines
+    top = _MODEL.energy(len(levels))
+    monkeypatch.setattr(susy, "_intertwines",
+                        lambda h, state: state.energy == top or intertwines(h, state))
+
+
+def _premise_cut(monkeypatch, levels):
+    _partner(0)(monkeypatch, levels)
+    proved = transform.intertwining_proved
+
+    def cut(tr, verdicts):
+        return proved(tr, {**verdicts, tr.order: True})  # reads levels 0 .. N-1
+
+    for module in (cli, susy, transform):
+        monkeypatch.setattr(module, "intertwining_proved", cut)
+
+
+@dataclass(frozen=True)
+class Row:
+    fault: str
+    inject: object
+    fails: tuple[str, ...]  # checks marked "fail", or the standing assertion that fires
+    route: str | None
+    selections: tuple = ((1, 2), (1, 2, 5, 6))
+    hides: str | None = None  # a check the unmutated proof fails and this mutant passes
+
+
+_EDGE = ((0, 1), (0, 1, 2, 3))
+_ROWS = [
+    # A wrong L is caught before any check: the bordered-Wronskian route,
+    # which never reads L, disagrees with it on the first image.
+    Row("L coefficient", _l_coefficient, ("bordered-Wronskian and operator routes disagree",),
+        None),
+    Row("L+ jet", _adjoint_jet, ("superalgebra_anticommutator",), "jet"),
+    Row("hN d^0", _partner(0), ("L_L_dagger_factorization", "eigen_residuals"), "full",
+        ((1, 2), (1, 2, 5, 6), *_EDGE)),
+    Row("hN d^1", _partner(1), ("L_L_dagger_factorization",), "full"),
+    Row("image, level <= N", _image(False), ("eigen_residuals",), "full"),
+    Row("image, level > N", _image(True), ("superalgebra_anticommutator",), "jet"),
+    Row("kernel function v_k", _kernel_function, ("adjoint_kernel",), "jet"),
+    Row("jet cut to order N", _jet_cut, ("superalgebra_anticommutator",), "jet"),
+    Row("intertwining verdict forced true at level N", _verdict_forced_true,
+        ("adjoint_kernel",), "jet", _EDGE, hides="eigen_residuals"),
+    Row("premise range cut to 0 .. N-1", _premise_cut, ("eigen_residuals",), "jet", _EDGE,
+        hides="L_L_dagger_factorization"),
+]
+_CASES = [(row, levels) for row in _ROWS for levels in row.selections]
+
+
+@pytest.mark.parametrize("row, levels", _CASES,
+                         ids=[f"{row.fault}-{','.join(map(str, lv))}" for row, lv in _CASES])
+def test_fault_fails_its_check(row, levels, monkeypatch, capsys):
+    applied = []
+    apply = susy.supercharge_apply
+    monkeypatch.setattr(susy, "supercharge_apply",
+                        lambda side, tr, state: applied.append(side) or apply(side, tr, state))
+    row.inject(monkeypatch, levels)
+    argv = ["verify", "--levels", ",".join(map(str, levels)), "--nmax", "8", "--points", "601"]
+    if row.route is None:
+        with pytest.raises(AssertionError, match=row.fails[0]):
+            main(argv)
+        return
+    assert main(argv) == 1
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert all(status[name] == "fail" for name in row.fails)
+    assert ("full" if applied else "jet") == row.route
+    if row.hides:
+        assert status[row.hides] == "pass"

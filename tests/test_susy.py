@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from darboux.gaussian import GaussFun
+from darboux.gaussian import DiffOp, GaussFun
+from darboux.polynomial import Poly
 from darboux.susy import (
     Doublet,
     anticommutator_check,
@@ -10,7 +11,7 @@ from darboux.susy import (
     eigen_doublet,
     supercharge_apply,
 )
-from darboux.transform import build_transform
+from darboux.transform import TransformResult, build_transform
 
 
 def doublets(model, tr, levels):
@@ -110,6 +111,9 @@ class TestAnticommutator:
             assert acomm == Doublet(state.upper * factor, state.lower * factor, state.energy)
 
     def test_one_supercharge_application_per_level(self, model, tr12, monkeypatch):
+        # Levels 0 .. N prove L h0 = hN L, and every L+ identity then follows
+        # from a 1-jet: no Q+.  Without level N the premise is not covered,
+        # and each level takes one Q+.
         sides = []
 
         def counted(side, tr, state):
@@ -118,12 +122,30 @@ class TestAnticommutator:
 
         monkeypatch.setattr("darboux.susy.supercharge_apply", counted)
         assert anticommutator_check(tr12, doublets(model, tr12, range(4))).ok
+        assert sides == []
+        assert anticommutator_check(tr12, doublets(model, tr12, [0, 1, 3, 4])).ok
         assert sides == ["Q+"] * 4
 
-    def test_wrong_adjoint_fails_every_doublet(self, model):
+    _WRONG_BY_TWO = {0: False, 1: True, 2: True, 3: False, 4: False}
+
+    def test_wrong_adjoint_fails_every_doublet(self, model, monkeypatch):
+        # 2 L+ in place of L+: every doublet fails but the singlets, where
+        # L phi = 0 and P(E) = 0.  On the full route the fault is in the
+        # built L+; the premise is broken by x/7 added to hN.
         tr = build_transform(model, (1, 2))
         tr.__dict__["adjoint"] = tr.operator.adjoint() * 2
+        partner = TransformResult.hamiltonian_partner
+        monkeypatch.setattr(TransformResult, "hamiltonian_partner",
+                            lambda tr: partner(tr) + DiffOp((Poly((0, Fraction(1, 7))),)))
         report = anticommutator_check(tr, doublets(model, tr, range(5)))
-        assert {c.level: c.anticommutator_ok for c in report.checks} == {
-            0: False, 1: True, 2: True, 3: False, 4: False,
-        }
+        assert not any(c.intertwining_ok for c in report.checks if c.factor)
+        assert {c.level: c.anticommutator_ok for c in report.checks} == self._WRONG_BY_TWO
+
+    def test_wrong_jet_fails_every_doublet(self, model):
+        # The same fault on the jet route: the 1-jet of 2 L+ f.
+        tr = build_transform(model, (1, 2))
+        jet = tr.adjoint_jet
+        tr.__dict__["adjoint_jet"] = lambda f: tuple(2 * c for c in jet(f))
+        report = anticommutator_check(tr, doublets(model, tr, range(5)))
+        assert all(c.intertwining_ok for c in report.checks)
+        assert {c.level: c.anticommutator_ok for c in report.checks} == self._WRONG_BY_TWO

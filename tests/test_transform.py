@@ -472,6 +472,65 @@ class TestKernelSolve:
         capsys.readouterr()
 
 
+# Admissible selections up to order 6: _ADMISSIBLE and four of orders 5 and 6.
+_JET_SELECTIONS = _ADMISSIBLE + [
+    (0, 1, 2, 3, 4), (0, 2, 3, 5, 6), (1, 2, 3, 4, 5, 6), (0, 1, 4, 5, 8, 9),
+]
+_X = sympy.Symbol("x")
+
+
+def _sympy_rational(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _jet_by_sympy(f: GaussFun) -> tuple[sympy.Rational, sympy.Rational]:
+    """(f(0), f'(0)) with f = (num/den) exp(s x^2/4) from its canonical
+    numerator and denominator, as sympy polynomials and the product rule."""
+    if f.is_zero:
+        return sympy.Integer(0), sympy.Integer(0)
+    num, den = (sympy.Poly([_sympy_rational(c) for c in reversed(p.coeffs)], _X)
+                for p in (f.r.num, f.r.den))
+    gauss = sympy.exp(_sympy_rational(f.s) * _X**2 / 4)
+    g0, g1 = gauss.subs(_X, 0), sympy.diff(gauss, _X).subs(_X, 0)
+    r0 = num.eval(0) / den.eval(0)
+    r1 = (num.diff(_X).eval(0) * den.eval(0) - num.eval(0) * den.diff(_X).eval(0)) / den.eval(0) ** 2
+    return r0 * g0, r1 * g0 + r0 * g1
+
+
+class TestAdjointJet:
+    """The 1-jet at 0 of L+ f, read off L's coefficients, against the built
+    L+ applied in full and evaluated at 0 by sympy."""
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(st.sampled_from(_JET_SELECTIONS), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+           st.integers(0, 3), st.sampled_from([-1, 1]))
+    @example((0, 1, 4, 5, 8, 9), list(range(-6, 6)), 3, 1)
+    @example((0, 2, 3, 5, 6), [1], 0, -1)
+    def test_equals_the_full_adjoint_at_zero(self, levels, nums, k, s):
+        tr = _transform(levels)
+        f = GaussFun(tr.base.over(Poly(nums), k), s)
+        assert tuple(map(_sympy_rational, tr.adjoint_jet(f))) == _jet_by_sympy(tr.adjoint(f))
+
+    @settings(deadline=None, max_examples=10, derandomize=True)
+    @given(st.sampled_from(_JET_SELECTIONS))
+    @example((0, 1, 4, 5, 8, 9))
+    def test_verdicts_equal_the_full_route(self, levels):
+        # Per level, L+ L phi_n = c phi_n for the right factor c = P(E_n) and
+        # a wrong one; per kernel function, L+ v_k = 0.
+        model = OscillatorModel()
+        tr = _transform(levels)
+        for n in range(2 * tr.order + 2):
+            state = eigen_doublet(model, tr, n)
+            upper = tr.base.lift(state.upper.r)
+            right = tr.selection.factor(state.energy)
+            for c in (right, right + 1):
+                by_jet = tr.adjoint_jet(state.lower) == (c * upper.p[0], c * upper.p[1])
+                by_full = tr.adjoint(state.lower) == GaussFun(upper * c, state.upper.s)
+                assert by_jet == by_full == (c == right)
+        for v in kernel_functions(tr):
+            assert tr.adjoint_jet(v) == (0, 0) and tr.adjoint(v).is_zero
+
+
 class TestFactorization:
     def test_excited_pair(self, tr12):
         report = factorization_identity_check(tr12)
