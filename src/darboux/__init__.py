@@ -34,6 +34,7 @@ from .susy import (
     anticommutator_check,
     classify,
     eigen_doublet,
+    factorization_check,
     supercharge_apply,
 )
 from .transform import (
@@ -84,6 +85,7 @@ __all__ = [
     "anticommutator_check",
     "classify",
     "eigen_doublet",
+    "factorization_check",
     "supercharge_apply",
     "DegenerateTransformation",
     "InadmissibleSelection",

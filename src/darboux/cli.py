@@ -34,16 +34,19 @@ from .spectral import (
     sample,
     verify_spectrum,
 )
-from .susy import anticommutator_check, classify, eigen_doublet
+from .susy import (
+    adjoint_kernel_failures,
+    anticommutator_check,
+    classify,
+    eigen_doublet,
+    factorization_check,
+)
 from .transform import (
     InadmissibleSelection,
     LevelSelection,
     TransformResult,
     build_transform,
     crum_krein_apply,
-    factorization_identity_check,
-    intertwining_proved,
-    kernel_functions,
 )
 
 EXIT_OK = 0
@@ -409,7 +412,6 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     levels = tr.selection.levels
     n_max = cfg.nmax
     skipped = "skipped (not a juxtaposed pair)"
-    h_partner = tr.hamiltonian_partner()
     results: list[dict] = []
 
     def record(name: str, ok: bool, detail: str, failure: str | None = None) -> None:
@@ -418,15 +420,15 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
 
     # Each image L phi_n is built once: the kernel check reads the selected
     # levels, the partner-side checks read the survivors.  The anticommutator
-    # check forms every (hN - E_n) L phi_n once, up to 2N - 1 at least: the
-    # factorisation check proves both identities from those levels, and
-    # levels above nmax are checked but not reported.
+    # check takes the hN residual on levels 0 .. N; the factorisation proof
+    # reads its verdicts on levels 0 .. 2N - 1, so those are built even above
+    # nmax, where they are checked but not reported.
     top = max(n_max, 2 * tr.order - 1)
     doublets = {n: eigen_doublet(model, tr, n) for n in sorted({*range(top + 1), *levels})}
     acomm = anticommutator_check(tr, doublets)
     by_level = {c.level: c for c in acomm.checks}
 
-    factorization = factorization_identity_check(tr, acomm.checks)
+    factorization = factorization_check(tr, acomm)
     record("L_dagger_L_factorization", factorization.base_ok, "exact-zero residual",
            f"residual {factorization.residual_base!r}")
     record("L_L_dagger_factorization", factorization.partner_ok, "exact-zero residual",
@@ -435,20 +437,7 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
     bad = [k for k in levels if not doublets[k].lower.is_zero]
     record("kernel_annihilation", not bad, "L u_i = 0 for all selected levels", f"nonzero at {bad}")
 
-    # With T = L h0 - hN L = 0 and (hN - alpha_k) v_k = 0, L+ v_k solves
-    # h0 y = alpha_k y, so its 1-jet at 0 decides it (``anticommutator_check``).
-    t_zero = intertwining_proved(tr, {n: c.intertwining_ok for n, c in by_level.items()})
-    bad = []
-    for k, alpha, v in zip(levels, tr.selection.alphas, kernel_functions(tr)):
-        eigen_ok = (h_partner(v) - v * alpha).is_zero
-        if t_zero and eigen_ok:
-            adjoint_ok = tr.adjoint_jet(v) == (0, 0)
-        else:
-            adjoint_ok = tr.adjoint(v).is_zero
-        if not adjoint_ok:
-            bad.append(("adjoint", k))
-        if not eigen_ok:
-            bad.append(("eigen", k))
+    bad = adjoint_kernel_failures(tr, acomm)
     record("adjoint_kernel", not bad, "L+ v_k = 0 and (hN - alpha_k) v_k = 0", f"failures: {bad}")
 
     # eigen_residuals reads the intertwining residuals for the survivors.

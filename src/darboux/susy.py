@@ -20,7 +20,14 @@ from fractions import Fraction
 from typing import Literal, Mapping
 
 from .gaussian import DiffOp, GaussFun
-from .transform import SolvableModel, TransformResult, crum_krein_apply, intertwining_proved
+from .transform import (
+    FactorizationReport,
+    SolvableModel,
+    TransformResult,
+    crum_krein_apply,
+    factorization_identity_check,
+    kernel_functions,
+)
 
 Tag = Literal["singlet", "doublet"]
 
@@ -114,10 +121,43 @@ class AnticommutatorCheck:
 @dataclass(frozen=True)
 class AnticommutatorReport:
     checks: tuple[AnticommutatorCheck, ...]
+    t_zero: bool  # T = L h0 - hN L = 0, decided once (``intertwining_proved``)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+
+def intertwining_proved(tr: TransformResult, h: DiffOp, verdicts: Mapping[int, bool]) -> bool:
+    """Whether exact residuals formed with h = hN prove T = L h0 - hN L = 0.
+
+    ``verdicts`` maps a level n to whether (hN - E_n) L phi_n = 0 holds
+    exactly, with h0 phi_n = E_n phi_n, so T phi_n = -(hN - E_n) L phi_n.
+    L is monic of order N (asserted) and hN = -d^2 + V_N (checked), so the
+    d^(N+2) and d^(N+1) terms of T cancel and T has order at most N.  A
+    nonzero operator of order m kills at most m independent functions on an
+    interval free of its coefficients' poles and its top coefficient's
+    zeros; W has no real zero and the phi_n are independent.  So T = 0 once
+    levels 0 .. N all hold.
+    """
+    n = tr.order
+    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
+    return (
+        h.order() == 2
+        and h.coeffs[2] == -1
+        and h.coeffs[1].is_zero
+        and all(verdicts.get(k, False) for k in range(n + 1))
+    )
+
+
+def _adjoint_sends(tr: TransformResult, f: GaussFun, g: GaussFun, by_jet: bool) -> bool:
+    """L+ f = g exactly, for g = p exp(s x^2/4), p a polynomial.  With ``by_jet``,
+    L+ f - g solves h0 y = E y (``anticommutator_check``), so 1-jets at 0 decide
+    it: L+ f's read off L, g's (p(0), p'(0)).  Otherwise L+ is applied."""
+    if by_jet:
+        p = tr.base.lift(g.r).p
+        return tr.adjoint_jet(f) == (p[0], p[1])
+    return tr.adjoint(f) == g
 
 
 def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -> AnticommutatorReport:
@@ -131,8 +171,8 @@ def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -
     Q commutes with the super-Hamiltonian.
 
     The levels 0 .. N take that hN residual first.  When they all hold,
-    T = L h0 - hN L = 0 (``intertwining_proved``), and every L+ identity
-    follows from its 1-jet at x = 0 (``TransformResult.adjoint_jet``):
+    T = L h0 - hN L = 0 (``intertwining_proved``, kept as ``t_zero``), and
+    every L+ identity follows from its 1-jet at x = 0 (``_adjoint_sends``):
 
     * Formal adjoints reverse products and h0, hN are formally
       self-adjoint, so T = 0 gives h0 L+ = L+ hN.
@@ -146,33 +186,56 @@ def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -
     * T = 0 also gives (hN - E_n) L phi_n = L (h0 - E_n) phi_n = 0 for
       every n > N: those levels take no hN application.
 
-    ``factorization_identity_check``'s proof of L+ L = P(h0) then reads
-    verdicts that rest on T = 0 alone, so the argument is not circular.
     When a level 0 .. N is missing or fails, every level takes the full
-    route instead: one Q+ application (``tr.adjoint``) and one hN residual.
+    route instead: one L+ application and one hN residual.
     """
     h_partner = tr.hamiltonian_partner()
-    residuals = {
-        n: _intertwines(h_partner, state) for n, state in doublets.items() if n <= tr.order
-    }
-    t_zero = intertwining_proved(tr, residuals)
+    residuals = {n: _intertwines(h_partner, s) for n, s in doublets.items() if n <= tr.order}
+    t_zero = intertwining_proved(tr, h_partner, residuals)
     checks = []
     for n, state in doublets.items():
         factor = tr.selection.factor(state.energy)
-        # The two sides meet in W-form: phi is lifted to the transform's base,
-        # a polynomial p over W^0 there, whose 1-jet at 0 is (p(0), p'(0)).
-        upper = tr.base.lift(state.upper.r)
-        if t_zero:
-            acomm_ok = tr.adjoint_jet(state.lower) == (factor * upper.p[0], factor * upper.p[1])
-            intertwining_ok = residuals.get(n, True)  # above level N, T = 0 proves it
-        else:
-            back = supercharge_apply("Q+", tr, state)
-            acomm_ok = back.upper == GaussFun(upper * factor, state.upper.s)
-            intertwining_ok = residuals[n] if n in residuals else _intertwines(h_partner, state)
+        # The two sides meet in W-form: phi is lifted to the transform's base.
+        target = GaussFun(tr.base.lift(state.upper.r) * factor, state.upper.s)
+        acomm_ok = _adjoint_sends(tr, state.lower, target, t_zero)
+        # Above level N, T = 0 proves the residual.
+        intertwining_ok = residuals[n] if n in residuals else (
+            t_zero or _intertwines(h_partner, state))
         checks.append(AnticommutatorCheck(n, factor, acomm_ok, intertwining_ok))
-    return AnticommutatorReport(tuple(checks))
+    return AnticommutatorReport(tuple(checks), t_zero)
 
 
 def _intertwines(h_partner: DiffOp, state: Doublet) -> bool:
     """(hN - E) L phi = 0 exactly, for the doublet (phi, L phi) at energy E."""
     return (h_partner(state.lower) - state.lower * state.energy).is_zero
+
+
+def factorization_check(tr: TransformResult, report: AnticommutatorReport) -> FactorizationReport:
+    """L+ L = P(h0) and L L+ = P(hN), P(h) = prod (h - alpha_i): proved when
+    ``report`` has T = 0 and levels 0 .. 2N-1 pass, else expanded.
+
+    Those verdicts then came from the jet route, on T = 0 alone.  L is monic
+    of order N, so R = L+ L - P(h0) has order at most 2N - 1 and vanishes
+    once it kills phi_0 .. phi_(2N-1) (the bound in ``intertwining_proved``);
+    R = 0 and T = 0 give L L+ = P(hN) (``factorization_identity_check``).
+    """
+    passed = {c.level for c in report.checks if c.anticommutator_ok}
+    if report.t_zero and passed.issuperset(range(2 * tr.order)):
+        return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
+    return factorization_identity_check(tr)
+
+
+def adjoint_kernel_failures(tr: TransformResult,
+                            report: AnticommutatorReport) -> list[tuple[str, int]]:
+    """Each selected level k whose kernel function v_k fails L+ v_k = 0
+    ("adjoint") or (hN - alpha_k) v_k = 0 ("eigen").  The jet decides the
+    first when T = 0 and the second holds (``anticommutator_check``)."""
+    h_partner = tr.hamiltonian_partner()
+    bad = []
+    for k, alpha, v in zip(tr.selection.levels, tr.selection.alphas, kernel_functions(tr)):
+        eigen_ok = (h_partner(v) - v * alpha).is_zero
+        if not _adjoint_sends(tr, v, GaussFun.zero(), report.t_zero and eigen_ok):
+            bad.append(("adjoint", k))
+        if not eigen_ok:
+            bad.append(("eigen", k))
+    return bad

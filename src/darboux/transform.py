@@ -16,10 +16,10 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
 * the kernel functions of the adjoint operator, by the same solve on the
   Wronskian matrix, and
 * exact checks of the factorisation identities
-  L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i),
-  proved from exact per-level checks by an order bound where those cover
-  it, else the first expanded and the second derived from it and
-  L h0 = hN L.
+  L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i) by
+  expansion: the first expanded and the second derived from it and
+  L h0 = hN L.  ``susy`` owns their proof from exact per-level checks,
+  which runs this expansion only where that proof does not apply.
 
 Each coefficient of L, L+ and hN lies over a power of the Wronskian's
 polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
@@ -40,13 +40,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .gaussian import AdjointJet, BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
 from .polynomial import Poly, RatFun, WBase, WFun, cramer_numerators
-
-if TYPE_CHECKING:
-    from .susy import AnticommutatorCheck
 
 
 class InadmissibleSelection(ValueError):
@@ -349,61 +346,10 @@ def _hamiltonian_product(h: DiffOp, alphas: Sequence[Fraction]) -> DiffOp:
     return product
 
 
-def intertwining_proved(tr: TransformResult, verdicts: Mapping[int, bool]) -> bool:
-    """Whether exact intertwining results prove T = L h0 - hN L = 0.
-
-    ``verdicts`` maps a level n to whether (hN - E_n) L phi_n = 0 holds
-    exactly, with h0 phi_n = E_n phi_n, so T phi_n = -(hN - E_n) L phi_n.
-    L is monic of order N (asserted) and hN = -d^2 + V_N (checked), so the
-    d^(N+2) and d^(N+1) terms of T cancel and T has order at most N.  A
-    nonzero operator of order m kills at most m independent functions on an
-    interval free of its coefficients' poles and its top coefficient's
-    zeros; W has no real zero and the phi_n are independent.  So T = 0 once
-    levels 0 .. N all hold.
-    """
-    n = tr.order
-    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
-    h = tr.hamiltonian_partner()
-    return (
-        h.order() == 2
-        and h.coeffs[2] == -1
-        and h.coeffs[1].is_zero
-        and all(verdicts.get(k, False) for k in range(n + 1))
-    )
-
-
-def _proved_by_levels(tr: TransformResult, checks: Iterable[AnticommutatorCheck]) -> bool:
-    """Whether the per-level results cover the premise of the order-bound
-    proof in ``factorization_identity_check`` and all hold."""
-    by_level = {c.level: c for c in checks}
-    return all(
-        k in by_level and by_level[k].anticommutator_ok for k in range(2 * tr.order)
-    ) and intertwining_proved(tr, {k: c.intertwining_ok for k, c in by_level.items()})
-
-
-def factorization_identity_check(
-    tr: TransformResult, checks: Iterable[AnticommutatorCheck] = ()
-) -> FactorizationReport:
-    """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i).
-
-    ``checks`` are per-level results of ``anticommutator_check`` on the
-    model's eigenfunctions phi_n, exact with h0 phi_n = E_n phi_n.  When
-    they cover levels 0 .. 2N-1 and all hold, both identities are proved
-    from them and nothing is expanded.  The proof rests on order bounds:
-
-    * T = L h0 - hN L = 0 once (hN - E_n) L phi_n = 0 for n = 0 .. N
-      (``intertwining_ok``, read by ``intertwining_proved``).  Exactly then
-      ``anticommutator_check`` took its jet route, so the verdicts read
-      below rest on T = 0 alone and are on the formal adjoint
-      sum_j (-d)^j a_j of L, whose top coefficient is (-1)^N by
-      construction: ``tr.adjoint`` is not read.
-    * L is monic of order N, so R = L+ L - P(h0), with P(h) =
-      prod (h - alpha_i), has order at most 2N - 1, and R = 0 once
-      L+ L phi_n = P(E_n) phi_n for n = 0 .. 2N-1 (``anticommutator_ok``),
-      by the kernel bound that ``intertwining_proved`` states.
-
-    Otherwise, or without ``checks``, the base identity is expanded to a
-    residual in normal form.  The partner identity is derived (Crum 1955):
+def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
+    """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i) by
+    expansion: the base identity is expanded to a residual in normal form.
+    The partner identity is derived (Crum 1955):
 
         (L L+ - P(hN)) L = L (L+ L - P(h0)) + (L P(h0) - P(hN) L),
 
@@ -414,8 +360,6 @@ def factorization_identity_check(
     residual.  The report carries residuals (zero operators on success)
     rather than raising.  Every operator is in W-form.
     """
-    if _proved_by_levels(tr, checks):
-        return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
     op = tr.operator
     alphas = tr.selection.alphas
     v0 = tr.base.lift(tr.base_potential)

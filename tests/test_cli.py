@@ -196,9 +196,11 @@ class TestVerifyCommand:
         assert "--nmax -1 is below 0" in capsys.readouterr().err
 
     def test_each_exact_object_built_once(self, monkeypatch, capsys):
-        # Each image L phi_n has one owner, its eigen-doublet: 9 doublets,
-        # and the anticommutator check applies no Q.  A passing run proves
-        # every L+ identity from 1-jets read off L, so it builds L+ 0 times.
+        # Each image L phi_n has one owner, its eigen-doublet, and the
+        # anticommutator check applies no Q.  The premise T = 0 is decided
+        # once per run, and every proof reads that one verdict.  A passing
+        # run proves every L+ identity from 1-jets read off L, so it builds
+        # L+ 0 times; a corrupted hN fails the premise, and L+ is built once.
         calls = Counter()
 
         def counted(name, fn):
@@ -211,9 +213,21 @@ class TestVerifyCommand:
         apply = counted("apply", crum_krein_apply)
         for module in (cli, susy):
             monkeypatch.setattr(module, "crum_krein_apply", apply)
-        assert run("verify", "--levels", "1,2", "--nmax", "8") == 0
-        capsys.readouterr()
-        assert calls == {"apply": 9}
+        premise = susy.intertwining_proved
+        for name, module in list(sys.modules.items()):
+            if name.startswith("darboux") and getattr(module, "intertwining_proved", None) is premise:
+                monkeypatch.setattr(module, "intertwining_proved", counted("premise", premise))
+        for command, want in [
+            ("verify --levels 1,2 --nmax 8", {"apply": 9, "premise": 1}),
+            ("verify --levels 1,2 --nmax 4 --points 601 --corrupt-vn 1e-3",
+             {"apply": 5, "adjoint": 1, "premise": 1}),
+            ("verify --levels 1,2,5,6 --nmax 8 --corrupt-vn 1/7",
+             {"apply": 9, "adjoint": 1, "premise": 1}),
+        ]:
+            calls.clear()
+            assert run(*command.split()) == ("--corrupt-vn" in command)
+            capsys.readouterr()
+            assert calls == want, command
 
     def test_closed_forms_built_once(self, monkeypatch, capsys):
         # A juxtaposed pair sums P_k once and builds each of its 7 survivors'
@@ -276,13 +290,13 @@ class TestVerifyCommand:
             monkeypatch.setattr(susy, "_intertwines",
                                 lambda h, state: state.energy != top and intertwines(h, state))
         else:
-            kernel = cli.kernel_functions
+            kernel = susy.kernel_functions
 
             def wrong_kernel(tr):
                 v = kernel(tr)
                 return [v[0] + GaussFun(Poly((0, Fraction(1, 7))), v[0].s), *v[1:]]
 
-            monkeypatch.setattr(cli, "kernel_functions", wrong_kernel)
+            monkeypatch.setattr(susy, "kernel_functions", wrong_kernel)
         built = []
         adjoint, apply = DiffOp.adjoint, DiffOp.__call__
         applied = Counter()

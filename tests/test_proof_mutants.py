@@ -2,8 +2,9 @@
 
 Each row injects one exact fault, by a monkeypatch, and runs ``verify`` on an
 order-2 and an order-4 selection.  It names the check that must fail (exit
-1) and the route the anticommutator check ran: "jet" when every L+ identity
-came from a 1-jet at 0, "full" when L+ was applied.
+1) and the route the anticommutator check ran, read from its report's T = 0
+record: "jet" when every L+ identity came from a 1-jet at 0, "full" when L+
+was applied.
 
 Two rows mutate the proof's premise, with x/7 added to hN, on the selections
 0 .. N-1, where level N is the only level 0 .. N that L does not annihilate,
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from darboux import cli, susy, transform
+from darboux import cli, susy
 from darboux.cli import main
 from darboux.gaussian import AdjointJet, DiffOp, GaussFun
 from darboux.oscillator import OscillatorModel
@@ -86,13 +87,13 @@ def _image(above_n: bool):
 
 
 def _kernel_function(monkeypatch, levels):
-    kernel = cli.kernel_functions
+    kernel = susy.kernel_functions
 
     def wrong(tr):
         v = kernel(tr)
         return [v[0] + GaussFun(tr.base.lift(_X7), v[0].s), *v[1:]]
 
-    monkeypatch.setattr(cli, "kernel_functions", wrong)
+    monkeypatch.setattr(susy, "kernel_functions", wrong)
 
 
 def _jet_cut(monkeypatch, levels):
@@ -116,13 +117,12 @@ def _verdict_forced_true(monkeypatch, levels):
 
 def _premise_cut(monkeypatch, levels):
     _partner(0)(monkeypatch, levels)
-    proved = transform.intertwining_proved
+    proved = susy.intertwining_proved
 
-    def cut(tr, verdicts):
-        return proved(tr, {**verdicts, tr.order: True})  # reads levels 0 .. N-1
+    def cut(tr, h, verdicts):
+        return proved(tr, h, {**verdicts, tr.order: True})  # reads levels 0 .. N-1
 
-    for module in (cli, susy, transform):
-        monkeypatch.setattr(module, "intertwining_proved", cut)
+    monkeypatch.setattr(susy, "intertwining_proved", cut)
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,10 @@ _CASES = [(row, levels) for row in _ROWS for levels in row.selections]
 @pytest.mark.parametrize("row, levels", _CASES,
                          ids=[f"{row.fault}-{','.join(map(str, lv))}" for row, lv in _CASES])
 def test_fault_fails_its_check(row, levels, monkeypatch, capsys):
-    applied = []
-    apply = susy.supercharge_apply
-    monkeypatch.setattr(susy, "supercharge_apply",
-                        lambda side, tr, state: applied.append(side) or apply(side, tr, state))
+    reports = []
+    check = cli.anticommutator_check
+    monkeypatch.setattr(cli, "anticommutator_check",
+                        lambda tr, doublets: reports.append(check(tr, doublets)) or reports[-1])
     row.inject(monkeypatch, levels)
     argv = ["verify", "--levels", ",".join(map(str, levels)), "--nmax", "8", "--points", "601"]
     if row.route is None:
@@ -173,6 +173,6 @@ def test_fault_fails_its_check(row, levels, monkeypatch, capsys):
     assert main(argv) == 1
     status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert all(status[name] == "fail" for name in row.fails)
-    assert ("full" if applied else "jet") == row.route
+    assert [("jet" if report.t_zero else "full") for report in reports] == [row.route]
     if row.hides:
         assert status[row.hides] == "pass"

@@ -1,21 +1,43 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from darboux import susy
 from darboux.gaussian import DiffOp, GaussFun
+from darboux.oscillator import OscillatorModel
 from darboux.polynomial import Poly
 from darboux.susy import (
     Doublet,
     anticommutator_check,
     classify,
     eigen_doublet,
+    factorization_check,
     supercharge_apply,
 )
-from darboux.transform import TransformResult, build_transform
+from darboux.transform import (
+    TransformResult,
+    build_transform,
+    factorization_identity_check,
+    krein_admissible,
+)
 
 
 def doublets(model, tr, levels):
     return {n: eigen_doublet(model, tr, n) for n in levels}
+
+
+# Every Krein-admissible selection of order <= 4 with levels up to 7.
+_ADMISSIBLE = [
+    sel
+    for order in range(1, 5)
+    for sel in combinations(range(8), order)
+    if krein_admissible(sel)
+]
 
 
 class TestClassify:
@@ -113,18 +135,15 @@ class TestAnticommutator:
     def test_one_supercharge_application_per_level(self, model, tr12, monkeypatch):
         # Levels 0 .. N prove L h0 = hN L, and every L+ identity then follows
         # from a 1-jet: no Q+.  Without level N the premise is not covered,
-        # and each level takes one Q+.
-        sides = []
-
-        def counted(side, tr, state):
-            sides.append(side)
-            return supercharge_apply(side, tr, state)
-
-        monkeypatch.setattr("darboux.susy.supercharge_apply", counted)
-        assert anticommutator_check(tr12, doublets(model, tr12, range(4))).ok
-        assert sides == []
-        assert anticommutator_check(tr12, doublets(model, tr12, [0, 1, 3, 4])).ok
-        assert sides == ["Q+"] * 4
+        # and each level takes one Q+, an application of the built L+.
+        adjoint, apply = tr12.adjoint, DiffOp.__call__
+        applied = []
+        monkeypatch.setattr(DiffOp, "__call__",
+                            lambda op, f: applied.append(op is adjoint) or apply(op, f))
+        report = anticommutator_check(tr12, doublets(model, tr12, range(4)))
+        assert report.ok and report.t_zero and sum(applied) == 0
+        report = anticommutator_check(tr12, doublets(model, tr12, [0, 1, 3, 4]))
+        assert report.ok and not report.t_zero and sum(applied) == 4
 
     _WRONG_BY_TWO = {0: False, 1: True, 2: True, 3: False, 4: False}
 
@@ -149,3 +168,65 @@ class TestAnticommutator:
         report = anticommutator_check(tr, doublets(model, tr, range(5)))
         assert all(c.intertwining_ok for c in report.checks)
         assert {c.level: c.anticommutator_ok for c in report.checks} == self._WRONG_BY_TWO
+
+
+def _composes(check, *args):
+    """What ``check(*args)`` returns and the number of DiffOp.compose calls it took."""
+    calls = []
+    compose = DiffOp.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    with patch.object(DiffOp, "compose", counted):
+        result = check(*args)
+    return result, len(calls)
+
+
+class TestFactorizationProof:
+    """L+ L = P(h0) and L L+ = P(hN) proved from per-level results, expanding
+    nothing, and expanded when a premise of that proof is unmet."""
+
+    @settings(deadline=None, max_examples=12, derandomize=True)
+    @given(st.sampled_from(_ADMISSIBLE))
+    def test_agrees_with_full_expansion(self, levels):
+        model = OscillatorModel()
+        tr = build_transform(model, levels)
+        expanded = factorization_identity_check(tr)
+        report = anticommutator_check(tr, doublets(model, tr, range(2 * tr.order)))
+        proved, calls = _composes(factorization_check, tr, report)
+        assert report.t_zero and expanded.ok
+        assert (proved.residual_base, proved.residual_partner, calls) == (
+            expanded.residual_base, expanded.residual_partner, 0)
+
+    def test_partner_side_is_not_expanded_on_success(self, model, tr12):
+        report = anticommutator_check(tr12, doublets(model, tr12, range(4)))
+        proved, calls = _composes(factorization_check, tr12, report)
+        assert proved.ok and calls == 0
+
+    @pytest.mark.parametrize("fixture", ["tr12", "tr01"])
+    @pytest.mark.parametrize("edge", ["anticommutator missing at 2N-1",
+                                      "anticommutator false at 2N-1",
+                                      "intertwining false at N"])
+    def test_unmet_premise_expands(self, fixture, edge, model, request, monkeypatch):
+        # R = L+ L - P(h0) has order 2N - 1, so 2N - 1 levels prove
+        # nothing; T = L h0 - hN L has order N, so N levels prove nothing.
+        # A proof that reads one level fewer, or not the report's T = 0,
+        # returns a zero residual here without expanding: the expansion is
+        # L+ L, two factors of P(h0) and the two sides of L h0 = hN L.
+        tr = request.getfixturevalue(fixture)
+        n = tr.order
+        levels = range(2 * n - 1) if edge == "anticommutator missing at 2N-1" else range(2 * n)
+        if edge == "intertwining false at N":
+            intertwines = susy._intertwines
+            monkeypatch.setattr(susy, "_intertwines", lambda h, state: (
+                state.energy != model.energy(n) and intertwines(h, state)))
+        report = anticommutator_check(tr, doublets(model, tr, levels))
+        if edge == "anticommutator false at 2N-1":
+            report = replace(report, checks=tuple(
+                replace(c, anticommutator_ok=False) if c.level == 2 * n - 1 else c
+                for c in report.checks))
+        assert report.t_zero == (edge != "intertwining false at N")
+        proved, calls = _composes(factorization_check, tr, report)
+        assert proved.ok and calls == 5

@@ -24,7 +24,7 @@ from darboux.gaussian import (
     wronskian,
 )
 from darboux.oscillator import OscillatorModel
-from darboux.susy import anticommutator_check, eigen_doublet
+from darboux.susy import eigen_doublet
 from darboux.polynomial import (
     Poly,
     RatFun,
@@ -586,16 +586,8 @@ def _expanded_residuals(tr):
     )
 
 
-def _level_checks(tr):
-    """Per-level anticommutator results on the 2N levels 0 .. 2N-1 that the
-    factorisation proof needs."""
-    model = OscillatorModel()
-    doublets = {n: eigen_doublet(model, tr, n) for n in range(2 * tr.order)}
-    return anticommutator_check(tr, doublets).checks
-
-
-def _composes(tr, checks=()):
-    """The report and the number of DiffOp.compose calls it took."""
+def _composes(tr):
+    """The expanded report and the number of DiffOp.compose calls it took."""
     calls = []
     compose = DiffOp.compose
 
@@ -604,7 +596,7 @@ def _composes(tr, checks=()):
         return compose(self, other)
 
     with patch.object(DiffOp, "compose", counted):
-        report = factorization_identity_check(tr, checks)
+        report = factorization_identity_check(tr)
     return report, len(calls)
 
 
@@ -612,17 +604,15 @@ class TestDerivedPartnerIdentity:
     @settings(deadline=None, max_examples=12, derandomize=True)
     @given(st.sampled_from(_ADMISSIBLE))
     def test_agrees_with_full_expansion(self, levels):
-        # The same residuals three ways: expanded in W-form, expanded over
-        # RatFun coefficients, and proved from 2N per-level checks with no
-        # expansion at all.
+        # The same residuals two ways: expanded in W-form and expanded over
+        # RatFun coefficients.  ``susy.factorization_check`` proves them from
+        # per-level checks (tests/test_susy.py).
         tr = build_transform(OscillatorModel(), levels)
         report = factorization_identity_check(tr)
         base, partner = _expanded_residuals(tr)
         assert report.residual_base == base
         assert report.residual_partner == partner
         assert report.ok and partner.is_zero
-        derived, calls = _composes(tr, _level_checks(tr))
-        assert (derived.residual_base, derived.residual_partner, calls) == (base, partner, 0)
 
     @pytest.mark.parametrize("levels, shift", [
         ((1, 2), Fraction(1, 1000)),
@@ -639,32 +629,8 @@ class TestDerivedPartnerIdentity:
         assert repr(report.residual_partner) == repr(partner)
 
     def test_partner_side_is_not_expanded_on_success(self, tr12):
-        # Without per-level results: L+ L, two factors of P(h0) and the two
-        # sides of L h0 = hN L.  With them: nothing.
+        # L+ L, two factors of P(h0) and the two sides of L h0 = hN L.
         report, calls = _composes(tr12)
-        assert report.ok and calls == 5
-        report, calls = _composes(tr12, _level_checks(tr12))
-        assert report.ok and calls == 0
-
-    @pytest.mark.parametrize("fixture", ["tr12", "tr01"])
-    @pytest.mark.parametrize("edge", ["anticommutator missing at 2N-1",
-                                      "anticommutator false at 2N-1",
-                                      "intertwining false at N"])
-    def test_unmet_premise_expands(self, fixture, edge, request):
-        # R = L+ L - P(h0) has order 2N - 1, so 2N - 1 levels prove
-        # nothing; T = L h0 - hN L has order N, so N levels prove nothing.
-        # A check that reads one level fewer on either side returns a zero
-        # residual here without expanding.
-        tr = request.getfixturevalue(fixture)
-        n = tr.order
-        checks = {c.level: c for c in _level_checks(tr)}
-        if edge == "anticommutator missing at 2N-1":
-            del checks[2 * n - 1]
-        elif edge == "anticommutator false at 2N-1":
-            checks[2 * n - 1] = replace(checks[2 * n - 1], anticommutator_ok=False)
-        else:
-            checks[n] = replace(checks[n], intertwining_ok=False)
-        report, calls = _composes(tr, checks.values())
         assert report.ok and calls == 5
 
 
