@@ -1,7 +1,10 @@
 """Command-line front end: transform, verify, spectrum and classify runs.
 
+``_OPTIONS`` is the one table of settings: each names the subcommands that
+read it, and those alone offer its flag and accept its config-file key.
 Exit codes: 0 success, 1 verification or numeric failure, 2 invalid or
-inadmissible input.  Exact rationals serialise as {"num": str, "den": str}
+inadmissible input, or an output (stdout or ``--out``) that cannot be
+written.  Exact rationals serialise as {"num": str, "den": str}
 so no precision is lost in JSON, and ``json_text`` writes every JSON
 document; CSV output has a fixed column order and 17-digit floats (``_F17``).
 """
@@ -13,6 +16,7 @@ import bisect
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -139,7 +143,7 @@ _FLOAT_NORM_LIMIT = sys.float_info.max / math.sqrt(2 * math.pi)
 # Peak RSS at 100001 points against 2401 gives the cost of a sample: 74 B
 # in transform's CSV (x, V0, VN and one column per survivor, as floats and
 # as 17-digit text), 110 B in spectrum (V0 and VN, each also in its matrix and
-# Sturm rows).  verify holds one image, classify none.  At 110 B: 0.86 GiB.
+# Sturm rows).  verify holds one image.  At 110 B: 0.86 GiB.
 _MAX_SAMPLES = 1 << 23
 
 # The Wronskian's degree sum(k_i) - N(N-1)/2, known before any exact work,
@@ -205,13 +209,15 @@ def _parse_fraction(raw) -> Fraction | None:
 
 @dataclass(frozen=True)
 class _Option:
-    """One setting: its flag, default, help text and config-file check.
+    """One setting: a flag and a config-file key, both offered by the
+    subcommands in ``commands`` and by no other, with a default and a check.
 
     ``key`` names the config-file key and, with dashes, the flag.  ``valid``
     is None for the one option a config file cannot set, ``--config``.
     """
 
     key: str
+    commands: tuple[str, ...]
     default: object
     help: str
     what: str = ""  # what a config-file value must be
@@ -219,7 +225,6 @@ class _Option:
     parse: Callable[[object], object] = lambda raw: raw
     flag_type: Callable[[str], object] | None = None
     choices: tuple[str, ...] | None = None
-    command: str | None = None  # the one subcommand that has the flag
 
     @property
     def help_text(self) -> str:
@@ -229,42 +234,46 @@ class _Option:
         return f"{self.help} (default {shown})"
 
 
+_GRID = ("transform", "verify", "spectrum")  # the subcommands that sample a grid
+_ALL = (*_GRID, "classify")
 # Every option, in help and config-key order.
 _OPTIONS = (
-    _Option("levels", None, "comma-separated deleted levels, e.g. 1,2",
+    _Option("levels", _ALL, None, "comma-separated deleted levels, e.g. 1,2",
             "a list of integers or a comma-separated string",
             lambda v: isinstance(v, str) or (isinstance(v, list) and all(map(_is_int, v))),
             parse=_parse_levels),
-    _Option("nmax", 8, "highest level to inspect", "an integer", _is_int, flag_type=int),
-    _Option("xmin", REFERENCE_GRID.x_min, "grid left end", "a number", _is_number,
+    _Option("nmax", _ALL, 8, "highest level to inspect", "an integer", _is_int, flag_type=int),
+    _Option("xmin", _GRID, REFERENCE_GRID.x_min, "grid left end", "a number", _is_number,
             parse=float, flag_type=float),
-    _Option("xmax", REFERENCE_GRID.x_max, "grid right end", "a number", _is_number,
+    _Option("xmax", _GRID, REFERENCE_GRID.x_max, "grid right end", "a number", _is_number,
             parse=float, flag_type=float),
-    _Option("points", REFERENCE_GRID.n_points, "grid point count", "an integer", _is_int,
+    _Option("points", _GRID, REFERENCE_GRID.n_points, "grid point count", "an integer", _is_int,
             flag_type=int),
-    _Option("format", "json", "output format", " or ".join(f'"{f}"' for f in _FORMATS),
+    _Option("format", ("transform", "spectrum"), "json", "output format",
+            " or ".join(f'"{f}"' for f in _FORMATS),
             lambda v: isinstance(v, str) and v in _FORMATS, choices=_FORMATS),
-    _Option("out", None, "output path", "a string", lambda v: isinstance(v, str)),
-    _Option("config", None, "JSON config file; flags win on conflict"),
-    _Option("corrupt_vn", None,
+    _Option("out", _ALL, None, "output path", "a string", lambda v: isinstance(v, str)),
+    _Option("config", _ALL, None, "JSON config file; flags win on conflict"),
+    _Option("corrupt_vn", ("verify",), None,
             "negative-control hook: exact rational added to the partner potential; "
             "give a negative one with =, as in --corrupt-vn=-1/3",
             "a number or a string", lambda v: isinstance(v, str) or _is_number(v),
-            parse=_parse_fraction, command="verify"),
+            parse=_parse_fraction),
 )
 _CONFIG_KEYS = {opt.key: opt for opt in _OPTIONS if opt.valid is not None}
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in ``path``, every key known and every value typed."""
+def _read_config(path: str, command: str) -> dict:
+    """The JSON object in ``path``: each key one ``command`` reads, each value typed."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path} must hold a JSON object, got {json.dumps(cfg)}")
+    keys = {key: opt for key, opt in _CONFIG_KEYS.items() if command in opt.commands}
     for key, value in cfg.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r} in {path}; known keys: {', '.join(_CONFIG_KEYS)}")
-        opt = _CONFIG_KEYS[key]
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {path}; {command} reads {', '.join(keys)}")
+        opt = keys[key]
         if not opt.valid(value):
             raise ValueError(f"{key!r} in {path} must be {opt.what}, got {json.dumps(value)}")
     return cfg
@@ -272,10 +281,10 @@ def _read_config(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace, model: OscillatorModel) -> RunConfig:
     """Each option from its flag, else the config file, else its default."""
-    file_cfg = _read_config(args.config) if args.config else {}
+    file_cfg = _read_config(args.config, args.command) if args.config else {}
     value = {}
     for key, opt in _CONFIG_KEYS.items():
-        raw = getattr(args, key, None)  # absent where the subcommand lacks the flag
+        raw = getattr(args, key, None)  # absent where the subcommand lacks the option
         if raw is None:
             raw = file_cfg.get(key, opt.default)
         value[key] = opt.parse(raw)
@@ -345,6 +354,23 @@ def _out_stem(path: str) -> str:
     return path
 
 
+def _write_stdout(*texts: str) -> int:
+    """Write ``texts`` to stdout and flush it.  A stdout that cannot be
+    written, say a pipe whose reader has closed, is bad input, as an
+    unwritable ``--out`` path is: one line on stderr, and the exit code."""
+    try:
+        for text in texts:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write to stdout: {exc}", file=sys.stderr)
+        # The interpreter flushes stdout again at exit: what is left in its
+        # buffer goes to the null device, so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BAD_INPUT
+    return EXIT_OK
+
+
 def _emit(text: str, files: dict[str, str]) -> int:
     """Write each ``{path: content}`` entry, then print ``text``.
 
@@ -358,8 +384,7 @@ def _emit(text: str, files: dict[str, str]) -> int:
         except OSError as exc:
             print(f"cannot write --out file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    print(text)
-    return EXIT_OK
+    return _write_stdout(text, "\n")
 
 
 # -- transform ----------------------------------------------------------------
@@ -582,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for opt in _OPTIONS:
-            if opt.command in (None, name):
+            if name in opt.commands:
                 flag = "--" + opt.key.replace("_", "-")
                 p.add_argument(flag, type=opt.flag_type, choices=opt.choices, help=opt.help_text)
     return parser
@@ -593,7 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors; keep the contract
-        return EXIT_BAD_INPUT if exc.code else EXIT_OK
+        return EXIT_BAD_INPUT if exc.code else _write_stdout()  # --help's text
     model = OscillatorModel()
     try:
         cfg = _merge_config(args, model)

@@ -26,6 +26,7 @@ from .transform import (
     TransformResult,
     crum_krein_apply,
     factorization_identity_check,
+    factorization_residuals,
     kernel_functions,
 )
 
@@ -217,11 +218,14 @@ def factorization_check(tr: TransformResult, report: AnticommutatorReport) -> Fa
     Those verdicts then came from the jet route, on T = 0 alone.  L is monic
     of order N, so R = L+ L - P(h0) has order at most 2N - 1 and vanishes
     once it kills phi_0 .. phi_(2N-1) (the bound in ``intertwining_proved``);
-    R = 0 and T = 0 give L L+ = P(hN) (``factorization_identity_check``).
+    R = 0 and T = 0 give L L+ = P(hN) (``factorization_residuals``).  When
+    only T = 0 holds, R is expanded and T is not expanded again.
     """
     passed = {c.level for c in report.checks if c.anticommutator_ok}
     if report.t_zero and passed.issuperset(range(2 * tr.order)):
         return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
+    if report.t_zero:
+        return factorization_residuals(tr, True)
     return factorization_identity_check(tr)
 
 

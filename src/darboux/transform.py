@@ -348,26 +348,33 @@ def _hamiltonian_product(h: DiffOp, alphas: Sequence[Fraction]) -> DiffOp:
 
 def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i) by
-    expansion: the base identity is expanded to a residual in normal form.
-    The partner identity is derived (Crum 1955):
+    expansion: T = L h0 - hN L is expanded, then ``factorization_residuals``
+    reads whether it is zero."""
+    h0 = DiffOp.schroedinger(tr.base.lift(tr.base_potential))
+    intertwining = tr.operator.compose(h0) - tr.hamiltonian_partner().compose(tr.operator)
+    return factorization_residuals(tr, intertwining.is_zero)
+
+
+def factorization_residuals(tr: TransformResult, t_zero: bool) -> FactorizationReport:
+    """The residuals of L+ L = P(h0) and L L+ = P(hN), P(h) = prod (h - alpha_i),
+    given whether T = L h0 - hN L = 0.  The base identity is expanded to a
+    residual in normal form.  The partner identity is derived (Crum 1955):
 
         (L L+ - P(hN)) L = L (L+ L - P(h0)) + (L P(h0) - P(hN) L),
 
     and the last term vanishes once L h0 = hN L.  Operators with rational
     coefficients have no zero divisors, so an exact zero base residual and
-    an exact intertwining prove the partner identity.  When either is
-    nonzero, L L+ is expanded so the report carries the actual partner
-    residual.  The report carries residuals (zero operators on success)
-    rather than raising.  Every operator is in W-form.
+    T = 0 prove the partner identity.  Otherwise L L+ is expanded so the
+    report carries the actual partner residual.  The report carries
+    residuals (zero operators on success) rather than raising.  Every
+    operator is in W-form.
     """
-    op = tr.operator
     alphas = tr.selection.alphas
-    v0 = tr.base.lift(tr.base_potential)
-    h0, h_partner = DiffOp.schroedinger(v0), tr.hamiltonian_partner()
-    residual_base = tr.adjoint.compose(op) - _hamiltonian_product(h0, alphas)
-    intertwining = op.compose(h0) - h_partner.compose(op)
-    if residual_base.is_zero and intertwining.is_zero:
+    h0 = DiffOp.schroedinger(tr.base.lift(tr.base_potential))
+    residual_base = tr.adjoint.compose(tr.operator) - _hamiltonian_product(h0, alphas)
+    if residual_base.is_zero and t_zero:
         residual_partner = DiffOp.zero()
     else:
-        residual_partner = op.compose(tr.adjoint) - _hamiltonian_product(h_partner, alphas)
+        residual_partner = (tr.operator.compose(tr.adjoint)
+                            - _hamiltonian_product(tr.hamiltonian_partner(), alphas))
     return FactorizationReport(residual_base=residual_base, residual_partner=residual_partner)

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -642,8 +645,10 @@ def _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys):
         raise AssertionError("exact work started")
 
     monkeypatch.setattr(cli, "build_transform", refuse)
-    code = run(command, "--levels", levels, "--nmax", str(nmax), "--points", "11",
-               "--format", "csv")
+    # A small grid, and transform's CSV, whose normaliser forms the norm.
+    extra = {"transform": ("--points", "11", "--format", "csv"),
+             "verify": ("--points", "11")}.get(command, ())
+    code = run(command, "--levels", levels, "--nmax", str(nmax), *extra)
     assert code == 2
     assert (f"--nmax {nmax} is above {top}, the largest for levels {levels}: "
             f"the float norm n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
@@ -687,7 +692,7 @@ class TestConfigHandling:
             raise Sentinel
 
         monkeypatch.setattr(cli, "build_transform", refuse)
-        argv = ("--nmax", "70", "--points", "101")
+        argv = ("--nmax", "70", *(("--points", "101") if command != "classify" else ()))
         # Degree sum(k_i) - N(N-1)/2: 64, the cap, reaches the exact layer.
         for levels in ("64", "32,33"):
             with pytest.raises(Sentinel):
@@ -752,25 +757,32 @@ class TestConfigHandling:
         assert run("classify", "--levels", "-1,2") == 2
         assert run("classify", "--levels", "") == 2
 
-    @pytest.mark.parametrize("content, message", [
-        ([1, 2], "must hold a JSON object, got [1, 2]"),
-        ({"levels": [[1], 2]}, "'levels' in"),
-        ({"levels": [1, 2], "nmax": None}, "'nmax' in"),
-        ({"levels": [1, 2], "out": 5}, "'out' in"),
-        ({"levels": [1, 2], "format": "xml"}, "'format' in"),
-        ({"levels": [True, 2]}, "'levels' in"),
-        ({"levels": [1, 2], "n_max": 3}, "unknown key 'n_max'"),
-        ({"levels": [1, 2], "corrupt_vn": "1/0"}, "--corrupt-vn 1/0 has a zero denominator"),
+    @pytest.mark.parametrize("content, message, command", [
+        ([1, 2], "must hold a JSON object, got [1, 2]", "transform"),
+        ({"levels": [[1], 2]}, "'levels' in", "transform"),
+        ({"levels": [1, 2], "nmax": None}, "'nmax' in", "transform"),
+        ({"levels": [1, 2], "out": 5}, "'out' in", "transform"),
+        ({"levels": [1, 2], "format": "xml"}, "'format' in", "transform"),
+        ({"levels": [True, 2]}, "'levels' in", "transform"),
+        ({"levels": [1, 2], "n_max": 3}, "unknown key 'n_max'", "transform"),
+        ({"levels": [1, 2], "corrupt_vn": "1/0"}, "--corrupt-vn 1/0 has a zero denominator",
+         "verify"),
+        ({"levels": [1, 2], "corrupt_vn": "1/3"},
+         "unknown key 'corrupt_vn' in cfg.json; transform reads levels, nmax, xmin, xmax, "
+         "points, format, out\n", "transform"),
+        ({"levels": [1, 2], "points": 101},
+         "unknown key 'points' in cfg.json; classify reads levels, nmax, out\n", "classify"),
     ], ids=["array", "nested-level", "null-nmax", "int-out", "xml-format", "bool-level",
-            "unknown-key", "zero-denominator"])
-    def test_malformed_config_is_bad_input(self, content, message, tmp_path, monkeypatch, capsys):
+            "unknown-key", "zero-denominator", "key-of-another-command", "grid-key-for-classify"])
+    def test_malformed_config_is_bad_input(self, content, message, command, tmp_path,
+                                           monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("exact work started")
 
         monkeypatch.setattr("darboux.cli.build_transform", refuse)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
-        assert run("transform", "--config", str(cfg)) == 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(command, "--config", "cfg.json") == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration: ")
         assert message in captured.err
@@ -801,6 +813,81 @@ class TestConfigHandling:
         default, from_flag, from_file = results
         assert from_file == from_flag != default
         assert from_flag[0] == (1 if key == "corrupt_vn" else 0)
+
+    # Each subcommand's options, as the commands read them: the grid on
+    # transform, verify and spectrum, the output format on the two that
+    # write CSV, the negative-control hook on verify alone.
+    _READS = {
+        "transform": {"levels", "nmax", "xmin", "xmax", "points", "format", "out"},
+        "verify": {"levels", "nmax", "xmin", "xmax", "points", "out", "corrupt_vn"},
+        "spectrum": {"levels", "nmax", "xmin", "xmax", "points", "format", "out"},
+        "classify": {"levels", "nmax", "out"},
+    }
+    _VALUES = {"levels": "1,2", "nmax": 3, "xmin": -6.5, "xmax": 7.25, "points": 51,
+               "format": "csv", "out": "report", "corrupt_vn": "1/3"}
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_flag_rejected_exactly_when_config_key_is(self, command, tmp_path, monkeypatch,
+                                                      capsys):
+        # For every (subcommand, key) pair, the flag exits 2 exactly when the
+        # config key does; the accepted ones reach the exact layer.
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_transform", reached)
+        monkeypatch.chdir(tmp_path)
+
+        def accepted(*argv) -> bool:
+            try:
+                assert run(command, *argv) == 2
+            except Reached:
+                return True
+            capsys.readouterr()
+            return False
+
+        offered = set()
+        for key, value in self._VALUES.items():
+            levels = () if key == "levels" else ("--levels", "1,2")
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            from_flag = accepted(*levels, f"--{key.replace('_', '-')}={value}")
+            from_file = accepted(*levels, "--config", "cfg.json")
+            assert from_flag == from_file, key
+            if from_flag:
+                offered.add(key)
+        assert offered == self._READS[command]
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("command, argv", [
+        ("transform", ("--points", "101", "--out", "run")),
+        ("verify", ("--points", "201", "--out", "report.json")),
+        ("spectrum", ("--points", "401", "--format", "csv", "--out", "spectrum.csv")),
+        ("classify", ("--out", "classify.json")),
+    ])
+    def test_every_offered_option_is_read(self, command, argv, tmp_path, monkeypatch, capsys):
+        # A run that builds every output reads each option its parser offers
+        # (the grid flags as cfg.grid): an option read by nothing is dead.
+        read = set()
+
+        class Recording:
+            def __init__(self, cfg):
+                self._cfg = cfg
+
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(self._cfg, name)
+
+        merge = cli._merge_config
+        monkeypatch.setattr(cli, "_merge_config", lambda args, model: Recording(merge(args, model)))
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "--levels", "1,2", "--nmax", "3", *argv) == 0
+        capsys.readouterr()
+        subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        offered = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+        grid = {"xmin", "xmax", "points"}
+        assert offered - grid | ({"grid"} if offered & grid else set()) == read
 
     def test_seed_env_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("DARBOUX_SEED", "12345")
@@ -891,7 +978,7 @@ class TestGridAndOutputErrors:
     @pytest.mark.parametrize("command, points", [
         (("transform", "--nmax", "8"), cli._MAX_SAMPLES // 10),
         (("verify", "--nmax", "8"), cli._MAX_SAMPLES),
-        (("classify", "--nmax", "8"), 10 * cli._MAX_SAMPLES),  # samples nothing
+        (("spectrum", "--nmax", "8"), cli._MAX_SAMPLES // 2),
         (("transform", "--nmax", "8"), 10 * cli._MAX_SAMPLES),  # JSON alone: no CSV
     ])
     def test_grid_at_the_cap_accepted(self, command, points, monkeypatch):
@@ -917,6 +1004,29 @@ class TestGridAndOutputErrors:
         captured = capsys.readouterr()
         assert "cannot write --out file" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--levels", "1,2", "--format", "csv"),
+        ("classify", "--levels", "1,2"),
+        ("--help",),
+    ])
+    def test_closed_stdout_is_bad_input(self, argv):
+        # The reader closes the pipe before the child writes, as `| head -c 1`
+        # does once it has its byte: a one-line message and exit 2, with no
+        # traceback and nothing reported when the interpreter exits.  stdout
+        # is block-buffered, as it is by default on a pipe, so a short text
+        # reaches the pipe only when flushed.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.Popen([sys.executable, "-m", "darboux.cli", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+        assert err == "cannot write to stdout: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("command", ["transform", "verify", "spectrum", "classify"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux import susy
+from darboux import cli, susy
 from darboux.gaussian import DiffOp, GaussFun
 from darboux.oscillator import OscillatorModel
 from darboux.polynomial import Poly
@@ -214,7 +215,8 @@ class TestFactorizationProof:
         # nothing; T = L h0 - hN L has order N, so N levels prove nothing.
         # A proof that reads one level fewer, or not the report's T = 0,
         # returns a zero residual here without expanding: the expansion is
-        # L+ L, two factors of P(h0) and the two sides of L h0 = hN L.
+        # L+ L and two factors of P(h0), and the two sides of L h0 = hN L
+        # only where the report has not proved T = 0.
         tr = request.getfixturevalue(fixture)
         n = tr.order
         levels = range(2 * n - 1) if edge == "anticommutator missing at 2N-1" else range(2 * n)
@@ -229,4 +231,29 @@ class TestFactorizationProof:
                 for c in report.checks))
         assert report.t_zero == (edge != "intertwining false at N")
         proved, calls = _composes(factorization_check, tr, report)
-        assert proved.ok and calls == 5
+        assert proved.ok and calls == (3 if report.t_zero else 5)
+
+    def test_proved_intertwining_is_not_expanded_again(self, monkeypatch, capsys):
+        # The "L+ jet" mutant of test_proof_mutants.py: (L+ + x/7) f's 1-jet.
+        # T = 0 holds, the jet verdicts fail, so L+ L and P(h0)'s four
+        # factors are expanded (5 composes), and L h0 = hN L is not (7).
+        build = cli.build_transform
+
+        def perturbed_jet(model, levels):
+            tr = build(model, levels)
+            jet = tr.adjoint_jet
+            vars(tr)["adjoint_jet"] = lambda f: (
+                jet(f)[0], jet(f)[1] + (f.r(Fraction(0)) / 7 if not f.is_zero else 0))
+            return tr
+
+        monkeypatch.setattr(cli, "build_transform", perturbed_jet)
+        reports = []
+        check = cli.anticommutator_check
+        monkeypatch.setattr(cli, "anticommutator_check",
+                            lambda tr, doublets: reports.append(check(tr, doublets)) or reports[-1])
+        code, calls = _composes(cli.main, ["verify", "--levels", "1,2,5,6", "--nmax", "8",
+                                           "--points", "601"])
+        status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1 and status["superalgebra_anticommutator"] == "fail"
+        assert [report.t_zero for report in reports] == [True]
+        assert calls == 5
