@@ -1,16 +1,15 @@
 """Gaussian-weighted rational functions and differential operators.
 
 ``GaussFun`` is r(x)*exp(s*x^2/4) with s a rational weight and r an exact
-rational function: a canonical ``RatFun`` (the model's eigenfunctions, the
-Wronskians of its families) or a ``WFun`` p/W^k in normal form over the
-powers of one W (a transform's Wronskian, or a closed form's P_k).
-The class is closed under differentiation and products, which is exactly
-what Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
-sum_j a_j(x) d^j/dx^j with coefficients of either type; its composition and
-adjoint both rest on the one commutation rule d o a = a d + a'
-(``_d_left``).  Both classes run one algorithm over either coefficient
-type: a RatFun reduces by a gcd at every step, a WFun only divides out
-factors W, and a polynomial meeting a WFun is lifted to it.
+rational function, a ``WFun`` p/W^k in normal form over the powers of one W:
+W = 1 for a polynomial (the model's eigenfunctions, the Wronskians of its
+families), a transform's Wronskian, or a closed form's P_k.  The class is
+closed under differentiation and products, which is exactly what
+Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
+sum_j a_j(x) d^j/dx^j with WFun coefficients; its composition and adjoint
+both rest on the one commutation rule d o a = a d + a' (``_d_left``).  No
+step takes a gcd: a WFun only divides out factors W, and a polynomial
+meeting a value over another W is lifted to it.
 ``AdjointJet`` reads the value and slope at x = 0 of the formal adjoint's
 action off an operator's WFun coefficients, without building the adjoint.
 Everything is exact and immutable.
@@ -23,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polynomial import Poly, RatFun, Scalar, WFun, _frac, ratfun_det
+from .polynomial import POLYNOMIALS, Poly, Scalar, WFun, _frac, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -34,14 +33,13 @@ class DegenerateTransformation(ValueError):
     """The transformation functions are linearly dependent (zero Wronskian)."""
 
 
-def _coefficient(value) -> RatFun | WFun:
-    """A WFun as it is, any other exact value as a RatFun."""
-    return value if isinstance(value, (RatFun, WFun)) else RatFun(value)
+def _coefficient(value) -> WFun:
+    """A WFun as it is, a polynomial or a scalar over ``POLYNOMIALS``."""
+    return value if isinstance(value, WFun) else POLYNOMIALS.lift(value)
 
 
 class GaussFun:
-    """r(x) * exp(s * x^2 / 4), r a canonical RatFun or a normal WFun, s
-    rational."""
+    """r(x) * exp(s * x^2 / 4), r a normal WFun, s rational."""
 
     __slots__ = ("r", "s")
 
@@ -50,16 +48,16 @@ class GaussFun:
         s = _frac(s)
         if r.is_zero:  # canonical zero so equality stays structural
             s = Fraction(0)
-        self.r: RatFun | WFun = r
+        self.r: WFun = r
         self.s: Fraction = s
 
     @classmethod
     def zero(cls) -> "GaussFun":
-        return cls(RatFun.zero())
+        return cls(0)
 
     @classmethod
     def one(cls) -> "GaussFun":
-        return cls(RatFun.one())
+        return cls(1)
 
     @property
     def is_zero(self) -> bool:
@@ -97,7 +95,7 @@ class GaussFun:
     def __mul__(self, other) -> "GaussFun":
         if isinstance(other, GaussFun):
             return GaussFun(self.r * other.r, self.s + other.s)
-        if isinstance(other, (RatFun, WFun, Poly, int, Fraction)):
+        if isinstance(other, (WFun, Poly, int, Fraction)):
             return GaussFun(self.r * other, self.s)
         return NotImplemented
 
@@ -125,8 +123,7 @@ class GaussFun:
 # ---------------------------------------------------------------------------
 
 class DiffOp:
-    """Differential operator sum_j a_j(x) d^j with RatFun or WFun
-    coefficients.
+    """Differential operator sum_j a_j(x) d^j with WFun coefficients.
 
     Coefficients are stored lowest order first; the zero operator is the
     empty tuple, otherwise the top coefficient is nonzero.
@@ -138,7 +135,7 @@ class DiffOp:
         cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs: tuple[RatFun | WFun, ...] = tuple(cs)
+        self.coeffs: tuple[WFun, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "DiffOp":
@@ -146,11 +143,11 @@ class DiffOp:
 
     @classmethod
     def identity(cls) -> "DiffOp":
-        return cls((RatFun.one(),))
+        return cls((1,))
 
     @classmethod
     def schroedinger(cls, potential) -> "DiffOp":
-        """-d^2 + V(x), its coefficients of V's type."""
+        """-d^2 + V(x), its coefficients over V's base."""
         v = _coefficient(potential)
         return cls((v, v * 0, v * 0 - 1))
 
@@ -214,7 +211,7 @@ class DiffOp:
         return self + (-other)
 
     def __mul__(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction, Poly, RatFun, WFun)):
+        if isinstance(other, (int, Fraction, Poly, WFun)):
             return DiffOp(c * other for c in self.coeffs)
         return NotImplemented
 
@@ -240,7 +237,7 @@ class DiffOp:
         return " + ".join(parts)
 
 
-def _d_left(coeffs: Sequence[RatFun | WFun]) -> list[RatFun | WFun]:
+def _d_left(coeffs: Sequence[WFun]) -> list[WFun]:
     """d o C for C = sum_j c_j d^j (nonempty), by the one commutation rule
     d o c = c d + c': the coefficients of c_j' d^j + c_j d^(j+1)."""
     shifted = [coeffs[0] * 0, *coeffs]
@@ -348,11 +345,11 @@ def _series_inverse(q: Sequence[int], m: int) -> list[int]:
 # Wronskians
 # ---------------------------------------------------------------------------
 
-def derivative_table(funcs: Sequence[GaussFun], max_order: int) -> list[list[RatFun]]:
-    """Rational parts of derivative rows for a common-weight family, as
-    RatFuns: the oracle route, read by ``wronskian`` and the tests.
+def derivative_table(funcs: Sequence[GaussFun], max_order: int) -> list[list[WFun]]:
+    """Rational parts of derivative rows for a common-weight family: the
+    oracle route, read by ``wronskian`` and the tests.
 
-    ``table[m][i]`` is the RatFun part of the m-th derivative of funcs[i];
+    ``table[m][i]`` is the rational part of the m-th derivative of funcs[i];
     the shared exp(s x^2/4) factor is kept out of the matrix so determinants
     stay in the rational-function field.  Commands build the family's rows
     as polynomials instead (``transform``).
@@ -415,10 +412,10 @@ class BorderedWronskian:
         if n == 0:
             raise ValueError("Wronskian of an empty family")
         self.weight = common_weight(family)
-        if any(u.r.den.degree() > 0 for u in family):
+        if any(u.r.k for u in family):
             raise ValueError("the family's rational parts must be polynomials")
         # After k steps, rest[i] is W(u_1, ..., u_k, u_{k+1+i})'s rational part.
-        rest = [u.r.num for u in family]
+        rest = [u.r.p for u in family]
         chain = []
         prev = Poly.one()
         for _ in range(n):
@@ -429,7 +426,7 @@ class BorderedWronskian:
             rest = [(p * q.derivative() - dp * q).exact_div(prev) for q in rest]
             chain.append((p, dp, prev))
             prev = p
-        self.wronskian = GaussFun(RatFun(prev), n * self.weight)
+        self.wronskian = GaussFun(prev, n * self.weight)
         # (P_k, P_k', P_{k-1}) for k = 1, ..., N.
         self._chain = tuple(chain)
 
@@ -441,9 +438,11 @@ class BorderedWronskian:
             raise MixedWeightError(
                 f"functions carry different Gaussian weights: {sorted({self.weight, phi.s})}"
             )
-        b, r = phi.r.num, phi.r.den
+        # phi = b/r with r = W^j over phi's own base.
+        base, j = phi.r.base, phi.r.k
+        b, r = phi.r.p, base.power(j)
         dr = r.derivative()
         for k, (p, dp, prev) in enumerate(self._chain, 1):
             b = (p * (b.derivative() * r - b * dr * k) - dp * b * r).exact_div(prev)
         n = len(self._chain)
-        return GaussFun(RatFun(b, r ** (n + 1)), (n + 1) * self.weight)
+        return GaussFun(base.over(b, j * (n + 1)), (n + 1) * self.weight)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gaussian import GaussFun
-from .polynomial import NormValue, Poly, RatFun, WBase, WFun, hermite_he
+from .polynomial import POLYNOMIALS, NormValue, Poly, WBase, WFun, hermite_he
 from .transform import TransformResult
 
 
@@ -32,7 +32,7 @@ class ForbiddenLevel(ValueError):
     """Closed-form partner eigenfunction requested at a deleted level."""
 
 
-_HALF_X_SQUARED = RatFun(Poly((Fraction(-1, 2), 0, Fraction(1, 4))))  # x^2/4 - 1/2
+_HALF_X_SQUARED = POLYNOMIALS.lift(Poly((Fraction(-1, 2), 0, Fraction(1, 4))))  # x^2/4 - 1/2
 
 
 class OscillatorModel:
@@ -41,7 +41,7 @@ class OscillatorModel:
     name = "oscillator"
 
     def __init__(self):
-        self.potential: RatFun = _HALF_X_SQUARED
+        self.potential: WFun = _HALF_X_SQUARED
 
     def energy(self, n: int) -> Fraction:
         if n < 0:
@@ -50,7 +50,7 @@ class OscillatorModel:
 
     def eigenfunction(self, n: int) -> GaussFun:
         """Unnormalised eigenfunction He_n(x) exp(-x^2/4)."""
-        return GaussFun(RatFun(hermite_he(n)), Fraction(-1))
+        return GaussFun(hermite_he(n), Fraction(-1))
 
     def squared_norm(self, n: int) -> NormValue:
         """Exact squared norm n! * sqrt(2 pi) of the unnormalised eigenfunction."""
@@ -75,12 +75,12 @@ def pair_wronskian_poly(k: int) -> Poly:
     return total
 
 
-def partner_potential_closed_form(k: int) -> RatFun:
-    """x^2/4 + 3/2 - 2 P_k''/P_k + 2 (P_k'/P_k)^2 as a canonical RatFun.
+def partner_potential_closed_form(k: int) -> WFun:
+    """x^2/4 + 3/2 - 2 P_k''/P_k + 2 (P_k'/P_k)^2 over the powers of P_k.
 
     Pole-free on the real line since P_k has no real roots.
     """
-    return _potential_over(WBase(pair_wronskian_poly(k))).canonical()
+    return _potential_over(WBase(pair_wronskian_poly(k)))
 
 
 def _potential_over(base: WBase) -> WFun:

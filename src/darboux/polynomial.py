@@ -4,26 +4,24 @@ A ``Poly`` holds integer numerators over one positive common denominator, so
 every ring operation (sums, products, derivatives, division) runs in ``int``
 arithmetic and ends in a single reduction; ``Poly.coeffs`` presents the
 same values as ``fractions.Fraction`` coefficients.  Everything in this
-module is exact and deterministic.  Poly and RatFun values are canonical: a
-polynomial's denominator is positive and coprime to the content of its
-numerators, with no trailing zero coefficient, and rational functions are
-gcd-reduced with a monic denominator.  Structural equality therefore
-coincides with value equality, which is what lets the operator identity
-checks elsewhere reduce to ``==``.
+module is exact and deterministic.  A Poly is canonical: its denominator is
+positive and coprime to the content of its numerators, with no trailing
+zero coefficient.  Structural equality therefore coincides with value
+equality, which is what lets the operator identity checks elsewhere reduce
+to ``==``.
 
-Each ``RatFun`` operation forms the exact fraction, (a d + c b) / (b d) for
-a/b + c/d, and the constructor reduces it once: one gcd, or none when either
-side is a constant.
-
-A ``WFun`` is a value of Q[x][1/W], p / W^k over one ``WBase`` (a
-transform's Wronskian W, or a closed form's P_k), held in a normal form
-rather than the canonical one: k is the smallest exponent, so W does not
-divide p unless k = 0 (Geddes, Czapor and Labahn 1992, ch. 3: a zero test
-needs only a normal form).  The normal form is unique, so equality is still
-structural and zero is p = 0, but sums, products and derivatives take no
-gcd: a factor W left in the numerator is divided out after a cheap
-evaluation pretest and one pseudo-division.  The canonical RatFun, one gcd,
-is formed only where a value is read.
+One type does all rational arithmetic.  A ``WFun`` is a value of
+Q[x][1/W], p / W^k over one ``WBase`` (a transform's Wronskian W, a closed
+form's P_k, or W = 1 for the polynomials, ``POLYNOMIALS``), held in a
+normal form rather than the canonical one: k is the smallest exponent, so W
+does not divide p unless k = 0 (Geddes, Czapor and Labahn 1992, ch. 3: a
+zero test needs only a normal form).  The normal form is unique, so
+equality is still structural and zero is p = 0, but sums, products and
+derivatives take no gcd: a factor W left in the numerator is divided out
+after a cheap evaluation pretest and one pseudo-division.  A polynomial
+that meets a value over another base is lifted to it.  The canonical form,
+a ``RatFun`` record (num, den) reduced by one gcd with a monic denominator,
+is formed only where a value is read; ``RatFun`` itself does no arithmetic.
 
 ``poly_gcd`` works on the primitive integer numerators in one order: the
 heuristic GCD (GCDHEU) first, one big-integer gcd of both inputs evaluated
@@ -44,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -602,17 +600,20 @@ def sturm_real_root_count(p: Poly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Reduced rational functions
+# The canonical record of a rational function
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RatFun:
-    """Rational function in canonical form: reduced, monic denominator."""
+    """A rational function's canonical (num, den) record: gcd-reduced, with a
+    monic denominator, so two records are equal exactly when their values
+    are.  ``WFun.canonical`` builds it where a value is read; it does no
+    arithmetic."""
 
-    __slots__ = ("num", "den")
+    num: Poly
+    den: Poly
 
-    def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        den = Poly.one() if den is None else _coerce_poly(den)
+    def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -624,112 +625,8 @@ class RatFun:
         lc = den.lead()
         if lc != 1:
             num, den = num * (1 / lc), den * (1 / lc)
-        self.num, self.den = num, den
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> "RatFun":
-        """Skip canonicalisation; caller guarantees reduced, monic den."""
-        obj = object.__new__(cls)
-        obj.num = num
-        obj.den = den
-        return obj
-
-    @classmethod
-    def zero(cls) -> "RatFun":
-        return cls._raw(Poly.zero(), Poly.one())
-
-    @classmethod
-    def one(cls) -> "RatFun":
-        return cls(Poly.one())
-
-    @classmethod
-    def x(cls) -> "RatFun":
-        return cls(Poly.x())
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "RatFun":
-        return cls(Poly.constant(c))
-
-    # -- structure --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"{self!r} is not constant")
-        return self.num[0]
-
-    # -- field operations ---------------------------------------------------
-
-    def __add__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFun":
-        return RatFun._raw(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFun":
-        return _as_ratfun(other) - self
-
-    def __mul__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFun":
-        return _as_ratfun(other) / self
-
-    def derivative(self, weight: Scalar = 0) -> "RatFun":
-        """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4): for
-        r = p/q it is ((p' + (w/2) x p) q - p q') / q^2."""
-        p, q = self.num, self.den
-        return RatFun(p.derivative(weight) * q - p * q.derivative(), q * q)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
-    # -- comparison / display --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        # A polynomial equals its Poly, so it hashes as one.
-        if self.den.degree() == 0:
-            return hash(self.num)
-        return hash(("RatFun", self.num, self.den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __repr__(self) -> str:
         if self.den == Poly.one():
@@ -744,14 +641,6 @@ def _coerce_poly(value) -> Poly:
     return p
 
 
-def _as_ratfun(value):
-    if isinstance(value, RatFun):
-        return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return RatFun(value)
-    return NotImplemented
-
-
 # ---------------------------------------------------------------------------
 # Values over the powers of one Wronskian: Q[x][1/W]
 # ---------------------------------------------------------------------------
@@ -760,10 +649,12 @@ class WBase:
     """The powers of one polynomial W, over which ``WFun`` values live.
 
     Holds W monic, its primitive integer form w (positive lead) and W', a
-    cache of the powers W^j, and one evaluation point xi = 2^(8b) with
-    xi > 2 max|w_i|.  Every root of w lies below 1 + max|w_i| (Cauchy), so
-    w(xi) > 0, stored as ``w_at_xi``.  W's real roots are counted once, on
-    first use: every value over the base has its poles among them.
+    cache of the powers W^j, and one evaluation point xi = 2^(8b), the
+    least such power above max|w_i|.  Every root of w lies below
+    1 + max|w_i| <= xi in absolute value (Cauchy's bound; w's lead is an
+    integer), so w(xi) > 0, stored as ``w_at_xi``: ``over``'s pretest needs
+    no more.  W's real roots are counted once, on first use: every value
+    over the base has its poles among them.
     """
 
     __slots__ = ("W", "w", "dW", "xi_bits", "w_at_xi", "_powers", "_real_roots")
@@ -772,7 +663,7 @@ class WBase:
         self.W = W.monic()
         self.w = _int_primitive(self.W)
         self.dW = self.W.derivative()
-        self.xi_bits = 8 * (((2 * max(map(abs, self.w))).bit_length() + 7) // 8)
+        self.xi_bits = 8 * ((max(map(abs, self.w)).bit_length() + 7) // 8)
         self.w_at_xi = _at_power_of_two(self.w, self.xi_bits)
         self._powers = [Poly.one(), self.W]
         self._real_roots = None
@@ -812,17 +703,17 @@ class WBase:
         return WFun._of(self, p, k if p.nums else 0)
 
     def lift(self, value) -> "WFun":
-        """``value`` over this base: a WFun over it as it is, a polynomial (a
-        Poly, a scalar or a RatFun with denominator 1) over W^0.  Values
-        with a pole are built over the base (``over``), never lifted to it."""
+        """``value`` over this base: a WFun over it as it is, and a
+        polynomial over W^0, whether a Poly, a scalar or a WFun with k = 0
+        over any base.  This is the one place a value changes base.  A value
+        with a pole is built over its base (``over``), never lifted to
+        another."""
         if isinstance(value, WFun):
-            if value.base is not self:
-                raise ValueError("values over different Wronskians")
-            return value
-        if isinstance(value, RatFun):
-            if value.den.degree() > 0:
-                raise ValueError(f"{value!r} is not a polynomial")
-            value = value.num
+            if value.base is self:
+                return value
+            if value.k:
+                raise ValueError(f"values over different Wronskians: {value!r} is not a polynomial")
+            value = value.p
         return WFun._of(self, _coerce_poly(value), 0)
 
 
@@ -832,13 +723,14 @@ class WFun:
 
     The normal form of a value is unique: p / W^k = q / W^j with j > k
     would make q = p W^(j - k) a multiple of W.  So equality over one base
-    is structural, zero is p = 0, and sums, products and derivatives need
-    no gcd: only an equal-exponent sum, a product of two non-scalars and a
-    derivative can leave a factor W in the numerator, and ``WBase.over``
-    divides it out.  A transform holds its derived values in this form
-    only; each reads as a RatFun (``num``, ``den``, ``==`` against a RatFun,
-    ``hash``, ``repr``, evaluation) through one canonical form, built on the
-    first read and cached: the only place a gcd is taken.
+    is structural, zero is p = 0, a value is a polynomial exactly when
+    k = 0, and sums, products and derivatives need no gcd: only an
+    equal-exponent sum, a product of two non-scalars and a derivative can
+    leave a factor W in the numerator, and ``WBase.over`` divides it out.
+    Polynomials live over ``POLYNOMIALS``, W = 1, and meet any other base
+    by ``WBase.lift``.  A value is read (``num``, ``den``, ``repr``,
+    evaluation) through one canonical ``RatFun``, built on the first read
+    and cached: the only place a gcd is taken.
     """
 
     __slots__ = ("base", "p", "k", "_canonical")
@@ -879,26 +771,30 @@ class WFun:
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, WFun) and other.base is self.base:
-            return other
-        if isinstance(other, (WFun, RatFun, Poly, int, Fraction)):
-            return self.base.lift(other)
+    def _pair(self, other):
+        """self and other over one base: a polynomial meets the other
+        operand's base (``WBase.lift``)."""
+        if isinstance(other, WFun) and other.k and not self.k:
+            return other.base.lift(self), other
+        if isinstance(other, (WFun, Poly, int, Fraction)):
+            return self, self.base.lift(other)
         return NotImplemented
 
     def __add__(self, other) -> "WFun":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = (self, other) if self.k <= other.k else (other, self)
+        a, b = pair
+        if a.is_zero:
+            return b
+        if b.is_zero:
+            return a
+        if a.k > b.k:
+            a, b = b, a
         if a.k == b.k:
-            return self.base.over(a.p + b.p, a.k)
+            return a.base.over(a.p + b.p, a.k)
         # W divides a.p W^(b.k - a.k) and not b.p (b.k > 0), so not the sum.
-        return WFun._of(self.base, a.p * self.base.power(b.k - a.k) + b.p, b.k)
+        return WFun._of(a.base, a.p * a.base.power(b.k - a.k) + b.p, b.k)
 
     __radd__ = __add__
 
@@ -906,10 +802,11 @@ class WFun:
         return WFun._of(self.base, -self.p, self.k)
 
     def __sub__(self, other) -> "WFun":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = pair
+        return a + (-b)
 
     def __rsub__(self, other) -> "WFun":
         return (-self) + other
@@ -918,21 +815,22 @@ class WFun:
         if isinstance(other, (int, Fraction)):
             p = self.p * other
             return WFun._of(self.base, p, self.k if p.nums else 0)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        p = self.p * other.p
-        k = self.k + other.k
-        if not p.nums or self.is_constant or other.is_constant:
+        a, b = pair
+        p = a.p * b.p
+        k = a.k + b.k
+        if not p.nums or a.is_constant or b.is_constant:
             # A scalar multiple keeps the other factor's normal form.
-            return WFun._of(self.base, p, k if p.nums else 0)
-        return self.base.over(p, k)
+            return WFun._of(a.base, p, k if p.nums else 0)
+        return a.base.over(p, k)
 
     __rmul__ = __mul__
 
     def derivative(self, weight: Scalar = 0) -> "WFun":
-        """r' + (w/2) x r, as ``RatFun.derivative``: for r = p / W^k it is
-        ((p' + (w/2) x p) W - k p W') / W^(k+1)."""
+        """r' + (w/2) x r, that is d/dx[r exp(w x^2/4)] * exp(-w x^2/4): for
+        r = p / W^k it is ((p' + (w/2) x p) W - k p W') / W^(k+1)."""
         p, k, base = self.p, self.k, self.base
         top = p.derivative(weight)
         if not k:
@@ -940,29 +838,34 @@ class WFun:
         return base.over(top * base.W - p * (k * base.dW), k + 1)
 
     def __call__(self, x):
-        return self.canonical()(x)
+        """num(x) / den(x) of the canonical form: exact at a Fraction."""
+        c = self.canonical()
+        return c.num(x) / c.den(x)
 
     # -- comparison / display -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, WFun) and (other.base is self.base or other.base.W == self.base.W):
-            # One monic W, one normal form: compare it as it is.
-            return self.k == other.k and self.p == other.p
+        if isinstance(other, WFun):
+            if other.base is self.base or other.base.W == self.base.W or not (self.k and other.k):
+                # One monic W, or a polynomial on one side: compare the
+                # normal forms as they are.
+                return self.k == other.k and self.p == other.p
+            return self.canonical() == other.canonical()
         if isinstance(other, (Poly, int, Fraction)):
             return self.k == 0 and self.p == other
-        if isinstance(other, RatFun):
-            if other.den.degree() == 0:  # a monic constant: 1
-                return self.k == 0 and self.p == other.num
-            return self.canonical() == other
-        if isinstance(other, WFun):
-            return self.canonical() == other.canonical()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        # A polynomial equals its Poly, so it hashes as one.
+        return hash(self.canonical()) if self.k else hash(self.p)
 
     def __repr__(self) -> str:
         return repr(self.canonical())
+
+
+# The powers of W = 1: the base of every value built as a polynomial, such as
+# the model's eigenfunctions and potential.
+POLYNOMIALS = WBase(Poly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -1001,20 +904,20 @@ def poly_det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def det_cofactor(rows: Sequence[Sequence[RatFun]]) -> RatFun:
-    """Cofactor-expansion determinant over the rational-function field.
+def det_cofactor(rows: Sequence[Sequence[WFun]]) -> WFun:
+    """Cofactor-expansion determinant of WFun entries.
 
     Exponential cost; kept as the independent cross-check path for the
     fraction-free route.
     """
     n = len(rows)
     if n == 0:
-        return RatFun.one()
+        return POLYNOMIALS.lift(1)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = RatFun.zero()
+    total = POLYNOMIALS.lift(0)
     rest = rows[1:]
     for j in range(n):
         entry = rows[0][j]
@@ -1026,22 +929,26 @@ def det_cofactor(rows: Sequence[Sequence[RatFun]]) -> RatFun:
     return total
 
 
-def ratfun_det(rows: Sequence[Sequence[RatFun]]) -> RatFun:
-    """Exact determinant of a square RatFun matrix.
+def ratfun_det(rows: Sequence[Sequence[WFun]]) -> WFun:
+    """Exact determinant of a square matrix of WFun entries, over the base
+    of its entries with a pole (``POLYNOMIALS`` when it has none).
 
-    Each row is cleared to polynomials by the lcm of its denominators
-    (tracking the scaling) and the core determinant runs fraction-free.
+    Row i is cleared to polynomials by W^K_i, K_i its largest exponent, and
+    the core determinant runs fraction-free: det = D / W^(K_1 + ... + K_n),
+    D that of the cleared rows.
     """
     n = len(rows)
-    poly_rows: list[list[Poly]] = []
-    scale = Poly.one()
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    base = next((e.base for row in rows for e in row if e.k), POLYNOMIALS)
+    poly_rows = []
+    exponent = 0
     for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-        common = reduce(poly_lcm, (e.den for e in row), Poly.one())
-        poly_rows.append([e.num * common.exact_div(e.den) for e in row])
-        scale = scale * common
-    return RatFun(poly_det_bareiss(poly_rows), scale)
+        row = [base.lift(e) for e in row]
+        top = max(e.k for e in row)
+        poly_rows.append([e.p * base.power(top - e.k) for e in row])
+        exponent += top
+    return base.over(poly_det_bareiss(poly_rows), exponent)
 
 
 # ---------------------------------------------------------------------------

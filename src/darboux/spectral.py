@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .gaussian import GaussFun
-from .polynomial import Poly, RatFun, WFun, sturm_real_root_count
+from .polynomial import Poly, WFun, sturm_real_root_count
 from .transform import TransformResult
 
 
@@ -33,7 +33,7 @@ class LevelCountMismatch(RuntimeError):
 
 
 GridFunction = np.ndarray
-Sampleable = Union[Poly, RatFun, WFun, GaussFun]
+Sampleable = Union[Poly, WFun, GaussFun]
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ def _poly_values(p: Poly, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _rational_values(r: RatFun | WFun, xs: np.ndarray) -> np.ndarray:
-    """Samples of r's canonical form, after proving it has no real pole: a
-    WFun's poles are zeros of its base's W, whose whole-line root count is
-    taken once per base, so a WFun over a node-free base needs no count;
-    any other value's canonical denominator is counted on the whole line."""
-    if not (isinstance(r, WFun) and r.base.real_root_count() == 0):
+def _rational_values(r: WFun, xs: np.ndarray) -> np.ndarray:
+    """Samples of r's canonical form, after proving it has no real pole:
+    r's poles are zeros of its base's W, whose whole-line root count is
+    taken once per base, so a value over a node-free base (the polynomials'
+    among them) needs no count; over a base with real roots, r's canonical
+    denominator is counted on the whole line."""
+    if r.base.real_root_count():
         den = r.den
         if den.degree() > 0 and sturm_real_root_count(den) > 0:
             raise PoleOnGrid(
@@ -90,8 +91,9 @@ def _rational_values(r: RatFun | WFun, xs: np.ndarray) -> np.ndarray:
 
 
 def sample(f: Sampleable, grid: Grid) -> GridFunction:
-    """Pointwise float samples of an exact object; one with a real pole is
-    rejected exactly, with ``PoleOnGrid``.
+    """Pointwise float samples of a Poly, a WFun or a GaussFun; a value with
+    a real pole is rejected exactly, with ``PoleOnGrid``
+    (``_rational_values``).
 
     An overflow or an invalid operation raises numpy's FloatingPointError
     instead of leaving an inf or a nan in the samples.
@@ -100,7 +102,7 @@ def sample(f: Sampleable, grid: Grid) -> GridFunction:
     with np.errstate(over="raise", invalid="raise"):
         if isinstance(f, Poly):
             return _poly_values(f, xs)
-        if isinstance(f, (RatFun, WFun)):
+        if isinstance(f, WFun):
             return _rational_values(f, xs)
         if isinstance(f, GaussFun):
             return _rational_values(f.r, xs) * np.exp(float(f.s) * xs * xs / 4.0)

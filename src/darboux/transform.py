@@ -26,9 +26,10 @@ polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
 W^(N-m), V_N over W^2.  So every derived value is built, and held, in one
 form: a ``WFun`` p/W^k in normal form over the transform's one ``WBase``,
 where a zero test is p = 0 and no gcd is taken.  The shift, V_N, L, the
-checks, the images L phi and the kernel functions are all computed there; a
-value meets its canonical RatFun form (one gcd, cached) only where it is
-read: printed, sampled or compared with a closed form.
+checks, the images L phi and the kernel functions are all computed there,
+and the model's polynomials (its eigenfunctions and potential) are lifted
+to it; a value meets its canonical form (one gcd, cached) only where it is
+read: printed or sampled.
 
 Deleting an admissible selection removes exactly those levels from the
 partner spectrum while every other level survives with the same energy.
@@ -43,7 +44,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .gaussian import AdjointJet, BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
-from .polynomial import Poly, RatFun, WBase, WFun, cramer_numerators
+from .polynomial import Poly, WBase, WFun, cramer_numerators
 
 
 class InadmissibleSelection(ValueError):
@@ -69,7 +70,7 @@ class NodefulWronskian(RuntimeError):
 class SolvableModel(Protocol):
     """What the engine needs from a base model."""
 
-    potential: RatFun
+    potential: WFun
 
     def energy(self, n: int) -> Fraction: ...
 
@@ -148,7 +149,7 @@ class TransformResult:
     # partner_potential and operator's coefficients are WFuns over it.
     base: WBase = field(compare=False, repr=False)
     shift: WFun
-    base_potential: RatFun
+    base_potential: WFun
     partner_potential: WFun
     operator: DiffOp
     # W(u_1, ..., u_N, phi) by the Jacobi-identity chain over the family's
@@ -228,9 +229,9 @@ def _derivative_rows(functions: Sequence[GaussFun], order: int) -> list[list[Pol
     as ``BorderedWronskian`` does."""
     rows = []
     for u in functions:
-        if u.r.den.degree() > 0:
+        if u.r.k:
             raise ValueError("the family's rational parts must be polynomials")
-        row = [u.r.num]
+        row = [u.r.p]
         for _ in range(order):
             row.append(row[-1].derivative(u.s))
         rows.append(row)

@@ -21,7 +21,7 @@ from darboux.oscillator import (
     partner_eigenfunction_closed_form,
     partner_potential_closed_form,
 )
-from darboux.polynomial import Poly, RatFun, sturm_real_root_count
+from darboux.polynomial import Poly, sturm_real_root_count
 from darboux.spectral import (
     Grid,
     REFERENCE_GRID,
@@ -79,8 +79,9 @@ def test_criterion_2_golden_closed_forms(model):
     for k in range(5):
         tr = build_transform(model, (k, k + 1))
         assert tr.partner_potential == partner_potential_closed_form(k), f"potential k={k}"
-        ratio = tr.wronskian.r / RatFun(pair_wronskian_poly(k))
-        assert ratio.is_constant and ratio.as_fraction() != 0, f"Wronskian k={k}"
+        w, p_k = tr.wronskian.r, pair_wronskian_poly(k)
+        ratio = w.p.lead() / p_k.lead()
+        assert w.k == 0 and w == ratio * p_k and ratio != 0, f"Wronskian k={k}"
         if k in frozen:
             assert pair_wronskian_poly(k) == frozen[k]
     _report(2, True, "engine potentials and Wronskians equal the closed forms for k=0..4")

@@ -13,7 +13,7 @@ from darboux.oscillator import (
     partner_eigenfunction_closed_form,
     partner_potential_closed_form,
 )
-from darboux.polynomial import NormValue, Poly, RatFun, sturm_real_root_count
+from darboux.polynomial import NormValue, Poly, WBase, sturm_real_root_count
 from darboux.spectral import REFERENCE_GRID, quadrature_simpson, sample
 from darboux.transform import build_transform, crum_krein_apply
 
@@ -25,7 +25,7 @@ def survivor_images(model, tr, n_max):
 
 class TestModel:
     def test_potential(self, model):
-        assert model.potential == RatFun(Poly((Fraction(-1, 2), 0, Fraction(1, 4))))
+        assert model.potential == Poly((Fraction(-1, 2), 0, Fraction(1, 4)))
 
     @pytest.mark.parametrize("n", range(11))
     def test_eigen_identity(self, model, n):
@@ -64,9 +64,7 @@ class TestPairPolynomial:
 
 class TestPartnerPotential:
     def test_plain_shifted_oscillator(self):
-        assert partner_potential_closed_form(0) == RatFun(
-            Poly((Fraction(3, 2), 0, Fraction(1, 4)))
-        )
+        assert partner_potential_closed_form(0) == Poly((Fraction(3, 2), 0, Fraction(1, 4)))
 
     def test_value_at_origin(self):
         # 3/2 - 2*2/1 + 0 = -5/2
@@ -83,12 +81,12 @@ class TestClosedFormWaveFunctions:
 
     def test_bracket_below_pair(self):
         bracket, norm = partner_eigenfunction_closed_form(1, 0)
-        assert bracket == GaussFun(RatFun(Poly((-2,)), Poly((1, 0, 1))), -1)
+        assert bracket == GaussFun(WBase(Poly((1, 0, 1))).over(Poly((-2,)), 1), -1)
         assert norm == NormValue(Fraction(2))  # 0! * (0-1)(0-2) = 2
 
     def test_bracket_above_pair(self):
         bracket, _ = partner_eigenfunction_closed_form(1, 3)
-        expected = GaussFun(RatFun(Poly((0, -6, 0, -2)), Poly((1, 0, 1))), -1)
+        expected = GaussFun(WBase(Poly((1, 0, 1))).over(Poly((0, -6, 0, -2)), 1), -1)
         assert bracket == expected
 
     def test_normalized_value_at_origin(self):

@@ -12,7 +12,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from darboux import spectral
 from darboux.gaussian import GaussFun
-from darboux.polynomial import Poly, RatFun, WBase, WFun
+from darboux.polynomial import Poly, WBase, WFun
 from darboux.spectral import (
     Grid,
     LevelCountMismatch,
@@ -36,8 +36,16 @@ _X = sympy.Symbol("x")
 # Two bases with real nodes and one node-free base.
 _W_X, _W_ROOT2, _W_FREE = WBase(Poly((0, 1))), WBase(Poly((-2, 0, 1))), WBase(Poly((1, 0, 1)))
 _nonzero_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any).map(Poly)
+
+
+def _over(num: Poly, den: Poly) -> WFun:
+    """num / den over the powers of its own monic denominator: a fresh base,
+    whose roots no sample has counted yet."""
+    return WBase(den).over(num * (1 / den.lead()), 1)
+
+
 _sampled_values = st.one_of(
-    st.builds(RatFun, _nonzero_polys, _nonzero_polys.filter(lambda p: p.degree() > 0)),
+    st.builds(_over, _nonzero_polys, _nonzero_polys.filter(lambda p: p.degree() > 0)),
     st.builds(lambda base, p, k: base.over(p, k),
               st.sampled_from([_W_X, _W_ROOT2, _W_FREE]), _nonzero_polys, st.integers(1, 2)),
 )
@@ -95,20 +103,20 @@ class TestGridAndSampling:
         assert values[0] == 0.0
 
     def test_pole_rejected(self):
-        f = RatFun(Poly.one(), Poly((0, 1)))  # 1/x
+        f = _over(Poly.one(), Poly((0, 1)))  # 1/x
         with pytest.raises(PoleOnGrid, match="has a real pole"):
             sample(f, Grid(-1.0, 1.0, 11))
         # A pole beside the window is rejected too: the count is whole-line.
         with pytest.raises(PoleOnGrid, match="has a real pole"):
             sample(f, Grid(1.0, 2.0, 11))
         # A denominator with no real root is sampled.
-        g = RatFun(Poly.one(), Poly((1, 0, 1)))  # 1/(1 + x^2)
+        g = _over(Poly.one(), Poly((1, 0, 1)))  # 1/(1 + x^2)
         assert np.all(np.isfinite(sample(g, Grid(-1.0, 1.0, 11))))
 
     @settings(deadline=None, max_examples=120, derandomize=True)
     @given(_sampled_values, _small_grids)
-    @example(RatFun(Poly.one(), Poly((0, 1))), Grid(-1.0, 1.0, 11))  # 1/x
-    @example(RatFun(Poly.one(), Poly((0, 1))), Grid(1.0, 2.0, 11))  # its pole beside the grid
+    @example(_over(Poly.one(), Poly((0, 1))), Grid(-1.0, 1.0, 11))  # 1/x
+    @example(_over(Poly.one(), Poly((0, 1))), Grid(1.0, 2.0, 11))  # its pole beside the grid
     @example(_W_X.over(Poly.one(), 1), Grid(-1.0, 1.0, 11))
     @example(_W_X.over(Poly.one(), 1), Grid(1.0, 2.0, 11))
     @example(_W_ROOT2.over(Poly((1, 1)), 2), Grid(-1.0, 1.0, 11))  # poles at +-sqrt(2)
@@ -119,20 +127,22 @@ class TestGridAndSampling:
         # denominator has a real root anywhere on the line, whether or not
         # the grid reaches it.  sympy cancels the fraction and counts the
         # roots on its own.
-        num, den = (f.p, f.base.power(f.k)) if isinstance(f, WFun) else (f.num, f.den)
+        num, den = f.p, f.base.power(f.k)
         reduced = sympy.fraction(sympy.cancel(_sympy_expr(num) / _sympy_expr(den)))[1]
         if sympy.Poly(reduced, _X).count_roots() > 0:
             with pytest.raises(PoleOnGrid, match="has a real pole"):
                 sample(f, grid)
-        elif isinstance(f, WFun):
-            assert np.array_equal(sample(f, grid), sample(f.canonical(), grid))
         else:
+            # The samples are those of the canonical form, over a base of
+            # its own denominator.
+            assert np.array_equal(sample(f, grid), sample(_over(f.num, f.den), grid))
             assert np.all(np.isfinite(sample(f, grid)))
 
     def test_w_form_values_read_their_base_certificate(self, model, monkeypatch):
         # Every pole of a WFun is a zero of its base's W, whose whole-line
-        # count build_transform has taken; a RatFun's denominator is counted
-        # on the whole line.  The samples are those of the canonical form.
+        # count build_transform has taken; the canonical form over a fresh
+        # base of its own denominator takes that base's count.  The samples
+        # are those of the canonical form.
         tr = build_transform(model, (1, 2, 5, 6))
         image = crum_krein_apply(tr, model.eigenfunction(3))
         counts = []
@@ -147,8 +157,8 @@ class TestGridAndSampling:
         grid = REFERENCE_GRID
         w_form = [sample(tr.partner_potential, grid), sample(image, grid)]
         assert counts == []
-        canonical = [sample(tr.partner_potential.canonical(), grid),
-                     sample(GaussFun(image.r.canonical(), image.s), grid)]
+        canonical = [sample(_over(tr.partner_potential.num, tr.partner_potential.den), grid),
+                     sample(GaussFun(_over(image.r.num, image.r.den), image.s), grid)]
         assert len(counts) == 2
         for got, want in zip(w_form, canonical):
             assert np.array_equal(got, want)
@@ -163,7 +173,7 @@ class TestGridAndSampling:
             sample(f, Grid(1.0, 2.0, 11))
         # A value whose pole cancels is sampled as its canonical form.
         g = base.over(Poly((0, 0, 1)), 1)  # x^2 / x
-        assert np.array_equal(sample(g, Grid(-1.0, 1.0, 11)), sample(g.canonical(), Grid(-1.0, 1.0, 11)))
+        assert np.array_equal(sample(g, Grid(-1.0, 1.0, 11)), sample(_over(g.num, g.den), Grid(-1.0, 1.0, 11)))
 
 
 class TestHamiltonian:

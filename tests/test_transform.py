@@ -49,7 +49,12 @@ from darboux.transform import (
 
 
 def phi(n):
-    return GaussFun(RatFun(hermite_he(n)), -1)
+    return GaussFun(hermite_he(n), -1)
+
+
+def _over(num: Poly, den: Poly) -> WFun:
+    """num / den over the powers of its own monic denominator."""
+    return WBase(den).over(num * (1 / den.lead()), 1)
 
 
 # Every Krein-admissible selection of order <= 4 with levels up to 7.
@@ -138,14 +143,14 @@ class TestLevelSelection:
 
 class TestBuildTransform:
     def test_ground_pair_constant_shift(self, model, tr01):
-        assert tr01.shift == RatFun.constant(2)
-        assert tr01.partner_potential == RatFun(Poly((Fraction(3, 2), 0, Fraction(1, 4))))
-        assert tr01.wronskian == GaussFun(RatFun.one(), -2)
+        assert tr01.shift == 2
+        assert tr01.partner_potential == Poly((Fraction(3, 2), 0, Fraction(1, 4)))
+        assert tr01.wronskian == GaussFun(1, -2)
 
     def test_excited_pair_values_at_origin(self, tr12):
         assert tr12.shift(Fraction(0)) == Fraction(-2)
         assert tr12.partner_potential(Fraction(0)) == Fraction(-5, 2)
-        assert tr12.wronskian.r == RatFun(Poly((1, 0, 1)))
+        assert tr12.wronskian.r == Poly((1, 0, 1))
 
     def test_inadmissible_raises(self, model):
         with pytest.raises(InadmissibleSelection) as err:
@@ -154,31 +159,25 @@ class TestBuildTransform:
 
     def test_consistency_invariants(self, tr12):
         assert tr12.partner_potential == tr12.base_potential + tr12.shift
-        assert tr12.operator.coeffs[tr12.order] == RatFun.one()
+        assert tr12.operator.coeffs[tr12.order] == 1
         assert sturm_real_root_count(tr12.wronskian.r.num) == 0
 
 
 class TestCrumKreinOperator:
     def test_first_order(self, model):
         tr = build_transform(model, (0,))
-        expected = DiffOp((RatFun(Poly((0, Fraction(1, 2)))), RatFun.one()))  # d + x/2
+        expected = DiffOp((Poly((0, Fraction(1, 2))), 1))  # d + x/2
         assert tr.operator == expected
 
     def test_second_order_hand_expansion(self, tr01):
         # 3x3 determinant expanded by hand: d^2 + x d + (x^2/4 + 1/2)
-        expected = DiffOp(
-            (
-                RatFun(Poly((Fraction(1, 2), 0, Fraction(1, 4)))),
-                RatFun.x(),
-                RatFun.one(),
-            )
-        )
+        expected = DiffOp((Poly((Fraction(1, 2), 0, Fraction(1, 4))), Poly.x(), 1))
         assert tr01.operator == expected
 
     @pytest.mark.parametrize("levels", [(0,), (0, 1), (1, 2), (2, 3), (0, 1, 2)])
     def test_monic_top_coefficient(self, model, levels):
         tr = build_transform(model, levels)
-        assert tr.operator.coeffs[len(levels)] == RatFun.one()
+        assert tr.operator.coeffs[len(levels)] == 1
 
     def test_degenerate_family_rejected(self):
         f = phi(1)
@@ -209,7 +208,7 @@ class TestCrumKreinOperator:
         # The standing assertion compares the operator with the stored
         # sub-Wronskian chain, so a wrong coefficient cannot pass silently.
         coeffs = list(tr12.operator.coeffs)
-        coeffs[0] = coeffs[0] + RatFun.constant(Fraction(1, 7))
+        coeffs[0] = coeffs[0] + Fraction(1, 7)
         wrong = replace(tr12, operator=DiffOp(coeffs))
         with pytest.raises(AssertionError, match="routes disagree"):
             crum_krein_apply(wrong, phi(0))
@@ -221,20 +220,20 @@ def _operator_from_minors(functions, w):
     The (N+1)x(N+1) determinant whose last column is (1, d, ..., d^N) gives
     d^m the signed minor that deletes derivative row m, divided by W; the
     shared exponential factor cancels.  N + 1 separate determinants: the
-    oracle for the one-solve operator.
+    oracle for the one-solve operator, over a base of its own.
     """
     n = len(functions)
     table = derivative_table(functions, n)
     coeffs = []
     for m in range(n + 1):
         minor = ratfun_det([[table[d][i] for i in range(n)] for d in range(n + 1) if d != m])
-        coeffs.append((minor if (n + m) % 2 == 0 else -minor) / w.r)
+        coeffs.append(_over(minor.p if (n + m) % 2 == 0 else -minor.p, w.r.p))
     return DiffOp(coeffs)
 
 
 # A same-weight function with a non-constant denominator: its column needs
 # clearing of its own, which oscillator eigenfunctions never do.
-RATIONAL_PHI = GaussFun(RatFun(hermite_he(3), Poly((1, 0, 1))), -1)
+RATIONAL_PHI = GaussFun(_over(hermite_he(3), Poly((1, 0, 1))), -1)
 
 
 class TestWronskianAgainstSympy:
@@ -249,7 +248,7 @@ class TestWronskianAgainstSympy:
 
         def poly(expr):
             coeffs = sympy.Poly(sympy.expand(expr), x).all_coeffs()
-            return RatFun(Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)))
+            return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
 
         # Row m holds the m-th derivatives over the shared exp(-x^2/4).
         for m, row in enumerate(derivative_table(family, len(levels) - 1)):
@@ -276,7 +275,7 @@ class TestWronskianAgainstSympy:
         shift = RatFun(poly(num), poly(den))
         tr = _transform(levels)
         assert tr.shift.canonical() == shift
-        assert tr.partner_potential == OscillatorModel().potential + shift
+        assert tr.partner_potential == OscillatorModel().potential + _over(shift.num, shift.den)
 
 
 class TestBorderedWronskian:
@@ -319,7 +318,7 @@ class TestBorderedWronskian:
         # Every link of the chain: P_k is the Wronskian of the first k.
         bordered = tr.bordered
         for k, (p, _, _) in enumerate(bordered._chain, 1):
-            assert GaussFun(RatFun(p), k * bordered.weight) == wronskian(tr.functions[:k])
+            assert GaussFun(p, k * bordered.weight) == wronskian(tr.functions[:k])
 
     def test_doubled_last_link_trips_the_route_check(self, model):
         # A seeded mutant of the chain: P_N and P_N' both doubled double
@@ -343,7 +342,7 @@ class TestBorderedWronskian:
 
     def test_other_weight_rejected(self, tr12):
         with pytest.raises(MixedWeightError):
-            tr12.bordered(GaussFun(RatFun.one(), 1))
+            tr12.bordered(GaussFun(1, 1))
 
 
 class TestCrumKreinApply:
@@ -355,7 +354,7 @@ class TestCrumKreinApply:
         # engine image is 2/(1+x^2) e^{-x^2/4}; proportional to the
         # closed-form bracket -2/(1+x^2) e^{-x^2/4}
         image = crum_krein_apply(tr12, phi(0))
-        assert image == GaussFun(RatFun(Poly((2,)), Poly((1, 0, 1))), -1)
+        assert image == GaussFun(_over(Poly((2,)), Poly((1, 0, 1))), -1)
 
     def test_image_is_partner_eigenfunction(self, model, tr01):
         image = crum_krein_apply(tr01, phi(2))
@@ -367,7 +366,7 @@ class TestCrumKreinApply:
         # Both routes run on every phi: another weight, which the operator
         # alone would accept, fails in the bordered route.
         with pytest.raises(MixedWeightError):
-            crum_krein_apply(tr12, GaussFun(RatFun.one(), 1))
+            crum_krein_apply(tr12, GaussFun(1, 1))
         with pytest.raises(ValueError, match="is not a polynomial"):
             crum_krein_apply(tr12, RATIONAL_PHI)
 
@@ -413,13 +412,13 @@ class TestCrumKreinApply:
 class TestKernelFunctions:
     def test_pair_kernel_closed_forms(self, tr12):
         v1, v2 = kernel_functions(tr12)
-        assert v1 == GaussFun(RatFun(Poly((-1, 0, 1)), Poly((1, 0, 1))), 1)
-        assert v2 == GaussFun(RatFun(Poly((0, 1)), Poly((1, 0, 1))), 1)
+        assert v1 == GaussFun(_over(Poly((-1, 0, 1)), Poly((1, 0, 1))), 1)
+        assert v2 == GaussFun(_over(Poly((0, 1)), Poly((1, 0, 1))), 1)
 
     def test_first_order_reciprocal(self, model):
         tr = build_transform(model, (0,))
         (v,) = kernel_functions(tr)
-        assert v == GaussFun(RatFun.one(), 1)
+        assert v == GaussFun(1, 1)
 
     @pytest.mark.parametrize("levels", [(0,), (0, 1), (1, 2), (2, 3)])
     def test_adjoint_annihilation_and_eigen_equations(self, model, levels):
@@ -455,7 +454,7 @@ class TestKernelSolve:
 
         for k, v in enumerate(kernel_functions(_transform(levels))):
             num, den = sympy.fraction(sympy.cancel((-1) ** (n - 1 - k) * inverse[k, n - 1]))
-            assert v == GaussFun(RatFun(poly(num), poly(den)), 1)
+            assert v == GaussFun(_over(poly(num), poly(den)), 1)
 
     def test_verify_computes_no_determinant(self, monkeypatch, capsys):
         def refuse(*args):
@@ -543,7 +542,7 @@ class TestFactorization:
 
     def test_replaced_transform_gets_its_own_adjoint(self, tr12):
         tr12.adjoint
-        d = DiffOp((RatFun.zero(), RatFun.one()))
+        d = DiffOp((0, 1))
         first_order = replace(tr12, operator=d)
         assert first_order.adjoint == -d
 
@@ -555,7 +554,7 @@ class TestFactorization:
     def test_ground_pair_partner_identity(self, tr01):
         report = factorization_identity_check(tr01)
         assert report.partner_ok
-        assert tr01.partner_potential == RatFun(Poly((Fraction(3, 2), 0, Fraction(1, 4))))
+        assert tr01.partner_potential == Poly((Fraction(3, 2), 0, Fraction(1, 4)))
 
     def test_eigen_residuals_surviving_levels(self, model, tr12):
         h_partner = tr12.hamiltonian_partner()
@@ -573,13 +572,27 @@ def _expanded_product(h: DiffOp, alphas) -> DiffOp:
     return product
 
 
+# The second base's extra factor: x + 1 has a real root, so it shares none
+# with a transform's node-free W.
+_Q = Poly((1, 1))
+
+
+def _rebased(tr):
+    """A function that moves a value over ``tr.base`` to a second base,
+    W (x + 1): p / W^k is p (x + 1)^k / (W (x + 1))^k there, so every
+    normal form an expansion forms differs from the transform's own."""
+    base = WBase(tr.base.W * _Q)
+    return lambda v: base.over(v.p * _Q ** v.k, v.k)
+
+
 def _expanded_residuals(tr):
-    """Both identities expanded in full over RatFun coefficients: the route
-    the derived check in W-form replaces."""
-    op = DiffOp(c.canonical() for c in tr.operator.coeffs)
+    """Both identities expanded in full over a second base: the route the
+    derived check over the transform's base replaces."""
+    rebase = _rebased(tr)
+    op = DiffOp(rebase(c) for c in tr.operator.coeffs)
     adjoint, alphas = op.adjoint(), tr.selection.alphas
     h0 = DiffOp.schroedinger(tr.base_potential)
-    hn = DiffOp.schroedinger(tr.partner_potential.canonical())
+    hn = DiffOp.schroedinger(rebase(tr.partner_potential))
     return (
         adjoint.compose(op) - _expanded_product(h0, alphas),
         op.compose(adjoint) - _expanded_product(hn, alphas),
@@ -604,8 +617,8 @@ class TestDerivedPartnerIdentity:
     @settings(deadline=None, max_examples=12, derandomize=True)
     @given(st.sampled_from(_ADMISSIBLE))
     def test_agrees_with_full_expansion(self, levels):
-        # The same residuals two ways: expanded in W-form and expanded over
-        # RatFun coefficients.  ``susy.factorization_check`` proves them from
+        # The same residuals two ways: expanded over the transform's base
+        # and over a second one.  ``susy.factorization_check`` proves them from
         # per-level checks (tests/test_susy.py).
         tr = build_transform(OscillatorModel(), levels)
         report = factorization_identity_check(tr)
@@ -638,14 +651,14 @@ class TestNodedWronskianGuard:
     def test_certificate_rejects_noded_function(self):
         from darboux.transform import NodefulWronskian, _certified_base
 
-        noded = GaussFun(RatFun(Poly((0, 1))), -2)  # x e^{-x^2/2} vanishes at 0
+        noded = GaussFun(Poly((0, 1)), -2)  # x e^{-x^2/2} vanishes at 0
         with pytest.raises(NodefulWronskian):
             _certified_base(noded)
 
     def test_certificate_accepts_node_free(self):
         from darboux.transform import _certified_base
 
-        base = _certified_base(GaussFun(RatFun(Poly((2, 0, 2))), -2))
+        base = _certified_base(GaussFun(Poly((2, 0, 2)), -2))
         assert base.W == Poly((1, 0, 1)) and base.real_root_count() == 0
 
 
@@ -666,15 +679,19 @@ class TestAdmissibilityOracleAgreement:
 
 
 class TestWRoute:
-    """The W-form values of the checks against the RatFun-coefficient route."""
+    """The values of the checks over the transform's base against the route
+    over a second base."""
 
     @pytest.mark.parametrize("levels", [(1, 2), (1, 2, 5, 6)])
     def test_images_match_the_ratfun_route(self, model, levels):
         tr = _transform(levels)
-        op = DiffOp(c.canonical() for c in tr.operator.coeffs)
+        rebase = _rebased(tr)
+        op = DiffOp(rebase(c) for c in tr.operator.coeffs)
         adjoint = op.adjoint()
-        hn = DiffOp.schroedinger(tr.partner_potential.canonical())
-        assert all(isinstance(c, RatFun) for c in (*op.coeffs, *adjoint.coeffs, *hn.coeffs))
+        hn = DiffOp.schroedinger(rebase(tr.partner_potential))
+        base = op.coeffs[-1].base
+        assert base is not tr.base
+        assert all(c.base is base for c in (*op.coeffs, *adjoint.coeffs, *hn.coeffs))
         for n in range(9):
             f = model.eigenfunction(n)
             image, want = crum_krein_apply(tr, f), op(f)
@@ -688,7 +705,9 @@ class TestWRoute:
         for u, v in zip(tr.functions, kernel_functions(tr)):
             rest = [w for w in tr.functions if w is not u]
             w_k = wronskian(rest) if rest else GaussFun.one()
-            want = GaussFun(w_k.r / tr.wronskian.r, w_k.s - tr.wronskian.s)
+            # W_k / (c W) over the second base: W_k (x + 1) / (c W (x + 1)).
+            c = tr.wronskian.r.p.lead()
+            want = GaussFun(base.over(w_k.r.p * _Q * (1 / c), 1), w_k.s - tr.wronskian.s)
             for got, expected in [(v, want), (tr.adjoint(v), adjoint(want)),
                                   (tr.hamiltonian_partner()(v), hn(want))]:
                 assert got == expected and repr(got) == repr(expected)
