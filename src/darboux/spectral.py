@@ -69,9 +69,14 @@ REFERENCE_GRID = Grid(-12.0, 12.0, 2401)
 
 
 def _poly_values(p: Poly, xs: np.ndarray) -> np.ndarray:
+    """Float Horner on ``nums[i] / den``: ``int / int`` rounds correctly, as
+    ``float(Fraction)`` does, and the in-place steps are the same IEEE
+    operations in the same order as ``acc * xs + c``."""
     acc = np.zeros_like(xs)
-    for c in reversed(p.coeffs):
-        acc = acc * xs + float(c)
+    den = p.den
+    for c in reversed(p.nums):
+        acc *= xs
+        acc += c / den
     return acc
 
 
@@ -222,6 +227,21 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
     A level is done only when its bracket is at most ``tol`` wide (or its
     ends are adjacent floats): a Newton step shorter than ``tol`` is
     confirmed by two counts at lam -+ tol/2, never trusted on its own.
+
+    Both shortcuts below rest on one premise: the computed Sturm count is
+    monotone in lam (it is for this recurrence with its -pivmin fence:
+    Barth, Martin & Wilkinson; Demmel, Dhillon & Ren, ETNA 3, 1995).
+    - Every isolation count is taken with ``cap = k_lowest + 1``, and every
+      probe is recorded as min(count, k_lowest + 1) (the Newton passes count
+      in full, for f'/f).  Capping keeps the probe list sorted, and
+      every decision compares a count with some j <= k_lowest < cap: the
+      index bisect_left(counts, j) and the isolation test (j - 1, j) read
+      the same as with full counts.  So a pass far above the k lowest
+      levels stops after k_lowest + 1 negative pivots.
+    - A certificate count at lam -+ tol/2 is skipped when the bracket
+      already settles it: count(lo) < j, so a point at or below lo counts
+      below j; count(hi) >= j, so a point at or above hi counts at least j.
+    Neither changes a probe position, so the result is that of full counts.
     References: Barth, Martin & Wilkinson, Numer. Math. 1967; Li & Zeng,
     SIAM J. Sci. Comput. 1994.
     """
@@ -233,9 +253,10 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
     lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
     hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
     diag, off_sq = _sturm_rows(t)
-    # Every full count taken, in increasing lam.  Counts rise with lam, so one
-    # probe bounds every later level too.
-    lams, counts = [lo_bound, hi_bound], [0, t.size]
+    # Every count taken, capped at k_lowest + 1, in increasing lam.  Counts
+    # rise with lam, so one probe bounds every later level too.
+    cap = k_lowest + 1
+    lams, counts = [lo_bound, hi_bound], [0, min(t.size, cap)]
 
     def record(lam: float, count: int) -> None:
         at = bisect.bisect(lams, lam)
@@ -250,7 +271,7 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
         # it is tol wide (eigenvalues closer than tol never separate).
         while (counts[at - 1], counts[at]) != (j - 1, j) and _wider_than(lo, hi, tol):
             mid = 0.5 * (lo + hi)
-            record(mid, _count_below(diag, off_sq, mid))
+            record(mid, _count_below(diag, off_sq, mid, cap))
             at = bisect.bisect_left(counts, j)
             lo, hi = lams[at - 1], lams[at]
 
@@ -260,7 +281,7 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
         newton = math.nan
         while _wider_than(lo, hi, tol):
             count, ratio = _count_and_ratio(diag, off_sq, x)
-            record(x, count)
+            record(x, min(count, cap))
             if count >= j:
                 hi = x
             else:
@@ -268,9 +289,9 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
             newton = x - 1.0 / ratio if ratio else math.nan
             if abs(newton - x) < tol:  # a claim to certify, not a stop
                 below, above = newton - 0.5 * tol, newton + 0.5 * tol
-                if _count_below(diag, off_sq, below, cap=j) >= j:
+                if below > lo and _count_below(diag, off_sq, below, cap=j) >= j:
                     hi = min(hi, below)
-                elif _count_below(diag, off_sq, above, cap=j) < j:
+                elif above < hi and _count_below(diag, off_sq, above, cap=j) < j:
                     lo = max(lo, above)
                 else:
                     lo, hi = max(lo, below), min(hi, above)

@@ -1,6 +1,9 @@
+import bisect
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,8 +23,10 @@ from darboux.spectral import (
     PoleOnGrid,
     REFERENCE_GRID,
     TridiagMatrix,
+    _count_and_ratio,
     _count_below,
     _sturm_rows,
+    _wider_than,
     build_hamiltonian,
     eigenvalues_bisection,
     eigenvector_inverse_iteration,
@@ -176,6 +181,53 @@ class TestGridAndSampling:
         assert np.array_equal(sample(g, Grid(-1.0, 1.0, 11)), sample(_over(g.num, g.den), Grid(-1.0, 1.0, 11)))
 
 
+def _reference_poly_values(p: Poly, xs: np.ndarray) -> np.ndarray:
+    """The sampler's Horner loop over ``float(c)`` of the Fraction
+    coefficients, kept as the oracle of ``spectral._poly_values``."""
+    acc = np.zeros_like(xs)
+    for c in reversed(p.coeffs):
+        acc = acc * xs + float(c)
+    return acc
+
+
+def _outcome(f, p: Poly, xs: np.ndarray):
+    """The samples of p, or the type of the exception sampling raised."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return f(p, xs)
+    except ArithmeticError as exc:  # OverflowError or FloatingPointError
+        return type(exc)
+
+
+_fractions = st.builds(
+    lambda num, den: Fraction(num, den),
+    st.one_of(st.integers(-10**40, 10**40), st.sampled_from([10**400, -(10**309)])),
+    st.one_of(st.integers(1, 10**30), st.sampled_from([3**700])),
+)
+_sample_points = st.lists(
+    st.floats(-1e30, 1e30, allow_nan=False, allow_subnormal=True), min_size=1, max_size=8
+).map(np.array)
+
+
+class TestPolyValues:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coeffs=st.lists(_fractions, max_size=12), xs=_sample_points)
+    @example(coeffs=[Fraction(10**400, 3**700)], xs=np.array([0.5]))
+    def test_same_bits_as_the_fraction_loop(self, coeffs, xs):
+        p = Poly(coeffs)
+        mine, oracle = _outcome(spectral._poly_values, p, xs), _outcome(_reference_poly_values, p, xs)
+        if isinstance(oracle, type):
+            assert mine is oracle
+        else:
+            assert np.array_equal(mine, oracle)
+
+    def test_coefficient_beyond_the_float_range_raises_on_both_routes(self):
+        p = Poly((1, 10**400))
+        xs = np.array([0.0, 1.0])
+        assert _outcome(_reference_poly_values, p, xs) is OverflowError
+        assert _outcome(spectral._poly_values, p, xs) is OverflowError
+
+
 class TestHamiltonian:
     def test_free_particle_matrix(self):
         g = Grid(0.0, 2.0, 3)  # h = 1
@@ -323,6 +375,132 @@ class TestNewtonRefinement:
         with patch:
             eigs = eigenvalues_bisection(laplacian3, 3, tol=1e-300)
         assert np.allclose(eigs, [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)], rtol=0.0, atol=1e-15)
+
+
+def _reference_eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -> list[float]:
+    """``eigenvalues_bisection`` with a full Sturm count at every probe and
+    both certificate counts taken: the solver's bit-identity oracle."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if k_lowest < 1 or k_lowest > t.size:
+        raise ValueError("k_lowest out of range")
+    radius = np.abs(t.off)
+    lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
+    hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
+    diag, off_sq = _sturm_rows(t)
+    lams, counts = [lo_bound, hi_bound], [0, t.size]
+
+    def record(lam: float, count: int) -> None:
+        at = bisect.bisect(lams, lam)
+        lams.insert(at, lam)
+        counts.insert(at, count)
+
+    out: list[float] = []
+    for j in range(1, k_lowest + 1):
+        at = bisect.bisect_left(counts, j)
+        lo, hi = lams[at - 1], lams[at]
+        while (counts[at - 1], counts[at]) != (j - 1, j) and _wider_than(lo, hi, tol):
+            mid = 0.5 * (lo + hi)
+            record(mid, _count_below(diag, off_sq, mid))
+            at = bisect.bisect_left(counts, j)
+            lo, hi = lams[at - 1], lams[at]
+
+        x = 2.0 * out[-1] - out[-2] if j > 2 else math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        newton = math.nan
+        while _wider_than(lo, hi, tol):
+            count, ratio = _count_and_ratio(diag, off_sq, x)
+            record(x, count)
+            if count >= j:
+                hi = x
+            else:
+                lo = x
+            newton = x - 1.0 / ratio if ratio else math.nan
+            if abs(newton - x) < tol:
+                below, above = newton - 0.5 * tol, newton + 0.5 * tol
+                if _count_below(diag, off_sq, below, cap=j) >= j:
+                    hi = min(hi, below)
+                elif _count_below(diag, off_sq, above, cap=j) < j:
+                    lo = max(lo, above)
+                else:
+                    lo, hi = max(lo, below), min(hi, above)
+                    break
+            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        out.append(newton if lo < newton <= hi else 0.5 * (lo + hi))
+    return out
+
+
+class TestSolverBitIdentity:
+    """Capped probe counts and bracket-settled certificates return the
+    floats that full counts do."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        t=st.one_of(float_tridiagonals(), integer_tridiagonals()),
+        k=st.integers(1, 12),
+        tol=st.sampled_from([1e-10, 1e-3, 0.5, 1e-300]),
+    )
+    @example(
+        t=TridiagMatrix(np.array([-3.0, 0.0, 0.0, 3.0, 2.0]), np.array([0.0, -1.0, 0.0, -2.0])),
+        k=5,
+        tol=1e-10,
+    )
+    def test_random_tridiagonals(self, t, k, tol):
+        k = min(k, t.size)
+        # Halving a bracket of these matrices' width down to tol = 1e-300
+        # takes about 1 000 passes.  The reference takes the same Newton
+        # passes, so it ends when this does.
+        _, patch = _bounded_passes(2000 * k)
+        with patch:
+            mine = eigenvalues_bisection(t, k, tol)
+        assert mine == _reference_eigenvalues_bisection(t, k, tol)
+
+    @pytest.mark.parametrize("levels", [(1, 2), (2, 3)])
+    def test_reference_grid_hamiltonians(self, model, levels):
+        tr = build_transform(model, levels)
+        k = {"base": 17, "partner": len(tr.selection.survivors(16))}
+        for sector, potential in (("base", tr.base_potential), ("partner", tr.partner_potential)):
+            t = build_hamiltonian(sample(potential, REFERENCE_GRID), REFERENCE_GRID)
+            assert eigenvalues_bisection(t, k[sector]) == _reference_eigenvalues_bisection(t, k[sector])
+
+
+def test_spectrum_takes_full_passes_only_in_its_level_count_gate(tr12, monkeypatch):
+    # On the reference (1,2) --nmax 8 solve, full counts at every probe and
+    # both certificates always taken made 61 uncapped counts (20 of them the
+    # gate's) and 32 certificate counts.
+    passes = Counter()
+    solve, count_below, count_and_ratio = (
+        spectral.eigenvalues_bisection, spectral._count_below, spectral._count_and_ratio)
+    k_lowest = []
+
+    def solving(t, k, *args):
+        k_lowest.append(k)
+        return solve(t, k, *args)
+
+    def counting(diag, off_sq, lam, cap=None):
+        if cap is None:
+            passes["uncapped"] += 1
+        elif cap == k_lowest[-1] + 1:
+            passes["isolation"] += 1
+        else:
+            assert cap <= k_lowest[-1]
+            passes["certificate"] += 1
+        return count_below(diag, off_sq, lam, cap)
+
+    def ratio(diag, off_sq, lam):
+        passes["ratio"] += 1
+        return count_and_ratio(diag, off_sq, lam)
+
+    monkeypatch.setattr(spectral, "eigenvalues_bisection", solving)
+    monkeypatch.setattr(spectral, "_count_below", counting)
+    monkeypatch.setattr(spectral, "_count_and_ratio", ratio)
+    verify_spectrum(tr12, 8, REFERENCE_GRID)
+    assert k_lowest == [9, 7]
+    assert passes["uncapped"] == 20
+    assert passes["certificate"] == 16
+    assert passes["ratio"] == 61
+    assert passes["isolation"] == 41
 
 
 class TestInverseIteration:
