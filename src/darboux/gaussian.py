@@ -9,7 +9,11 @@ Wronskians of oscillator eigenfunctions need.  ``DiffOp`` is
 sum_j a_j(x) d^j/dx^j with WFun coefficients; its composition and adjoint
 both rest on the one commutation rule d o a = a d + a' (``_d_left``).  No
 step takes a gcd: a WFun only divides out factors W, and a polynomial
-meeting a value over another W is lifted to it.
+meeting a value over another W is lifted to it.  Applying an operator and
+each coefficient of a composition are sums of products; their numerators
+are summed over one power of W and reduced once (``_sum_of_products``).
+The normal form of a value is unique, so that is bit for bit the WFun a
+reduction after every product and every partial sum would give.
 ``AdjointJet`` reads the value and slope at x = 0 of the formal adjoint's
 action off an operator's WFun coefficients, without building the adjoint.
 Everything is exact and immutable.
@@ -22,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polynomial import POLYNOMIALS, Poly, Scalar, WFun, _frac, ratfun_det
+from .polynomial import POLYNOMIALS, Poly, Scalar, WBase, WFun, _frac, _pole_base, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -159,29 +163,33 @@ class DiffOp:
         return len(self.coeffs) - 1
 
     def __call__(self, f: GaussFun) -> GaussFun:
-        """Apply the operator to a Gaussian-weighted function, exactly."""
-        if self.is_zero:
+        """Apply the operator to a Gaussian-weighted function, exactly: the
+        rational part sum_j a_j r_j of the result, r_j that of f^(j), is
+        one ``_sum_of_products`` over the base with a pole among the a_j
+        and f, so it takes one normal-form reduction, not one per term."""
+        if self.is_zero or f.is_zero:
             return GaussFun.zero()
         derivs = f.derivatives(self.order())
-        out = GaussFun.zero()
-        for a, fj in zip(self.coeffs, derivs):
-            if not a.is_zero:
-                out = out + fj * a
-        return out
+        base = _pole_base((*self.coeffs, f.r))
+        r = _sum_of_products(zip(self.coeffs, (g.r for g in derivs)), base)
+        return GaussFun(r, f.s)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self o other = sum_i a_i (d^i o other).  The ladder d^i o other
-        takes one ``_d_left`` step per i, also past a zero a_i."""
+        takes one ``_d_left`` step per i, also past a zero a_i.  Output
+        coefficient j, sum_i a_i c_ij over the ladders' c_ij, is one
+        ``_sum_of_products``, as in ``__call__``."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        out = [self.coeffs[-1] * 0] * (self.order() + other.order() + 1)
+        base = _pole_base((*self.coeffs, *other.coeffs))
+        columns: list[list[tuple[WFun, WFun]]] = [[] for _ in range(len(self.coeffs) + other.order())]
         ladder = list(other.coeffs)
         for i, a in enumerate(self.coeffs):
             if i:
                 ladder = _d_left(ladder)
-            for j, c in enumerate(ladder):
-                out[j] = out[j] + a * c
-        return DiffOp(out)
+            for column, c in zip(columns, ladder):
+                column.append((a, c))
+        return DiffOp(_sum_of_products(column, base) for column in columns)
 
     def adjoint(self) -> "DiffOp":
         """Formal (Laplace) adjoint sum_j (-d)^j o a_j by Horner's rule:
@@ -235,6 +243,22 @@ class DiffOp:
             dd = "" if j == 0 else ("d" if j == 1 else f"d^{j}")
             parts.append(f"({a!r}){'*' + dd if dd else ''}")
         return " + ".join(parts)
+
+
+def _sum_of_products(pairs: Iterable[tuple[WFun, WFun]], base: WBase) -> WFun:
+    """sum a * c over the pairs, over ``base``, with one normal-form
+    reduction.  Each product p_a p_c / W^(k_a + k_c) is raised to the
+    largest exponent K by W^(K - k_a - k_c), the numerators are summed, and
+    ``WBase.over`` divides the factors W out of that sum once.  The normal
+    form of a value is unique, so the result is the WFun that the sum of
+    the reduced products gives, term by term."""
+    terms = [(base.lift(a), base.lift(c)) for a, c in pairs if not (a.is_zero or c.is_zero)]
+    if not terms:
+        return base.lift(0)
+    top = max(a.k + c.k for a, c in terms)
+    products = [a.p * c.p * base.power(top - a.k - c.k) for a, c in terms]
+    num = sum(products[1:], products[0])
+    return base.over(num, top)
 
 
 def _d_left(coeffs: Sequence[WFun]) -> list[WFun]:

@@ -3,10 +3,11 @@
 A ``Poly`` holds integer numerators over one positive common denominator, so
 every ring operation (sums, products, derivatives, division) runs in ``int``
 arithmetic and ends in a single reduction; ``Poly.coeffs`` presents the
-same values as ``fractions.Fraction`` coefficients.  Everything in this
-module is exact and deterministic.  A Poly is canonical: its denominator is
-positive and coprime to the content of its numerators, with no trailing
-zero coefficient.  Structural equality therefore coincides with value
+same values as ``fractions.Fraction`` coefficients.  Products, sums and
+derivatives run their inner loops as ``map`` calls over whole rows, at C
+level.  Everything in this module is exact and deterministic.  A Poly is
+canonical: its denominator is positive and coprime to the content of its
+numerators, with no trailing zero coefficient.  Structural equality therefore coincides with value
 equality, which is what lets the operator identity checks elsewhere reduce
 to ``==``.
 
@@ -43,8 +44,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from operator import mul
+from itertools import repeat, zip_longest
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -133,7 +134,11 @@ class Poly:
             return NotImplemented
         da, db = self.den, other.den
         if da == db:
-            out = [a + b for a, b in zip_longest(self.nums, other.nums, fillvalue=0)]
+            a, b = self.nums, other.nums
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            out[:len(b)] = map(add, a, b)
             return Poly._of(out, da)
         g = math.gcd(da, db)
         sa, sb = db // g, da // g
@@ -155,14 +160,19 @@ class Poly:
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            # The unit polynomial, such as W^0, returns the other factor as it is.
+            if other.den == 1 and other.nums == (1,):
+                return self
+            if self.den == 1 and self.nums == (1,):
+                return other
+            return Poly._of(_int_mul(self.nums, other.nums), self.den * other.den)
         if isinstance(other, int):
             return Poly._of([c * other for c in self.nums], self.den)
         if isinstance(other, Fraction):
             n = other.numerator
             return Poly._of([c * n for c in self.nums], self.den * other.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly._of(_int_mul(self.nums, other.nums), self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -204,14 +214,22 @@ class Poly:
 
     def derivative(self, weight: Scalar = 0) -> "Poly":
         """p' + (w/2) x p, that is d/dx[p exp(w x^2/4)] * exp(-w x^2/4); the
-        plain derivative p' at the default w = 0."""
-        out = [i * c for i, c in enumerate(self.nums[1:], 1)]
+        plain derivative p' at the default w = 0.
+
+        Integers throughout: with w = n/d in lowest terms, w/2 = a/b is n/2
+        over d for an even n and n over 2d for an odd one, and the result's
+        numerators b i p_i + a p_(i-1) go over b den.  The canonical form is
+        unique, so it is the one that Fraction arithmetic would give."""
+        nums = self.nums
+        out = list(map(mul, range(1, len(nums)), nums[1:]))
         if not weight:
             return Poly._of(out, self.den)
-        h = _frac(weight) / 2
-        a, b = h.numerator, h.denominator
-        out = [d * b + a * c for d, c in zip_longest(out, (0, *self.nums), fillvalue=0)]
-        return Poly._of(out, self.den * b)
+        w = _frac(weight)
+        n, d = w.numerator, w.denominator
+        a, b = (n // 2, d) if n % 2 == 0 else (n, 2 * d)
+        shifted = [0, *map(mul, repeat(a), nums)]
+        shifted[:len(out)] = map(add, map(mul, repeat(b), out), shifted)
+        return Poly._of(shifted, self.den * b)
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and float arguments alike."""
@@ -293,19 +311,21 @@ def _as_poly(value) -> "Poly":
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer coefficient sequences, one dot product per
-    output coefficient."""
+    """Product of integer coefficient sequences, row by row: a[0] * b, then
+    one scaled copy a_i * b added at shift i for each later nonzero a_i,
+    with a the shorter input.  Each row is one ``map`` over b, so the inner
+    loop runs at C level and the Python loop runs once per row of a.  Every
+    output coefficient is the same integer sum as a dot product gives."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) <= 1:
-        return [a[0] * y for y in b] if a else []
-    rb = b[::-1]
-    la, lb = len(a), len(b)
-    out = []
-    for k in range(la + lb - 1):
-        lo = k - lb + 1 if k >= lb else 0
-        hi = k + 1 if k < la else la
-        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    if not a:
+        return []
+    lb = len(b)
+    out = [a[0] * y for y in b] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        x = a[i]
+        if x:
+            out[i:i + lb] = map(add, out[i:i + lb], map(mul, repeat(x), b))
     return out
 
 
@@ -315,7 +335,10 @@ def _int_pseudo_divmod(
     """Integer q, r and e >= 0 with lead(b)^e * a = q*b + r, deg r < deg b.
 
     A step whose top coefficient lead(b) divides needs no scaling, so e
-    counts only the steps that do.  r carries no trailing zero.
+    counts only the steps that do.  r carries no trailing zero.  Each step's
+    update is one comprehension, not a ``map`` as in ``_int_mul``: its cost
+    is the big-integer products of a remainder that grows by lead(b) at
+    every scaled step, not the loop, so a ``map`` gains nothing here.
     """
     d = len(b) - 1
     lead = b[-1]
@@ -402,7 +425,8 @@ def _heu_gcd(x: list[int], y: list[int]) -> list[int] | None:
 
     At xi = 2^(8b) > 2 min(|x|, |y|) + 1 (max norms), a primitive candidate
     that divides both inputs is their gcd (GCDHEU's theorem), so the exact
-    division test makes each accepted candidate a proof.
+    division test makes each accepted candidate a proof.  The constant
+    candidate 1 divides every input, so it is accepted without that test.
     """
     need = 2 * min(max(map(abs, x)), max(map(abs, y))) + 1
     width = (need.bit_length() + 7) // 8
@@ -413,6 +437,8 @@ def _heu_gcd(x: list[int], y: list[int]) -> list[int] | None:
         if len(h) > shorter:
             continue
         h = _int_content_free(h if h[-1] > 0 else [-c for c in h])
+        if len(h) == 1:
+            return h
         if not _int_pseudo_divmod(x, h)[1] and not _int_pseudo_divmod(y, h)[1]:
             return h
     return None
@@ -868,6 +894,13 @@ class WFun:
 POLYNOMIALS = WBase(Poly.one())
 
 
+def _pole_base(values: Iterable[WFun]) -> WBase:
+    """The base of the values with a pole, ``POLYNOMIALS`` when none has one:
+    the base that ``WFun._pair`` puts a pair on, since a value with a pole
+    is never lifted to another base."""
+    return next((v.base for v in values if v.k), POLYNOMIALS)
+
+
 # ---------------------------------------------------------------------------
 # Exact determinants
 # ---------------------------------------------------------------------------
@@ -940,7 +973,7 @@ def ratfun_det(rows: Sequence[Sequence[WFun]]) -> WFun:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    base = next((e.base for row in rows for e in row if e.k), POLYNOMIALS)
+    base = _pole_base(e for row in rows for e in row)
     poly_rows = []
     exponent = 0
     for row in rows:

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darboux.gaussian import DiffOp, GaussFun, MixedWeightError, derivative_table, wronskian
+from darboux.gaussian import DiffOp, GaussFun, MixedWeightError, _d_left, derivative_table, wronskian
 from darboux.polynomial import Poly, WBase, WFun, det_cofactor, hermite_he, ratfun_det
 
 
@@ -218,6 +218,85 @@ _coeffs = st.builds(
     st.sampled_from([Poly((1,)), Poly((1, 0, 1)), Poly((2, 1)), Poly((1, 1)) ** 2]),
 )
 _ops = st.lists(_coeffs, min_size=1, max_size=4).map(DiffOp).filter(lambda op: not op.is_zero)
+
+
+def _apply_term_by_term(op: DiffOp, f: GaussFun) -> GaussFun:
+    """op(f) one term at a time, each product a_j f^(j) and each partial
+    sum in normal form: the oracle for ``DiffOp.__call__``, which reduces
+    once."""
+    out = GaussFun.zero()
+    for a, fj in zip(op.coeffs, f.derivatives(op.order())):
+        if not a.is_zero:
+            out = out + fj * a
+    return out
+
+
+def _compose_term_by_term(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a o b with every product and partial sum in normal form: the oracle
+    for ``DiffOp.compose``, which reduces once per coefficient."""
+    out = [a.coeffs[-1] * 0] * (a.order() + b.order() + 1)
+    ladder = list(b.coeffs)
+    for i, c in enumerate(a.coeffs):
+        if i:
+            ladder = _d_left(ladder)
+        for j, t in enumerate(ladder):
+            out[j] = out[j] + c * t
+    return DiffOp(out)
+
+
+def _assert_same_normal_form(got: WFun, want: WFun):
+    """Equal values with the same (p, k), and the same base when k > 0."""
+    assert got == want
+    assert (got.k, got.p) == (want.k, want.p)
+    if got.k:
+        assert got.base is want.base
+
+
+# Values over _OP_BASE with a pole, and polynomials over it and over W = 1.
+_weights = st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2)])
+_int_polys = st.lists(st.integers(-4, 4), max_size=5).map(Poly)
+_functions = st.one_of(
+    st.builds(lambda p, k, s: GaussFun(_OP_BASE.over(p, k), s), _int_polys, st.integers(1, 2), _weights),
+    st.builds(GaussFun, _int_polys, _weights),
+    st.builds(lambda p, s: GaussFun(_OP_BASE.lift(p), s), _int_polys, _weights),
+    st.just(GaussFun.zero()),
+)
+_poly_ops = st.lists(_int_polys, min_size=1, max_size=4).map(DiffOp).filter(lambda op: not op.is_zero)
+
+
+class TestOneReductionPerResult:
+    """``DiffOp.__call__`` and ``compose`` sum each result's numerators over
+    one power of W and reduce once; the term-by-term sums are the oracle."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.one_of(_ops, _poly_ops), _functions)
+    @example(  # zero interior coefficients
+        DiffOp((_over_op_base(Poly((1, 2)), Poly((2, 1))), 0, 0, _over_op_base(Poly((3,)), Poly((1, 0, 1))))),
+        GaussFun(_OP_BASE.over(Poly((1, 0, -1)), 2), -1),
+    )
+    @example(  # polynomial coefficients on a value with a pole
+        DiffOp((Poly((0, 1)), 0, Poly((-1,)))),
+        GaussFun(_OP_BASE.over(Poly((5, 1)), 1), Fraction(1, 2)),
+    )
+    @example(DiffOp((Poly((1,)), Poly((0, 2)))), GaussFun.zero())
+    def test_apply_matches_the_term_by_term_sum(self, op, f):
+        got, want = op(f), _apply_term_by_term(op, f)
+        assert got.s == want.s
+        _assert_same_normal_form(got.r, want.r)
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(st.one_of(_ops, _poly_ops), st.one_of(_ops, _poly_ops))
+    def test_compose_matches_the_term_by_term_sum(self, a, b):
+        got, want = a.compose(b), _compose_term_by_term(a, b)
+        assert len(got.coeffs) == len(want.coeffs)
+        for x, y in zip(got.coeffs, want.coeffs):
+            _assert_same_normal_form(x, y)
+
+    def test_two_bases_with_poles_still_refused(self):
+        other = WBase(Poly((3, 0, 1)))
+        op = DiffOp((_over_op_base(Poly((1,)), Poly((2, 1))),))
+        with pytest.raises(ValueError, match="different Wronskians"):
+            op(GaussFun(other.over(Poly((1,)), 1)))
 
 
 class TestOperatorAlgebraAgainstSympy:

@@ -188,6 +188,29 @@ _divisors = st.one_of(
     _coeff_lists.filter(lambda cs: len(cs) > 1).map(lambda cs: tuple(-c for c in cs)),
 )
 
+# Long, big and sparse inputs for the row-wise kernels: up to 40 coefficients
+# with numerators up to 2^200, and about one in three zero, so interior zeros
+# and a zero constant term are common.  The length is drawn first, so long
+# lists are as common as short ones.
+def _lists_up_to_40(elements):
+    return st.integers(0, 40).flatmap(lambda n: st.lists(elements, min_size=n, max_size=n))
+
+
+_big_ints = st.integers(-(2**200), 2**200)
+_sparse_int_lists = _lists_up_to_40(st.one_of(st.just(0), _big_ints, st.integers(-9, 9)))
+_wide_lists = _lists_up_to_40(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, _big_ints, st.integers(1, 2**64)),
+        _rationals,
+    )
+).map(_ref_trim)
+# Derivative weights with odd and even numerators, and integer ones.
+_weights = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.integers(-6, 6),
+).filter(bool)
+
 
 class TestIntegerCore:
     """The integer-numerator Poly against the Fraction-tuple reference."""
@@ -275,6 +298,83 @@ class TestIntegerCore:
             _assert_canonical(z)
             assert (z.nums, z.den) == ((), 1)
 
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(_sparse_int_lists, _sparse_int_lists)
+    @example([0, 0, 3], [5])
+    @example([0] * 39 + [2**200], [-(2**200)] + [0] * 38 + [1])
+    def test_int_mul_matches_the_dot_products(self, a, b):
+        want = [
+            sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)
+        ] if a and b else []
+        assert polynomial._int_mul(a, b) == want
+        assert polynomial._int_mul(b, a) == want
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(_wide_lists, _wide_lists)
+    def test_long_sparse_ring_operations(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        # Integer numerators over one denominator take the equal-denominator sum.
+        same = Poly(Fraction(c.numerator, 7) for c in b)
+        for got, want in [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, tuple(-x for x in b))),
+            (pa * pb, _ref_mul(a, b)),
+            (Poly(x * 7 for x in a) * Fraction(1, 7) + same, _ref_add(a, same.coeffs)),
+            (pa.derivative(), _ref_trim(i * x for i, x in enumerate(a) if i)),
+        ]:
+            _assert_canonical(got)
+            assert got.coeffs == want
+
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(_wide_lists, _wide_lists.map(lambda cs: _ref_trim(cs[:12])).filter(bool))
+    @example((Fraction(0), Fraction(0), Fraction(2**200, 3)), (Fraction(0), Fraction(5)))
+    def test_long_sparse_division(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        assert (pa * pb).exact_div(pb) == pa
+        q, r = divmod(pa, pb)
+        _assert_canonical(q)
+        _assert_canonical(r)
+        assert (q.coeffs, r.coeffs) == _ref_divmod(a, b)
+        # The integer kernel itself: lead(b)^e a = q b + r with deg r < deg b.
+        x, y = list(pa.nums), list(pb.nums)
+        iq, ir, e = polynomial._int_pseudo_divmod(x, y)
+        lhs = Poly(c * y[-1] ** e for c in x)
+        assert lhs == Poly(iq) * Poly(y) + Poly(ir)
+        assert len(ir) < len(y) and (not ir or ir[-1])
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(_wide_lists, _weights)
+    @example((Fraction(0), Fraction(0), Fraction(1)), Fraction(2, 3))
+    @example((Fraction(5, 4),), Fraction(-4, 9))
+    @example((), Fraction(7, 2))
+    def test_weighted_derivative(self, a, w):
+        # p' + (w/2) x p, with w's numerator odd or even.
+        got = Poly(a).derivative(w)
+        _assert_canonical(got)
+        want = _ref_add(
+            tuple(i * x for i, x in enumerate(a) if i),
+            tuple(Fraction(w) / 2 * x for x in (Fraction(0), *a)),
+        )
+        assert got.coeffs == want
+
+    def test_weight_must_be_exact(self):
+        with pytest.raises(TypeError):
+            P(1, 2).derivative(0.5)
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(_wide_lists)
+    def test_unit_factor_returns_the_other(self, a):
+        pa = Poly(a)
+        for one in (Poly.one(), Poly((Fraction(3, 3),)), POLYNOMIALS.power(0)):
+            for got in (pa * one, one * pa):
+                assert got is pa
+                _assert_canonical(got)
+                assert got.coeffs == _ref_mul(a, (Fraction(1),))
+        # A unit only up to a scalar is multiplied out.
+        assert (pa * P(-1)).coeffs == tuple(-x for x in a)
+        assert (pa * P(Fraction(1, 2))).coeffs == tuple(x / 2 for x in a)
+
 
 # Integer coefficient lists, nonzero on top, drawn either small, up to 130
 # bits, or mixed, so the two inputs of a gcd often differ widely in norm.
@@ -317,6 +417,15 @@ class TestHeuristicGcd:
         assert routes["heuristic"] == 1
         assert routes["accepted"] + routes["fallback"] == routes["heuristic"]
         assert routes["prs"] == 1 - routes["accepted"]
+
+    def test_constant_candidate_takes_no_trial_division(self, gcd_routes):
+        # x^2 + 1 and x^3 - 2 at 256 are 65537 and 16777214, coprime: the
+        # candidate is the constant 1, which divides both inputs.
+        with gcd_routes() as routes, \
+                patch.object(polynomial, "_int_pseudo_divmod", side_effect=AssertionError):
+            got = poly_gcd(P(1, 0, 1), P(-2, 0, 0, 1))
+        assert got == Poly.one()
+        assert (routes["accepted"], routes["points"]) == (1, 1)
 
     def test_wrong_first_candidate_moves_on(self, gcd_routes):
         g, k, u, v = _WRONG_FIRST_POINT
