@@ -15,7 +15,7 @@ from .oscillator import (
     partner_eigenfunction_closed_form,
     partner_potential_closed_form,
 )
-from .polynomial import NormValue, Poly, RatFun, hermite_he, sturm_real_root_count
+from .polynomial import NormValue, Poly, hermite_he, sturm_real_root_count
 from .spectral import (
     Grid,
     NonConvergence,
@@ -67,7 +67,6 @@ __all__ = [
     "partner_potential_closed_form",
     "NormValue",
     "Poly",
-    "RatFun",
     "hermite_he",
     "sturm_real_root_count",
     "Grid",

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .oscillator import OscillatorModel, golden_cross_check, is_juxtaposed_pair
-from .polynomial import Poly, RatFun
+from .polynomial import Poly, WFun
 from .spectral import (
     REFERENCE_GRID,
     Grid,
@@ -68,7 +68,7 @@ def poly_to_json(p: Poly) -> list:
     return [fraction_to_json(c) for c in p.coeffs]
 
 
-def ratfun_to_json(r: RatFun) -> dict:
+def ratfun_to_json(r: WFun) -> dict:
     return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
 
 

@@ -15,8 +15,9 @@ are summed over one power of W and reduced once (``_sum_of_products``).
 The normal form of a value is unique, so that is bit for bit the WFun a
 reduction after every product and every partial sum would give.
 ``AdjointJet`` reads the value and slope at x = 0 of the formal adjoint's
-action off an operator's WFun coefficients, without building the adjoint.
-Everything is exact and immutable.
+action off an operator's WFun coefficients, without building the adjoint;
+its powers of W and its products are the polynomial module's
+(``WBase.power``, ``_int_mul``).  Everything is exact and immutable.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polynomial import POLYNOMIALS, Poly, Scalar, WBase, WFun, _frac, _pole_base, ratfun_det
+from .polynomial import POLYNOMIALS, Poly, Scalar, WBase, WFun, _frac, _int_mul, _pole_base, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -303,39 +304,35 @@ class AdjointJet:
 
     def _functional(self, k: int, s: Fraction) -> tuple[list[int], list[int], int]:
         """Integer vectors v0, v1 and a denominator D with y(0) = v0 . p / D
-        and y'(0) = v1 . p / D for f = p/W^k exp(s x^2/4), all in integers:
-        W's numerators over its denominator, and exp(s x^2/4) =
-        sum_i (s/4)^i x^(2i) / i! over one denominator."""
+        and y'(0) = v1 . p / D for f = p/W^k exp(s x^2/4), all in integers.
+        W^(k+K) is ``WBase.power(k + K)`` and c_j is p_j times
+        ``WBase.power(K - k_j)``, the raise ``_sum_of_products`` takes, each
+        integer numerators over one denominator; their Taylor products are
+        ``_int_mul``'s (``_series_mul``), and exp(s x^2/4) =
+        sum_i (s/4)^i x^(2i) / i! goes over one denominator."""
         key = (k, s)
         if key not in self._functionals:
             coeffs = self.op.coeffs
-            W = self.base.W
+            base = self.base
             m = len(coeffs) + 1  # Taylor terms x^0 .. x^(N+1)
             top = max(c.k for c in coeffs)
-            w_power = [1]
-            for _ in range(k + top):
-                w_power = _series_mul(w_power, W.nums, m)
-            inverse = _series_inverse(w_power, m)
+            w_power = base.power(k + top)
+            inverse = _series_inverse(w_power.nums, m)
             half = (m - 1) // 2
             b = 4 * s.denominator
             gauss = [0] * m
             for i in range(half + 1):
                 gauss[2 * i] = s.numerator**i * b ** (half - i) * math.perm(half, half - i)
             # S = exp(s x^2/4) / W^(k+top) = series / s_den.
-            series = [c * W.den ** (k + top) for c in _series_mul(gauss, inverse, m)]
-            s_den = b**half * math.factorial(half) * w_power[0] ** m
-            # c_j = a_j W^top = p_j W^(top - k_j), each over its own denominator.
-            cs = []
-            for a in coeffs:
-                c, c_den = a.p.nums[:m], a.p.den
-                for _ in range(top - a.k):
-                    c, c_den = _series_mul(c, W.nums, m), c_den * W.den
-                cs.append((c, c_den))
-            den = math.lcm(*(c_den for _, c_den in cs))
+            series = [c * w_power.den for c in _series_mul(gauss, inverse, m)]
+            s_den = b**half * math.factorial(half) * w_power.nums[0] ** m
+            # c_j = a_j W^top = p_j W^(top - k_j).
+            cs = [a.p * base.power(top - a.k) for a in coeffs]
+            den = math.lcm(*(c.den for c in cs))
             value, slope = [0] * m, [0] * m
-            for j, (c, c_den) in enumerate(cs):
-                h = _series_mul(c, series, m)
-                scale = (-1) ** j * math.factorial(j) * (den // c_den)
+            for j, c in enumerate(cs):
+                h = _series_mul(c.nums, series, m)
+                scale = (-1) ** j * math.factorial(j) * (den // c.den)
                 for i in range(j + 1):
                     value[i] += scale * h[j - i]
                 for i in range(j + 2):
@@ -345,13 +342,10 @@ class AdjointJet:
 
 
 def _series_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    """The first m Taylor coefficients of a * b, forming no others."""
-    out = [0] * m
-    for i, x in enumerate(a[:m]):
-        if x:
-            for j, y in enumerate(b[: m - i]):
-                out[i + j] += x * y
-    return out
+    """The first m Taylor coefficients of a * b: ``_int_mul`` on the first
+    m of each, its product cut or zero-padded to m."""
+    out = _int_mul(a[:m], b[:m])[:m]
+    return out + [0] * (m - len(out))
 
 
 def _series_inverse(q: Sequence[int], m: int) -> list[int]:

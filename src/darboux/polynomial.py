@@ -21,8 +21,8 @@ equality is still structural and zero is p = 0, but sums, products and
 derivatives take no gcd: a factor W left in the numerator is divided out
 after a cheap evaluation pretest and one pseudo-division.  A polynomial
 that meets a value over another base is lifted to it.  The canonical form,
-a ``RatFun`` record (num, den) reduced by one gcd with a monic denominator,
-is formed only where a value is read; ``RatFun`` itself does no arithmetic.
+the pair (num, den) reduced by one gcd with a monic denominator, is formed
+only where a value is read (``WFun.canonical``).
 
 ``poly_gcd`` works on the primitive integer numerators in one order: the
 heuristic GCD (GCDHEU) first, one big-integer gcd of both inputs evaluated
@@ -98,10 +98,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -175,18 +171,6 @@ class Poly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division over the rationals, by integer pseudo-division.
@@ -590,8 +574,7 @@ def _sturm_chain(p: Poly) -> list[list[int]]:
     Geometry, 2nd ed., Thm 2.50).  The last member is a constant multiple of
     gcd(p, p').
     """
-    chain = [_int_primitive(p)]
-    chain.append(_int_content_free([i * c for i, c in enumerate(chain[0]) if i]))
+    chain = [_int_primitive(p), _int_primitive(p.derivative())]
     while True:
         _, rem, e = _int_pseudo_divmod(chain[-2], chain[-1])
         if not rem:
@@ -623,48 +606,6 @@ def sturm_real_root_count(p: Poly) -> int:
     v_lo = _variations([_sign_at_inf(q, positive=False) for q in chain])
     v_hi = _variations([_sign_at_inf(q, positive=True) for q in chain])
     return v_lo - v_hi
-
-
-# ---------------------------------------------------------------------------
-# The canonical record of a rational function
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class RatFun:
-    """A rational function's canonical (num, den) record: gcd-reduced, with a
-    monic denominator, so two records are equal exactly when their values
-    are.  ``WFun.canonical`` builds it where a value is read; it does no
-    arithmetic."""
-
-    num: Poly
-    den: Poly
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
-        elif num.degree() > 0 and den.degree() > 0:  # a constant side needs no gcd
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lead()
-        if lc != 1:
-            num, den = num * (1 / lc), den * (1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __repr__(self) -> str:
-        if self.den == Poly.one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-def _coerce_poly(value) -> Poly:
-    p = _as_poly(value)
-    if p is NotImplemented:
-        raise TypeError(f"cannot build a polynomial from {type(value).__name__}")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +681,10 @@ class WBase:
             if value.k:
                 raise ValueError(f"values over different Wronskians: {value!r} is not a polynomial")
             value = value.p
-        return WFun._of(self, _coerce_poly(value), 0)
+        p = _as_poly(value)
+        if p is NotImplemented:
+            raise TypeError(f"cannot build a polynomial from {type(value).__name__}")
+        return WFun._of(self, p, 0)
 
 
 class WFun:
@@ -755,8 +699,8 @@ class WFun:
     leave a factor W in the numerator, and ``WBase.over`` divides it out.
     Polynomials live over ``POLYNOMIALS``, W = 1, and meet any other base
     by ``WBase.lift``.  A value is read (``num``, ``den``, ``repr``,
-    evaluation) through one canonical ``RatFun``, built on the first read
-    and cached: the only place a gcd is taken.
+    evaluation) through its canonical pair (``canonical``), built on the
+    first read and cached: the only place a gcd is taken.
     """
 
     __slots__ = ("base", "p", "k", "_canonical")
@@ -781,19 +725,28 @@ class WFun:
     def is_constant(self) -> bool:
         return self.k == 0 and self.p.degree() <= 0
 
-    def canonical(self) -> RatFun:
-        """The value as a canonical RatFun: one gcd, taken once."""
+    def canonical(self) -> tuple[Poly, Poly]:
+        """The value as its canonical pair (num, den): p / W^k reduced by
+        one gcd, taken on the first read and cached, so two pairs are equal
+        exactly when the values are.  A constant side takes no gcd: zero
+        and every polynomial have k = 0 and read (p, 1).  den is monic,
+        since W^k and the gcd are."""
         if self._canonical is None:
-            self._canonical = RatFun(self.p, self.base.power(self.k))
+            num, den = self.p, self.base.power(self.k)
+            if num.degree() > 0 and den.degree() > 0:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num, den = num.exact_div(g), den.exact_div(g)
+            self._canonical = num, den
         return self._canonical
 
     @property
     def num(self) -> Poly:
-        return self.canonical().num
+        return self.canonical()[0]
 
     @property
     def den(self) -> Poly:
-        return self.canonical().den
+        return self.canonical()[1]
 
     # -- ring operations ----------------------------------------------------
 
@@ -864,9 +817,9 @@ class WFun:
         return base.over(top * base.W - p * (k * base.dW), k + 1)
 
     def __call__(self, x):
-        """num(x) / den(x) of the canonical form: exact at a Fraction."""
-        c = self.canonical()
-        return c.num(x) / c.den(x)
+        """num(x) / den(x) of the canonical pair: exact at a Fraction."""
+        num, den = self.canonical()
+        return num(x) / den(x)
 
     # -- comparison / display -------------------------------------------------
 
@@ -886,7 +839,8 @@ class WFun:
         return hash(self.canonical()) if self.k else hash(self.p)
 
     def __repr__(self) -> str:
-        return repr(self.canonical())
+        num, den = self.canonical()
+        return repr(num) if den == Poly.one() else f"({num!r})/({den!r})"
 
 
 # The powers of W = 1: the base of every value built as a polynomial, such as

@@ -19,7 +19,7 @@ from darboux import cli, oscillator, polynomial, susy
 from darboux.cli import main, transform_to_json
 from darboux.oscillator import OscillatorModel
 from darboux.gaussian import DiffOp, GaussFun
-from darboux.polynomial import Poly, RatFun, WFun
+from darboux.polynomial import Poly, WFun
 from darboux.transform import LevelSelection, TransformResult, build_transform, crum_krein_apply
 
 
@@ -79,7 +79,7 @@ class TestTransformCommand:
         assert fresh == doc
         # decoded coefficients match the engine exactly
         cells = doc["partner_potential"]
-        rebuilt = RatFun(exact_poly(cells["num"]), exact_poly(cells["den"]))
+        rebuilt = exact_poly(cells["num"]), exact_poly(cells["den"])
         assert rebuilt == build_transform(OscillatorModel(), (1, 2)).partner_potential.canonical()
 
 
@@ -400,17 +400,24 @@ def test_operators_act_in_w_form(command, monkeypatch, capsys):
     "classify --levels 2,3,6,7 --nmax 9",
     "spectrum --levels 1,2 --nmax 8",
 ])
-def test_one_exact_route(command, capsys):
-    # No command does RatFun arithmetic, because RatFun has none: it is the
-    # canonical (num, den) record a value is read through.  The family's
-    # derivative rows are polynomials, and the transform and the closed
-    # forms live over the powers of their own W, whose poles one whole-line
-    # Sturm count rules out.
-    arithmetic = {"__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
-                  "__rmul__", "__truediv__", "__rtruediv__", "derivative", "__call__"}
-    assert arithmetic.isdisjoint(name for cls in RatFun.__mro__ for name in vars(cls))
+def test_one_exact_route(command, capsys, monkeypatch):
+    # One exact value type: every value a command reads is a WFun, read
+    # through its canonical pair (num, den) of Polys with a monic den.  The
+    # family's derivative rows are polynomials, and the transform and the
+    # closed forms live over the powers of their own W, whose poles one
+    # whole-line Sturm count rules out.
+    canonical = WFun.canonical
+    reads = []
+
+    def checked(self):
+        num, den = pair = canonical(self)
+        reads.append(type(num) is type(den) is Poly and den.lead() == 1)
+        return pair
+
+    monkeypatch.setattr(WFun, "canonical", checked)
     assert run(*command.split()) == 0
     capsys.readouterr()
+    assert reads and all(reads)
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON; the reports are exact, so

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +17,7 @@ import darboux.polynomial
 import darboux.transform
 from darboux.cli import json_text, main, transform_to_json
 from darboux.gaussian import (
+    AdjointJet,
     BorderedWronskian,
     DiffOp,
     GaussFun,
@@ -27,7 +29,6 @@ from darboux.oscillator import OscillatorModel
 from darboux.susy import eigen_doublet
 from darboux.polynomial import (
     Poly,
-    RatFun,
     WBase,
     WFun,
     hermite_he,
@@ -272,10 +273,11 @@ class TestWronskianAgainstSympy:
             coeffs = sympy.Poly(expr, x).all_coeffs()
             return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
 
-        shift = RatFun(poly(num), poly(den))
+        lead = poly(den).lead()
+        shift = poly(num) * (1 / lead), poly(den) * (1 / lead)
         tr = _transform(levels)
         assert tr.shift.canonical() == shift
-        assert tr.partner_potential == OscillatorModel().potential + _over(shift.num, shift.den)
+        assert tr.partner_potential == OscillatorModel().potential + _over(*shift)
 
 
 class TestBorderedWronskian:
@@ -496,19 +498,40 @@ def _jet_by_sympy(f: GaussFun) -> tuple[sympy.Rational, sympy.Rational]:
     return r0 * g0, r1 * g0 + r0 * g1
 
 
+_JET_WEIGHTS = [-1, 1, 0, Fraction(1, 3), Fraction(-5, 2)]
+
+
 class TestAdjointJet:
     """The 1-jet at 0 of L+ f, read off L's coefficients, against the built
     L+ applied in full and evaluated at 0 by sympy."""
 
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(st.sampled_from(_JET_SELECTIONS), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
-           st.integers(0, 3), st.sampled_from([-1, 1]))
+           st.integers(0, 4), st.sampled_from(_JET_WEIGHTS))
     @example((0, 1, 4, 5, 8, 9), list(range(-6, 6)), 3, 1)
     @example((0, 2, 3, 5, 6), [1], 0, -1)
+    @example((1, 2), [2, -1, 3], 4, 0)
+    @example((0, 1, 2, 3, 4), list(range(-4, 5)), 4, Fraction(1, 3))
+    @example((1, 2, 5, 6), [5, 0, -7, 1], 2, Fraction(-5, 2))
     def test_equals_the_full_adjoint_at_zero(self, levels, nums, k, s):
         tr = _transform(levels)
         f = GaussFun(tr.base.over(Poly(nums), k), s)
         assert tuple(map(_sympy_rational, tr.adjoint_jet(f))) == _jet_by_sympy(tr.adjoint(f))
+
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(0, 4),
+           st.sampled_from(_JET_WEIGHTS))
+    @example([1], 0, 0)
+    @example([3, -1, 0, 2], 4, Fraction(-5, 2))
+    def test_base_whose_monic_w_has_a_denominator(self, nums, k, s):
+        # W = x^2 + 1/3 is node-free with W(0) = 1/3, and its integer
+        # numerators are over 3; the operator has poles of orders 2 and 1,
+        # a zero interior coefficient and a polynomial top coefficient.
+        base = WBase(Poly((Fraction(1, 3), 0, 1)))
+        op = DiffOp((base.over(Poly((1, Fraction(1, 2))), 2), 0,
+                     base.over(Poly((Fraction(-2, 5), 1)), 1), base.lift(Poly((2, 1)))))
+        f = GaussFun(base.over(Poly(nums), k), s)
+        assert tuple(map(_sympy_rational, AdjointJet(op)(f))) == _jet_by_sympy(op.adjoint()(f))
 
     @settings(deadline=None, max_examples=10, derandomize=True)
     @given(st.sampled_from(_JET_SELECTIONS))
@@ -582,7 +605,7 @@ def _rebased(tr):
     W (x + 1): p / W^k is p (x + 1)^k / (W (x + 1))^k there, so every
     normal form an expansion forms differs from the transform's own."""
     base = WBase(tr.base.W * _Q)
-    return lambda v: base.over(v.p * _Q ** v.k, v.k)
+    return lambda v: base.over(math.prod([_Q] * v.k, start=v.p), v.k)
 
 
 def _expanded_residuals(tr):
