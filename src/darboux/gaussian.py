@@ -271,7 +271,8 @@ def _d_left(coeffs: Sequence[WFun]) -> list[WFun]:
 
 class AdjointJet:
     """The exact 1-jet (y(0), y'(0)) of y = L+ f, for L = sum_j a_j d^j with
-    WFun coefficients over one base and f = p/W^k exp(s x^2/4) over it.
+    WFun coefficients and f = p/W^k exp(s x^2/4) over the base of the
+    coefficients' poles (``_pole_base``, as ``DiffOp.__call__`` reads it).
 
     L+ is the formal adjoint by definition: y = sum_j (-d)^j (a_j f), read
     from L's own coefficients, so L+ itself is never built.  With c_j = a_j
@@ -290,7 +291,7 @@ class AdjointJet:
 
     def __init__(self, op: DiffOp):
         self.op = op
-        self.base = op.coeffs[-1].base
+        self.base = _pole_base(op.coeffs)
         self._functionals: dict[tuple[int, Fraction], tuple[list[int], list[int], int]] = {}
 
     def __call__(self, f: GaussFun) -> tuple[Fraction, Fraction]:
@@ -312,8 +313,8 @@ class AdjointJet:
         sum_i (s/4)^i x^(2i) / i! goes over one denominator."""
         key = (k, s)
         if key not in self._functionals:
-            coeffs = self.op.coeffs
             base = self.base
+            coeffs = [base.lift(a) for a in self.op.coeffs]
             m = len(coeffs) + 1  # Taylor terms x^0 .. x^(N+1)
             top = max(c.k for c in coeffs)
             w_power = base.power(k + top)
@@ -409,18 +410,15 @@ class BorderedWronskian:
 
         B_k = (P_k B_{k-1}' - P_k' B_{k-1}) / P_{k-1},
 
-    an exact division.  A Wronskian of k functions with a common factor
-    exp(s x^2/4) is that factor's k-th power times the Wronskian of their
-    rational parts, so P_k and B_{k-1} carry one weight and its terms
-    cancel: the chain runs on rational parts with plain derivatives.  The
-    sub-Wronskians P_k come from the same identity with u_i, i > k, in
-    place of phi: N(N-1)/2 steps, once per family.  Each phi then takes N
-    steps; for phi = b/r the step on b_k = B_k r^(k+1) is
-
-        b_k = (P_k (b_{k-1}' r - k b_{k-1} r') - P_k' b_{k-1} r) / P_{k-1}.
-
-    The last sub-Wronskian P_N is W itself.  The family's rational parts
-    must be polynomials, as every oscillator eigenfunction's is.
+    an exact division (``_jacobi_step``).  A Wronskian of k functions with
+    a common factor exp(s x^2/4) is that factor's k-th power times the
+    Wronskian of their rational parts, so P_k and B_{k-1} carry one weight
+    and its terms cancel: the chain runs on rational parts with plain
+    derivatives.  The sub-Wronskians P_k come from the same step with
+    u_i, i > k, in place of phi: N(N-1)/2 steps, once per family.  Each phi
+    then takes N steps.  The last sub-Wronskian P_N is W itself.  The
+    rational parts of the family and of phi must be polynomials, as every
+    oscillator eigenfunction's is.
     """
 
     __slots__ = ("weight", "wronskian", "_chain")
@@ -440,9 +438,9 @@ class BorderedWronskian:
             p, *rest = rest
             if p.is_zero:
                 raise DegenerateTransformation("transformation functions are linearly dependent")
-            dp = p.derivative()
-            rest = [(p * q.derivative() - dp * q).exact_div(prev) for q in rest]
-            chain.append((p, dp, prev))
+            link = (p, p.derivative(), prev)
+            rest = [_jacobi_step(link, q) for q in rest]
+            chain.append(link)
             prev = p
         self.wronskian = GaussFun(prev, n * self.weight)
         # (P_k, P_k', P_{k-1}) for k = 1, ..., N.
@@ -456,11 +454,15 @@ class BorderedWronskian:
             raise MixedWeightError(
                 f"functions carry different Gaussian weights: {sorted({self.weight, phi.s})}"
             )
-        # phi = b/r with r = W^j over phi's own base.
-        base, j = phi.r.base, phi.r.k
-        b, r = phi.r.p, base.power(j)
-        dr = r.derivative()
-        for k, (p, dp, prev) in enumerate(self._chain, 1):
-            b = (p * (b.derivative() * r - b * dr * k) - dp * b * r).exact_div(prev)
-        n = len(self._chain)
-        return GaussFun(base.over(b, j * (n + 1)), (n + 1) * self.weight)
+        if phi.r.k:
+            raise ValueError(f"phi's rational part is not a polynomial: {phi!r}")
+        b = phi.r.p
+        for link in self._chain:
+            b = _jacobi_step(link, b)
+        return GaussFun(b, (len(self._chain) + 1) * self.weight)
+
+
+def _jacobi_step(link: tuple[Poly, Poly, Poly], q: Poly) -> Poly:
+    """(P_k Q' - P_k' Q) / P_(k-1), exactly, for link = (P_k, P_k', P_(k-1))."""
+    p, dp, prev = link
+    return (p * q.derivative() - dp * q).exact_div(prev)

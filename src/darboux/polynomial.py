@@ -627,6 +627,8 @@ class WBase:
     __slots__ = ("W", "w", "dW", "xi_bits", "w_at_xi", "_powers", "_real_roots")
 
     def __init__(self, W: Poly):
+        if W.is_zero:
+            raise ValueError("a base needs a nonzero W, got W = 0")
         self.W = W.monic()
         self.w = _int_primitive(self.W)
         self.dW = self.W.derivative()

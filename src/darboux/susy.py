@@ -25,7 +25,6 @@ from .transform import (
     SolvableModel,
     TransformResult,
     crum_krein_apply,
-    factorization_identity_check,
     factorization_residuals,
     kernel_functions,
 )
@@ -134,7 +133,7 @@ def intertwining_proved(tr: TransformResult, h: DiffOp, verdicts: Mapping[int, b
 
     ``verdicts`` maps a level n to whether (hN - E_n) L phi_n = 0 holds
     exactly, with h0 phi_n = E_n phi_n, so T phi_n = -(hN - E_n) L phi_n.
-    L is monic of order N (asserted) and hN = -d^2 + V_N (checked), so the
+    L is monic of order N and hN = -d^2 + V_N (both checked), so the
     d^(N+2) and d^(N+1) terms of T cancel and T has order at most N.  A
     nonzero operator of order m kills at most m independent functions on an
     interval free of its coefficients' poles and its top coefficient's
@@ -142,7 +141,8 @@ def intertwining_proved(tr: TransformResult, h: DiffOp, verdicts: Mapping[int, b
     levels 0 .. N all hold.
     """
     n = tr.order
-    assert tr.operator.order() == n and tr.operator.coeffs[-1] == 1, "L must be monic of order N"
+    if not (tr.operator.order() == n and tr.operator.coeffs[-1] == 1):
+        raise AssertionError("L must be monic of order N")
     return (
         h.order() == 2
         and h.coeffs[2] == -1
@@ -213,20 +213,21 @@ def _intertwines(h_partner: DiffOp, state: Doublet) -> bool:
 
 def factorization_check(tr: TransformResult, report: AnticommutatorReport) -> FactorizationReport:
     """L+ L = P(h0) and L L+ = P(hN), P(h) = prod (h - alpha_i): proved when
-    ``report`` has T = 0 and levels 0 .. 2N-1 pass, else expanded.
+    ``report`` has T = 0 and levels 0 .. 2N-1 pass, else expanded by
+    ``factorization_residuals`` with the report's verdict on T.
 
     Those verdicts then came from the jet route, on T = 0 alone.  L is monic
     of order N, so R = L+ L - P(h0) has order at most 2N - 1 and vanishes
     once it kills phi_0 .. phi_(2N-1) (the bound in ``intertwining_proved``);
-    R = 0 and T = 0 give L L+ = P(hN) (``factorization_residuals``).  When
-    only T = 0 holds, R is expanded and T is not expanded again.
+    R = 0 and T = 0 give L L+ = P(hN) (``factorization_residuals``).  T is
+    never expanded: ``verify`` hands over levels 0 .. N, where T = 0 goes
+    unproved only when some T phi_n is nonzero, so an unproved T is a
+    nonzero T and L L+ is expanded for its residual.
     """
     passed = {c.level for c in report.checks if c.anticommutator_ok}
     if report.t_zero and passed.issuperset(range(2 * tr.order)):
         return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
-    if report.t_zero:
-        return factorization_residuals(tr, True)
-    return factorization_identity_check(tr)
+    return factorization_residuals(tr, report.t_zero)
 
 
 def adjoint_kernel_failures(tr: TransformResult,

@@ -12,14 +12,15 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   W(u_1, ..., u_N, phi)/W (Crum 1955), run as a chain of two-by-two
   Wronskians over the family's sub-Wronskians by Jacobi's (Sylvester's)
   Wronskian identity; the chain never reads L, and the two routes are
-  asserted against each other,
+  checked against each other on every image,
 * the kernel functions of the adjoint operator, by the same solve on the
   Wronskian matrix, and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i) by
   expansion: the first expanded and the second derived from it and
   L h0 = hN L.  ``susy`` owns their proof from exact per-level checks,
-  which runs this expansion only where that proof does not apply.
+  which expands L+ L and L L+ (``factorization_residuals``) only where
+  that proof does not apply.
 
 Each coefficient of L, L+ and hN lies over a power of the Wronskian's
 polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
@@ -223,19 +224,13 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
 
 
 def _derivative_rows(functions: Sequence[GaussFun], order: int) -> list[list[Poly]]:
-    """Row i: the polynomial parts of u_i, u_i', ..., u_i^(order), each the
-    weighted derivative of the one before (the factor exp(s x^2/4) is kept
-    out).  Raises ValueError on a rational part that is not a polynomial,
-    as ``BorderedWronskian`` does."""
-    rows = []
-    for u in functions:
-        if u.r.k:
-            raise ValueError("the family's rational parts must be polynomials")
-        row = [u.r.p]
-        for _ in range(order):
-            row.append(row[-1].derivative(u.s))
-        rows.append(row)
-    return rows
+    """Row i: the polynomial parts of u_i, u_i', ..., u_i^(order), the
+    weighted derivatives ``GaussFun.derivatives`` takes (the factor
+    exp(s x^2/4) is kept out).  Raises ValueError on a rational part that
+    is not a polynomial, as ``BorderedWronskian`` does."""
+    if any(u.r.k for u in functions):
+        raise ValueError("the family's rational parts must be polynomials")
+    return [[g.r.p for g in u.derivatives(order)] for u in functions]
 
 
 def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
@@ -271,27 +266,23 @@ def _solve_over_wronskian(rows: list[list[Poly]], base: WBase) -> list[WFun]:
     return [base.over(y * (1 / lead), 1) for y in ys]
 
 
-def _over_wronskian(tr: TransformResult, f: GaussFun) -> GaussFun:
-    """f / W(u_1, ..., u_N) in W-form: with the Wronskian's rational part
-    c W, the numerator takes 1/c and the exponent one more W."""
-    w = tr.wronskian
-    p = tr.base.lift(f.r).p
-    return GaussFun(tr.base.over(p * (1 / w.r.num.lead()), 1), f.s - w.s)
-
-
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
     """Apply the intertwiner to phi; result may be exactly zero.
 
-    phi carries the family's weight and a polynomial rational part:
-    ``WBase.lift`` rejects any other rational part (ValueError) and the
-    bordered Wronskian any other weight (MixedWeightError).  Two independent
-    routes are evaluated: the bordered Wronskian W(u_1, ..., u_N, phi)/W and
-    the literal operator application.  Their agreement is a standing
-    assertion, compared in W-form; the image is returned in W-form.
+    phi carries the family's weight and a polynomial rational part; the
+    bordered Wronskian rejects any other (MixedWeightError, ValueError).
+    Two independent routes take phi as it is: the bordered Wronskian
+    W(u_1, ..., u_N, phi) over the Wronskian c W exp(N s x^2/4), and the
+    literal operator application.  Their agreement is a standing check,
+    also under ``python -O``, compared in W-form; the image is returned in
+    W-form.
     """
-    image = tr.operator(GaussFun(tr.base.lift(phi.r), phi.s))
-    quotient = _over_wronskian(tr, tr.bordered(phi))
-    assert quotient == image, "bordered-Wronskian and operator routes disagree"
+    bordered = tr.bordered(phi)
+    w = tr.wronskian
+    quotient = GaussFun(tr.base.over(bordered.r.p * (1 / w.r.p.lead()), 1), bordered.s - w.s)
+    image = tr.operator(phi)
+    if quotient != image:
+        raise AssertionError("bordered-Wronskian and operator routes disagree")
     return image
 
 
@@ -349,8 +340,10 @@ def _hamiltonian_product(h: DiffOp, alphas: Sequence[Fraction]) -> DiffOp:
 
 def factorization_identity_check(tr: TransformResult) -> FactorizationReport:
     """Verify L+ L = prod (h0 - alpha_i) and L L+ = prod (hN - alpha_i) by
-    expansion: T = L h0 - hN L is expanded, then ``factorization_residuals``
-    reads whether it is zero."""
+    expansion alone: T = L h0 - hN L is expanded, then
+    ``factorization_residuals`` reads whether it is zero.  The stand-alone
+    check; ``susy.factorization_check`` takes T's verdict from its
+    per-level report instead and never expands T."""
     h0 = DiffOp.schroedinger(tr.base.lift(tr.base_potential))
     intertwining = tr.operator.compose(h0) - tr.hamiltonian_partner().compose(tr.operator)
     return factorization_residuals(tr, intertwining.is_zero)

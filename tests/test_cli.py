@@ -514,6 +514,47 @@ def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch
         assert status["L_L_dagger_factorization"] == "fail"
 
 
+_OPERATOR_MUTANT = """
+import sys
+from dataclasses import replace
+from fractions import Fraction
+
+from darboux import cli
+from darboux.gaussian import DiffOp
+from darboux.polynomial import Poly
+
+if __debug__:
+    sys.exit("assert statements are on: run under python -O")
+build = cli.build_transform
+
+
+def mutant(model, levels):
+    tr = build(model, levels)
+    a0, *rest = tr.operator.coeffs
+    return replace(tr, operator=DiffOp((a0 + Poly((0, Fraction(1, 7))), *rest)))
+
+
+cli.build_transform = mutant
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_route_check_survives_optimize_flag():
+    # python -O strips assert statements.  The two routes to L phi are still
+    # compared: L's a_0 perturbed by x/7 stops transform with the routes'
+    # disagreement instead of printing the operator's images.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _OPERATOR_MUTANT,
+         "transform", "--levels", "1,2,5,6", "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode != 0 and child.stdout == ""
+    assert child.stderr.rstrip().endswith(
+        "AssertionError: bordered-Wronskian and operator routes disagree")
+
+
 def test_cached_parser_keeps_each_call_alone(capsys):
     # One parser serves every call: bad input, a verify and a spectrum
     # print and exit as they do from a parser built for each call.

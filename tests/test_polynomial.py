@@ -801,6 +801,10 @@ class TestWPowers:
         assert base.w_at_xi == 2**16 - 256
         assert P(-256, 1)(256) == 0
 
+    def test_zero_w_rejected(self):
+        with pytest.raises(ValueError, match="nonzero W, got W = 0"):
+            WBase(Poly.zero())
+
     def test_polynomials_lift_with_exponent_zero(self):
         for base in _w_bases():
             for value in (P(1, 2, 3), POLYNOMIALS.lift(P(1, 2, 3)), 3, Fraction(-1, 2)):

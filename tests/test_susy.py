@@ -215,8 +215,9 @@ class TestFactorizationProof:
         # nothing; T = L h0 - hN L has order N, so N levels prove nothing.
         # A proof that reads one level fewer, or not the report's T = 0,
         # returns a zero residual here without expanding: the expansion is
-        # L+ L and two factors of P(h0), and the two sides of L h0 = hN L
-        # only where the report has not proved T = 0.
+        # L+ L and two factors of P(h0), and L L+ and two factors of P(hN)
+        # only where the report has not proved T = 0.  T itself is never
+        # expanded.
         tr = request.getfixturevalue(fixture)
         n = tr.order
         levels = range(2 * n - 1) if edge == "anticommutator missing at 2N-1" else range(2 * n)
@@ -231,7 +232,7 @@ class TestFactorizationProof:
                 for c in report.checks))
         assert report.t_zero == (edge != "intertwining false at N")
         proved, calls = _composes(factorization_check, tr, report)
-        assert proved.ok and calls == (3 if report.t_zero else 5)
+        assert proved.ok and calls == (3 if report.t_zero else 6)
 
     def test_proved_intertwining_is_not_expanded_again(self, monkeypatch, capsys):
         # The "L+ jet" mutant of test_proof_mutants.py: (L+ + x/7) f's 1-jet.

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -232,8 +233,8 @@ def _operator_from_minors(functions, w):
     return DiffOp(coeffs)
 
 
-# A same-weight function with a non-constant denominator: its column needs
-# clearing of its own, which oscillator eigenfunctions never do.
+# A same-weight function with a non-constant denominator, which oscillator
+# eigenfunctions never have: the bordered chain rejects it.
 RATIONAL_PHI = GaussFun(_over(hermite_he(3), Poly((1, 0, 1))), -1)
 
 
@@ -300,7 +301,12 @@ class TestBorderedWronskian:
             "L+L": lambda: tr.adjoint(tr.operator(phi(n))),
             "rational": lambda: RATIONAL_PHI,
         }[name]()
-        assert tr.bordered(f) == wronskian(list(tr.functions) + [f])
+        if name == "rational":
+            # The chain takes polynomial rational parts only.
+            with pytest.raises(ValueError, match="is not a polynomial"):
+                tr.bordered(f)
+        else:
+            assert tr.bordered(f) == wronskian(list(tr.functions) + [f])
 
     @pytest.mark.parametrize("levels", [(0,), (1, 2), (0, 1, 2), (1, 2, 5, 6)])
     def test_successive_calls_stand_alone(self, levels):
@@ -308,7 +314,11 @@ class TestBorderedWronskian:
         tr = _transform(levels)
         bordered = BorderedWronskian(tr.functions)
         for f in [RATIONAL_PHI, phi(0), phi(7), RATIONAL_PHI, GaussFun.zero(), phi(3)]:
-            assert bordered(f) == wronskian(list(tr.functions) + [f])
+            if f is RATIONAL_PHI:
+                with pytest.raises(ValueError, match="is not a polynomial"):
+                    bordered(f)
+            else:
+                assert bordered(f) == wronskian(list(tr.functions) + [f])
 
     @pytest.mark.parametrize(
         "levels", _ADMISSIBLE + [(2, 3, 6, 7, 10, 11), (2, 3, 6, 7, 9, 10, 11, 12)]
@@ -371,6 +381,13 @@ class TestCrumKreinApply:
             crum_krein_apply(tr12, GaussFun(1, 1))
         with pytest.raises(ValueError, match="is not a polynomial"):
             crum_krein_apply(tr12, RATIONAL_PHI)
+
+    def test_phi_with_a_pole_over_the_transform_rejected(self, tr12):
+        # A pole over the transform's own W is bad input too, named as such,
+        # not a disagreement of the two routes.
+        f = GaussFun(tr12.base.over(Poly.one(), 1), -1)
+        with pytest.raises(ValueError, match=re.escape(repr(f))):
+            crum_krein_apply(tr12, f)
 
     def test_no_fresh_determinant_per_image(self, model, monkeypatch):
         # Each image's bordered Wronskian runs phi through the stored
@@ -532,6 +549,19 @@ class TestAdjointJet:
                      base.over(Poly((Fraction(-2, 5), 1)), 1), base.lift(Poly((2, 1)))))
         f = GaussFun(base.over(Poly(nums), k), s)
         assert tuple(map(_sympy_rational, AdjointJet(op)(f))) == _jet_by_sympy(op.adjoint()(f))
+
+    def test_pole_below_a_polynomial_top_coefficient(self):
+        # L = (1 + 2x)/W + d over W = x^2 + 1/3: the jet runs over the base
+        # of the pole, not over the polynomial top coefficient's W = 1.
+        base = WBase(Poly((Fraction(1, 3), 0, 1)))
+        op = DiffOp((base.over(Poly((1, 2)), 1), 1))
+        f = GaussFun(Poly((1, 1)), -1)
+        assert AdjointJet(op)(f) == (2, Fraction(19, 2))
+        assert tuple(map(_sympy_rational, AdjointJet(op)(f))) == _jet_by_sympy(op.adjoint()(f))
+        # A second base with a pole is rejected, as applying L rejects it.
+        mixed = DiffOp((op.coeffs[0], WBase(Poly((2, 0, 1))).over(Poly.one(), 1)))
+        with pytest.raises(ValueError, match="different Wronskians"):
+            AdjointJet(mixed)(f)
 
     @settings(deadline=None, max_examples=10, derandomize=True)
     @given(st.sampled_from(_JET_SELECTIONS))
