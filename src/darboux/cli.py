@@ -23,13 +23,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .oscillator import OscillatorModel, golden_cross_check, is_juxtaposed_pair
 from .polynomial import Poly, WFun
 from .spectral import (
     REFERENCE_GRID,
     Grid,
+    GridFunction,
     LevelCountMismatch,
     PoleOnGrid,
     SpectrumReport,
@@ -389,7 +388,7 @@ def _emit(text: str, files: dict[str, str]) -> int:
 
 # -- transform ----------------------------------------------------------------
 
-def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
+def _csv_rows(columns: Sequence[GridFunction]) -> list[str]:
     """One line per sample: the columns' values side by side, each written
     by ``_F17``, with one %-format per line."""
     row = ",".join([_F17] * len(columns))

@@ -3,6 +3,10 @@
 Deliberately independent of the exact engine: it only ever samples exact
 objects pointwise and never re-derives a symbolic formula, so agreement
 between the two layers is meaningful evidence.
+
+numpy is bound in one place, ``_NumpyOnFirstUse.__getattr__``: the first
+float operation that reads an ``np`` attribute imports numpy and rebinds the
+module's ``np`` to it, so commands that never sample a grid start without it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
 
 from .gaussian import GaussFun
 from .polynomial import Poly, WFun, sturm_real_root_count
@@ -32,7 +34,19 @@ class LevelCountMismatch(RuntimeError):
     """A Sturm count between predicted levels disagrees with the prediction."""
 
 
-GridFunction = np.ndarray
+class _NumpyOnFirstUse:
+    """Stands in for numpy until the first attribute read imports it."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
+
+GridFunction = "np.ndarray"
 Sampleable = Union[Poly, WFun, GaussFun]
 
 

@@ -11,11 +11,14 @@ gates judge what the CLI writes.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import darboux
 from darboux.cli import main
 from darboux.oscillator import OscillatorModel
 from darboux.transform import build_transform
@@ -61,6 +64,36 @@ def test_every_traced_name_resolves(targets):
             if not found:
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+_TRACE_AFTER_CLI_IMPORT = """
+import importlib.util, json, sys
+
+sys.dont_write_bytecode = True
+import darboux.cli
+
+spec = importlib.util.spec_from_file_location("darboux_bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = spans
+spec.loader.exec_module(spans)
+with spans.Tracer():
+    pass
+missing = [layer for layer in spans.TARGETS if f"darboux.{layer}" not in sys.modules]
+print(json.dumps({"missing": missing, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_tracer_finds_every_layer_after_importing_only_the_cli():
+    # bench/run.py imports darboux.cli alone and the tracer then reads each
+    # traced layer from sys.modules: importing the CLI must load every layer
+    # in TARGETS, and installing the tracer must not load numpy.
+    src = str(Path(darboux.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _TRACE_AFTER_CLI_IMPORT, str(BENCH / "spans.py")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"missing": [], "numpy": False}
 
 
 def test_coeff_bits_agree_with_transform_json(spans, capsys):

@@ -555,6 +555,42 @@ def test_route_check_survives_optimize_flag():
         "AssertionError: bordered-Wronskian and operator routes disagree")
 
 
+_NUMPY_AT_FIRST_FLOAT = """
+import contextlib, io, json, sys
+
+from darboux.cli import main
+
+seen = [["import", None, "numpy" in sys.modules]]
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    seen.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_at_the_first_float_operation():
+    # One fresh interpreter: help, bad input, classify and JSON transform do
+    # no float work and leave numpy unloaded; verify samples a grid, so it
+    # loads numpy (the control that shows the check can see an import).
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = ["--help", "verify --levels 1", "classify --levels 2,3",
+            "transform --levels 1,2", "verify --levels 1,2"]
+    child = subprocess.run([sys.executable, "-c", _NUMPY_AT_FIRST_FLOAT, *runs],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [
+        ["import", None, False],
+        ["--help", 0, False],
+        ["verify --levels 1", 2, False],
+        ["classify --levels 2,3", 0, False],
+        ["transform --levels 1,2", 0, False],
+        ["verify --levels 1,2", 0, True],
+    ]
+
+
 def test_cached_parser_keeps_each_call_alone(capsys):
     # One parser serves every call: bad input, a verify and a spectrum
     # print and exit as they do from a parser built for each call.
