@@ -444,10 +444,10 @@ def _verification_checks(model: OscillatorModel, tr: TransformResult, cfg: RunCo
 
     # Each image L phi_n is built once: the kernel check reads the selected
     # levels, the partner-side checks read the survivors.  The anticommutator
-    # check takes the hN residual on levels 0 .. N; the factorisation proof
-    # reads its verdicts on levels 0 .. 2N - 1, so those are built even above
-    # nmax, where they are checked but not reported.
-    top = max(n_max, 2 * tr.order - 1)
+    # check takes the hN residual on levels 0 .. N, so those are built even
+    # above nmax, where they are checked but not reported; with L u_i = 0 on
+    # the selection they prove every L+ identity (``susy.crum_proved``).
+    top = max(n_max, tr.order)
     doublets = {n: eigen_doublet(model, tr, n) for n in sorted({*range(top + 1), *levels})}
     acomm = anticommutator_check(tr, doublets)
     by_level = {c.level: c for c in acomm.checks}

@@ -14,20 +14,15 @@ each coefficient of a composition are sums of products; their numerators
 are summed over one power of W and reduced once (``_sum_of_products``).
 The normal form of a value is unique, so that is bit for bit the WFun a
 reduction after every product and every partial sum would give.
-``AdjointJet`` reads the value and slope at x = 0 of the formal adjoint's
-action off an operator's WFun coefficients, without building the adjoint;
-its powers of W and its products are the polynomial module's
-(``WBase.power``, ``_int_mul``).  Everything is exact and immutable.
+Everything is exact and immutable.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
-from .polynomial import POLYNOMIALS, Poly, Scalar, WBase, WFun, _frac, _int_mul, _pole_base, ratfun_det
+from .polynomial import POLYNOMIALS, Poly, Scalar, WBase, WFun, _frac, _pole_base, ratfun_det
 
 
 class MixedWeightError(ValueError):
@@ -105,9 +100,6 @@ class GaussFun:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __call__(self, x: float) -> float:
-        return self.r(x) * math.exp(float(self.s) * x * x / 4.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussFun):
@@ -267,97 +259,6 @@ def _d_left(coeffs: Sequence[WFun]) -> list[WFun]:
     d o c = c d + c': the coefficients of c_j' d^j + c_j d^(j+1)."""
     shifted = [coeffs[0] * 0, *coeffs]
     return [s + c.derivative() for s, c in zip(shifted, coeffs)] + [coeffs[-1]]
-
-
-class AdjointJet:
-    """The exact 1-jet (y(0), y'(0)) of y = L+ f, for L = sum_j a_j d^j with
-    WFun coefficients and f = p/W^k exp(s x^2/4) over the base of the
-    coefficients' poles (``_pole_base``, as ``DiffOp.__call__`` reads it).
-
-    L+ is the formal adjoint by definition: y = sum_j (-d)^j (a_j f), read
-    from L's own coefficients, so L+ itself is never built.  With c_j = a_j
-    W^K polynomials (K the largest exponent among the a_j) and the series
-    S = exp(s x^2/4) / W^(k+K) at 0 (W(0) != 0 on a node-free base),
-
-        y(0)  = sum_j (-1)^j j! [x^j] (c_j S p),
-        y'(0) = sum_j (-1)^j (j+1)! [x^(j+1)] (c_j S p),
-
-    linear in p's coefficients of degree 0 .. N+1.  So each pair (k, s)
-    takes one integer vector per jet entry, built on first use and kept on
-    this object, and each jet is then two integer dot products.
-    """
-
-    __slots__ = ("op", "base", "_functionals")
-
-    def __init__(self, op: DiffOp):
-        self.op = op
-        self.base = _pole_base(op.coeffs)
-        self._functionals: dict[tuple[int, Fraction], tuple[list[int], list[int], int]] = {}
-
-    def __call__(self, f: GaussFun) -> tuple[Fraction, Fraction]:
-        if f.is_zero:
-            return Fraction(0), Fraction(0)
-        r = self.base.lift(f.r)
-        value, slope, den = self._functional(r.k, f.s)
-        nums, den = r.p.nums, den * r.p.den
-        return (Fraction(sum(map(mul, value, nums)), den),
-                Fraction(sum(map(mul, slope, nums)), den))
-
-    def _functional(self, k: int, s: Fraction) -> tuple[list[int], list[int], int]:
-        """Integer vectors v0, v1 and a denominator D with y(0) = v0 . p / D
-        and y'(0) = v1 . p / D for f = p/W^k exp(s x^2/4), all in integers.
-        W^(k+K) is ``WBase.power(k + K)`` and c_j is p_j times
-        ``WBase.power(K - k_j)``, the raise ``_sum_of_products`` takes, each
-        integer numerators over one denominator; their Taylor products are
-        ``_int_mul``'s (``_series_mul``), and exp(s x^2/4) =
-        sum_i (s/4)^i x^(2i) / i! goes over one denominator."""
-        key = (k, s)
-        if key not in self._functionals:
-            base = self.base
-            coeffs = [base.lift(a) for a in self.op.coeffs]
-            m = len(coeffs) + 1  # Taylor terms x^0 .. x^(N+1)
-            top = max(c.k for c in coeffs)
-            w_power = base.power(k + top)
-            inverse = _series_inverse(w_power.nums, m)
-            half = (m - 1) // 2
-            b = 4 * s.denominator
-            gauss = [0] * m
-            for i in range(half + 1):
-                gauss[2 * i] = s.numerator**i * b ** (half - i) * math.perm(half, half - i)
-            # S = exp(s x^2/4) / W^(k+top) = series / s_den.
-            series = [c * w_power.den for c in _series_mul(gauss, inverse, m)]
-            s_den = b**half * math.factorial(half) * w_power.nums[0] ** m
-            # c_j = a_j W^top = p_j W^(top - k_j).
-            cs = [a.p * base.power(top - a.k) for a in coeffs]
-            den = math.lcm(*(c.den for c in cs))
-            value, slope = [0] * m, [0] * m
-            for j, c in enumerate(cs):
-                h = _series_mul(c.nums, series, m)
-                scale = (-1) ** j * math.factorial(j) * (den // c.den)
-                for i in range(j + 1):
-                    value[i] += scale * h[j - i]
-                for i in range(j + 2):
-                    slope[i] += scale * (j + 1) * h[j + 1 - i]
-            self._functionals[key] = (value, slope, den * s_den)
-        return self._functionals[key]
-
-
-def _series_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    """The first m Taylor coefficients of a * b: ``_int_mul`` on the first
-    m of each, its product cut or zero-padded to m."""
-    out = _int_mul(a[:m], b[:m])[:m]
-    return out + [0] * (m - len(out))
-
-
-def _series_inverse(q: Sequence[int], m: int) -> list[int]:
-    """q0^m / q in its first m Taylor coefficients, q0 = q(0) != 0: with
-    1/q = sum_i z_i x^i / q0^(i+1), z_0 = 1 and
-    z_i = -sum_{j=1..i} q_j z_(i-j) q0^(j-1)."""
-    q0 = q[0]
-    z = [1]
-    for i in range(1, m):
-        z.append(-sum(q[j] * z[i - j] * q0 ** (j - 1) for j in range(1, min(i, len(q) - 1) + 1)))
-    return [c * q0 ** (m - 1 - i) for i, c in enumerate(z)]
 
 
 # ---------------------------------------------------------------------------

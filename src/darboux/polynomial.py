@@ -194,7 +194,7 @@ class Poly:
             raise ArithmeticError("inexact polynomial division")
         return q
 
-    # -- calculus and evaluation ---------------------------------------
+    # -- calculus -------------------------------------------------------
 
     def derivative(self, weight: Scalar = 0) -> "Poly":
         """p' + (w/2) x p, that is d/dx[p exp(w x^2/4)] * exp(-w x^2/4); the
@@ -214,13 +214,6 @@ class Poly:
         shifted = [0, *map(mul, repeat(a), nums)]
         shifted[:len(out)] = map(add, map(mul, repeat(b), out), shifted)
         return Poly._of(shifted, self.den * b)
-
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction and float arguments alike."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- normal forms ---------------------------------------------------
 
@@ -700,8 +693,8 @@ class WFun:
     equal-exponent sum, a product of two non-scalars and a derivative can
     leave a factor W in the numerator, and ``WBase.over`` divides it out.
     Polynomials live over ``POLYNOMIALS``, W = 1, and meet any other base
-    by ``WBase.lift``.  A value is read (``num``, ``den``, ``repr``,
-    evaluation) through its canonical pair (``canonical``), built on the
+    by ``WBase.lift``.  A value is read (``num``, ``den``, ``repr``)
+    through its canonical pair (``canonical``), built on the
     first read and cached: the only place a gcd is taken.
     """
 
@@ -817,11 +810,6 @@ class WFun:
         if not k:
             return WFun._of(base, top, 0)
         return base.over(top * base.W - p * (k * base.dW), k + 1)
-
-    def __call__(self, x):
-        """num(x) / den(x) of the canonical pair: exact at a Fraction."""
-        num, den = self.canonical()
-        return num(x) / den(x)
 
     # -- comparison / display -------------------------------------------------
 

@@ -122,6 +122,7 @@ class AnticommutatorCheck:
 class AnticommutatorReport:
     checks: tuple[AnticommutatorCheck, ...]
     t_zero: bool  # T = L h0 - hN L = 0, decided once (``intertwining_proved``)
+    proved: bool  # T = 0 and L u_i = 0 prove every L+ identity (``crum_proved``)
 
     @property
     def ok(self) -> bool:
@@ -151,14 +152,45 @@ def intertwining_proved(tr: TransformResult, h: DiffOp, verdicts: Mapping[int, b
     )
 
 
-def _adjoint_sends(tr: TransformResult, f: GaussFun, g: GaussFun, by_jet: bool) -> bool:
-    """L+ f = g exactly, for g = p exp(s x^2/4), p a polynomial.  With ``by_jet``,
-    L+ f - g solves h0 y = E y (``anticommutator_check``), so 1-jets at 0 decide
-    it: L+ f's read off L, g's (p(0), p'(0)).  Otherwise L+ is applied."""
-    if by_jet:
-        p = tr.base.lift(g.r).p
-        return tr.adjoint_jet(f) == (p[0], p[1])
-    return tr.adjoint(f) == g
+def crum_proved(tr: TransformResult, t_zero: bool, doublets: Mapping[int, Doublet]) -> bool:
+    """Whether T = L h0 - hN L = 0 (``t_zero``) and L u_i = 0 on the
+    selection (its images in ``doublets``) prove every L+ identity:
+    L+ L = P(h0), L L+ = P(hN) and L+ v_k = 0, P(h) = prod_i (h - alpha_i)
+    (Crum 1955).
+
+    Lemma.  An R with coefficients in Q(x) that is formally self-adjoint
+    and commutes with h0 = -d^2 + q is a polynomial in h0.  By induction on
+    its order n: the top coefficient of [R, h0] is 2 r_n', so r_n is a
+    constant c; R+ = R gives (-1)^n c = c, so n = 2m is even; and
+    R - c (-1)^m h0^m is again self-adjoint, commutes with h0 and has lower
+    order.
+
+    L+ L = P(h0).  Formal adjoints reverse products and h0, hN are formally
+    self-adjoint, so the adjoint of T = 0 is h0 L+ = L+ hN, and
+    R = L+ L - P(h0) commutes with h0.  R is self-adjoint and, L being
+    monic of order N (``intertwining_proved``), of order at most 2N - 1:
+    R = f(h0) with deg f <= N - 1.  L u_i = 0 and P(alpha_i) = 0 give
+    f(alpha_i) u_i = R u_i = 0 at N distinct alpha_i, so R = 0.  L L+ =
+    P(hN) then follows from R = 0 and T = 0 (``factorization_residuals``).
+
+    L+ v_k = 0 wherever (hN - alpha_k) v_k = 0 holds exactly (checked):
+    L L+ v_k = P(alpha_k) v_k = 0, so L+ v_k lies in ker L, the span of the
+    u_i on the real line, where W has no zero.  L+ v_k is a rational
+    function times exp(-s x^2/4) and each u_i a polynomial times
+    exp(s x^2/4), s the family's weight, so for s != 0, L+ v_k = 0.
+
+    Two premises no run checks raise AssertionError, also under
+    ``python -O``: the alpha_i are distinct, and s != 0, so the kernel
+    functions' weight -s differs from the family's.
+    """
+    levels = tr.selection.levels
+    if not (t_zero and all(k in doublets and doublets[k].lower.is_zero for k in levels)):
+        return False
+    if len(set(tr.selection.alphas)) != len(levels):
+        raise AssertionError("the deleted energies alpha_i must be distinct")
+    if tr.bordered.weight == 0:
+        raise AssertionError("the kernel functions' weight must differ from the family's")
+    return True
 
 
 def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -> AnticommutatorReport:
@@ -172,38 +204,27 @@ def anticommutator_check(tr: TransformResult, doublets: Mapping[int, Doublet]) -
     Q commutes with the super-Hamiltonian.
 
     The levels 0 .. N take that hN residual first.  When they all hold,
-    T = L h0 - hN L = 0 (``intertwining_proved``, kept as ``t_zero``), and
-    every L+ identity follows from its 1-jet at x = 0 (``_adjoint_sends``):
-
-    * Formal adjoints reverse products and h0, hN are formally
-      self-adjoint, so T = 0 gives h0 L+ = L+ hN.
-    * So y = L+ L phi_n - P(E_n) phi_n solves h0 y = E_n y, and where
-      (hN - alpha_k) v_k = 0 holds exactly, y = L+ v_k solves
-      h0 y = alpha_k y.
-    * h0 = -d^2 + x^2/4 - 1/2 has polynomial coefficients, and W has no real
-      zero (the Sturm certificate), so such a y is analytic on the whole
-      line, and y(0) = y'(0) = 0 forces y = 0 (uniqueness for linear ODEs;
-      Coddington and Levinson 1955, ch. 1).
-    * T = 0 also gives (hN - E_n) L phi_n = L (h0 - E_n) phi_n = 0 for
-      every n > N: those levels take no hN application.
-
-    When a level 0 .. N is missing or fails, every level takes the full
-    route instead: one L+ application and one hN residual.
+    T = L h0 - hN L = 0 (``intertwining_proved``, kept as ``t_zero``), so
+    (hN - E_n) L phi_n = L (h0 - E_n) phi_n = 0 for every n > N: those
+    levels take no hN application.  With L u_i = 0 on the selection, every
+    L+ identity holds (``crum_proved``, kept as ``proved``) and no level
+    takes L+; otherwise each level takes one L+ application.
     """
     h_partner = tr.hamiltonian_partner()
     residuals = {n: _intertwines(h_partner, s) for n, s in doublets.items() if n <= tr.order}
     t_zero = intertwining_proved(tr, h_partner, residuals)
+    proved = crum_proved(tr, t_zero, doublets)
     checks = []
     for n, state in doublets.items():
         factor = tr.selection.factor(state.energy)
         # The two sides meet in W-form: phi is lifted to the transform's base.
-        target = GaussFun(tr.base.lift(state.upper.r) * factor, state.upper.s)
-        acomm_ok = _adjoint_sends(tr, state.lower, target, t_zero)
+        acomm_ok = proved or tr.adjoint(state.lower) == GaussFun(
+            tr.base.lift(state.upper.r) * factor, state.upper.s)
         # Above level N, T = 0 proves the residual.
         intertwining_ok = residuals[n] if n in residuals else (
             t_zero or _intertwines(h_partner, state))
         checks.append(AnticommutatorCheck(n, factor, acomm_ok, intertwining_ok))
-    return AnticommutatorReport(tuple(checks), t_zero)
+    return AnticommutatorReport(tuple(checks), t_zero, proved)
 
 
 def _intertwines(h_partner: DiffOp, state: Doublet) -> bool:
@@ -212,20 +233,12 @@ def _intertwines(h_partner: DiffOp, state: Doublet) -> bool:
 
 
 def factorization_check(tr: TransformResult, report: AnticommutatorReport) -> FactorizationReport:
-    """L+ L = P(h0) and L L+ = P(hN), P(h) = prod (h - alpha_i): proved when
-    ``report`` has T = 0 and levels 0 .. 2N-1 pass, else expanded by
-    ``factorization_residuals`` with the report's verdict on T.
-
-    Those verdicts then came from the jet route, on T = 0 alone.  L is monic
-    of order N, so R = L+ L - P(h0) has order at most 2N - 1 and vanishes
-    once it kills phi_0 .. phi_(2N-1) (the bound in ``intertwining_proved``);
-    R = 0 and T = 0 give L L+ = P(hN) (``factorization_residuals``).  T is
-    never expanded: ``verify`` hands over levels 0 .. N, where T = 0 goes
-    unproved only when some T phi_n is nonzero, so an unproved T is a
-    nonzero T and L L+ is expanded for its residual.
-    """
-    passed = {c.level for c in report.checks if c.anticommutator_ok}
-    if report.t_zero and passed.issuperset(range(2 * tr.order)):
+    """L+ L = P(h0) and L L+ = P(hN), P(h) = prod (h - alpha_i): proved
+    when ``report.proved`` holds (``crum_proved``), else expanded by
+    ``factorization_residuals`` with the report's verdict on T.  T is never
+    expanded: ``verify`` hands over levels 0 .. N, where T = 0 goes
+    unproved only when some T phi_n is nonzero."""
+    if report.proved:
         return FactorizationReport(residual_base=DiffOp.zero(), residual_partner=DiffOp.zero())
     return factorization_residuals(tr, report.t_zero)
 
@@ -233,13 +246,14 @@ def factorization_check(tr: TransformResult, report: AnticommutatorReport) -> Fa
 def adjoint_kernel_failures(tr: TransformResult,
                             report: AnticommutatorReport) -> list[tuple[str, int]]:
     """Each selected level k whose kernel function v_k fails L+ v_k = 0
-    ("adjoint") or (hN - alpha_k) v_k = 0 ("eigen").  The jet decides the
-    first when T = 0 and the second holds (``anticommutator_check``)."""
+    ("adjoint") or (hN - alpha_k) v_k = 0 ("eigen").  The second proves the
+    first when ``report`` has proved every L+ identity (``crum_proved``);
+    otherwise L+ is applied."""
     h_partner = tr.hamiltonian_partner()
     bad = []
     for k, alpha, v in zip(tr.selection.levels, tr.selection.alphas, kernel_functions(tr)):
         eigen_ok = (h_partner(v) - v * alpha).is_zero
-        if not _adjoint_sends(tr, v, GaussFun.zero(), report.t_zero and eigen_ok):
+        if not (report.proved and eigen_ok) and not tr.adjoint(v).is_zero:
             bad.append(("adjoint", k))
         if not eigen_ok:
             bad.append(("eigen", k))

@@ -18,9 +18,9 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i) by
   expansion: the first expanded and the second derived from it and
-  L h0 = hN L.  ``susy`` owns their proof from exact per-level checks,
-  which expands L+ L and L L+ (``factorization_residuals``) only where
-  that proof does not apply.
+  L h0 = hN L.  ``susy`` proves both from L h0 = hN L and L u_i = 0
+  (``crum_proved``), and expands L+ L and L L+
+  (``factorization_residuals``) only where that proof does not apply.
 
 Each coefficient of L, L+ and hN lies over a power of the Wronskian's
 polynomial W (Crum 1955): L's over W, the d^m coefficient of L+ over
@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .gaussian import AdjointJet, BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
+from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
 from .polynomial import Poly, WBase, WFun, cramer_numerators
 
 
@@ -166,12 +166,6 @@ class TransformResult:
         """L+ in W-form, built on first use and kept: the full route's checks
         read this one."""
         return self.operator.adjoint()
-
-    @cached_property
-    def adjoint_jet(self) -> AdjointJet:
-        """The 1-jet at x = 0 of L+ f, from L's own coefficients, with its
-        functionals kept for this transform: the proof route reads this."""
-        return AdjointJet(self.operator)
 
     def hamiltonian_partner(self) -> DiffOp:
         """hN = -d^2 + V_N in W-form."""

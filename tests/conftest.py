@@ -7,6 +7,7 @@ import pytest
 
 from darboux import polynomial
 from darboux.oscillator import OscillatorModel
+from darboux.polynomial import Poly, WFun
 from darboux.transform import build_transform
 
 
@@ -68,3 +69,19 @@ def gcd_routes():
 
 def fr(num, den=1) -> Fraction:
     return Fraction(num, den)
+
+
+def value_at(f: Poly | WFun, x) -> Fraction:
+    """f(x) exactly, for a Poly or a WFun at a rational x: Fraction Horner
+    on the canonical numerator and denominator.  The tests' one exact
+    evaluator; the program evaluates only on floats (``spectral.sample``)."""
+    x = Fraction(x)
+    num, den = (f, Poly.one()) if isinstance(f, Poly) else f.canonical()
+
+    def horner(p: Poly) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    return horner(num) / horner(den)

@@ -202,8 +202,9 @@ class TestVerifyCommand:
         # Each image L phi_n has one owner, its eigen-doublet, and the
         # anticommutator check applies no Q.  The premise T = 0 is decided
         # once per run, and every proof reads that one verdict.  A passing
-        # run proves every L+ identity from 1-jets read off L, so it builds
-        # L+ 0 times; a corrupted hN fails the premise, and L+ is built once.
+        # run proves every L+ identity from L h0 = hN L and L u_i = 0
+        # (``susy.crum_proved``), so it builds L+ 0 times; a corrupted hN
+        # fails the premise, and L+ is built once.
         calls = Counter()
 
         def counted(name, fn):
@@ -259,13 +260,15 @@ class TestVerifyCommand:
         assert "verification failed: golden_closed_forms" in captured.err
 
     def test_each_operator_applied_once_per_level(self, monkeypatch, capsys):
-        # L: the 9 doublets.  hN: the N kernel functions and one
-        # intertwining residual per level 0 .. N, which prove L h0 = hN L;
-        # eigen_residuals reads the survivors' verdicts.  L+: none, since
-        # every L+ identity then follows from a 1-jet.  Each is the W-form
-        # operator.
+        # L: the doublets, levels 0 .. max(nmax, N) and the selection (13
+        # at order 8: levels 9 .. 12 are selected).  hN: the N kernel
+        # functions and one intertwining residual per level 0 .. N, which
+        # prove L h0 = hN L; eigen_residuals reads the survivors' verdicts.
+        # L+: none, since with L u_i = 0 every L+ identity then follows.
+        # Each is the W-form operator.
         apply = DiffOp.__call__
-        for levels, want in [((1, 2), {"L": 9, "hN": 5}), ((1, 2, 5, 6), {"L": 9, "hN": 9})]:
+        for levels, want in [((1, 2), {"L": 9, "hN": 5}), ((1, 2, 5, 6), {"L": 9, "hN": 9}),
+                             ((3, 4, 7, 8, 9, 10, 11, 12), {"L": 13, "hN": 17})]:
             tr = build_transform(OscillatorModel(), levels)
             named = {"L": tr.operator, "L+": tr.adjoint, "hN": tr.hamiltonian_partner()}
             calls = Counter()
@@ -283,7 +286,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("premise", ["intertwining at N", "eigen of v_k"])
     def test_fallback_when_a_premise_fails(self, premise, monkeypatch, capsys):
-        # The jet route rests on (hN - E_n) L phi_n = 0 at levels 0 .. N and,
+        # The proof rests on (hN - E_n) L phi_n = 0 at levels 0 .. N and,
         # for L+ v_k = 0, on (hN - alpha_k) v_k = 0.  When one fails, L+ is
         # built and applied.
         levels = (1, 2, 5, 6)
@@ -470,26 +473,13 @@ def _perturbed(op: DiffOp, j: int, delta) -> DiffOp:
     return DiffOp(coeffs)
 
 
-def _at_zero(f) -> Fraction:
-    """f(0) exactly: exp(s x^2/4) is 1 there."""
-    return f.r(Fraction(0)) if not f.is_zero else Fraction(0)
-
-
-def _perturbed_jet(jet, j: int):
-    """The 1-jet at 0 of (L+ + (x/7) d^j) f: (x/7) f^(j) adds f^(j)(0)/7 to
-    the derivative and nothing to the value."""
-    def perturbed(f):
-        value, slope = jet(f)
-        return value, slope + _at_zero(f.derivatives(j)[j]) / 7
-    return perturbed
-
-
 @pytest.mark.parametrize("operator, j", [("L+", 0), ("L+", 4), ("hN", 0), ("hN", 1)])
 def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch, capsys):
-    # Seeded mutants: x/7 added to one coefficient of L+, as the jet route
-    # reads it, or of hN.  A wrong L+ jet fails {Q, Q+} = P(H) on the
-    # doublets, and the factorisation then expands the true L+ L.  A wrong
-    # hN fails the intertwining at level 0, so every level takes the full
+    # Seeded mutants: x/7 added to one coefficient of the built L+, or of
+    # hN.  A passing run reads no L+, so the L+ rows take a run the proof
+    # does not cover (``crum_proved`` false): the wrong L+ then fails
+    # {Q, Q+} = P(H) on the doublets and the expanded L+ L.  A wrong hN
+    # fails the intertwining at level 0, so every level takes the full
     # route, and the expansion reports the partner residual.
     x = Poly((0, 1)) * Fraction(1, 7)
     if operator == "L+":
@@ -497,10 +487,11 @@ def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch
 
         def mutant_transform(model, levels):
             tr = build(model, levels)
-            vars(tr)["adjoint_jet"] = _perturbed_jet(tr.adjoint_jet, j)
+            vars(tr)["adjoint"] = _perturbed(tr.operator.adjoint(), j, x)
             return tr
 
         monkeypatch.setattr(cli, "build_transform", mutant_transform)
+        monkeypatch.setattr(susy, "crum_proved", lambda tr, t_zero, doublets: False)
     else:
         partner = TransformResult.hamiltonian_partner
         monkeypatch.setattr(TransformResult, "hamiltonian_partner",
@@ -509,7 +500,7 @@ def test_perturbed_operator_fails_a_factorization_check(operator, j, monkeypatch
     status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     if operator == "L+":
         assert status["superalgebra_anticommutator"] == "fail"
-        assert status["L_dagger_L_factorization"] == "pass"
+        assert status["L_dagger_L_factorization"] == "fail"
     else:
         assert status["L_L_dagger_factorization"] == "fail"
 

@@ -2,17 +2,18 @@
 
 Each row injects one exact fault, by a monkeypatch, and runs ``verify`` on an
 order-2 and an order-4 selection.  It names the check that must fail (exit
-1) and the route the anticommutator check ran, read from its report's T = 0
-record: "jet" when every L+ identity came from a 1-jet at 0, "full" when L+
-was applied.
+1) and the route the anticommutator check ran, read from its report:
+"crum" when T = 0 and L u_i = 0 proved every L+ identity
+(``susy.crum_proved``), "full" when L+ was applied.
 
-Two rows mutate the proof's premise, with x/7 added to hN, on the selections
+Three rows mutate the proof's premise.  Two add x/7 to hN on the selections
 0 .. N-1, where level N is the only level 0 .. N that L does not annihilate,
 so its intertwining residual alone sees a wrong hN.  Unmutated, that fault
 takes the full route and fails ``eigen_residuals`` and
 ``L_L_dagger_factorization`` (the "hN d^0" rows).  Each premise mutant
-instead takes the jet route and lets one of those checks pass (``hides``):
-the hN rows kill both mutants.
+instead takes the proof and lets one of those checks pass (``hides``): the
+hN rows kill both mutants.  The third ignores the selection's images, under
+a nonzero L u_k above level N: ``kernel_annihilation`` kills it.
 """
 
 import json
@@ -23,7 +24,7 @@ import pytest
 
 from darboux import cli, susy
 from darboux.cli import main
-from darboux.gaussian import AdjointJet, DiffOp, GaussFun
+from darboux.gaussian import DiffOp, GaussFun
 from darboux.oscillator import OscillatorModel
 from darboux.polynomial import Poly
 from darboux.transform import TransformResult
@@ -47,21 +48,6 @@ def _l_coefficient(monkeypatch, levels):
     _on_transform(monkeypatch, lambda tr: replace(tr, operator=_perturbed(tr.operator, 0)))
 
 
-def _adjoint_jet(monkeypatch, levels):
-    # (L+ + x/7) f has the 1-jet of L+ f plus (0, f(0)/7).
-    def change(tr):
-        jet = tr.adjoint_jet
-
-        def perturbed(f):
-            value, slope = jet(f)
-            return value, slope + (f.r(Fraction(0)) / 7 if not f.is_zero else 0)
-
-        vars(tr)["adjoint_jet"] = perturbed
-        return tr
-
-    _on_transform(monkeypatch, change)
-
-
 def _partner(j):
     def inject(monkeypatch, levels):
         partner = TransformResult.hamiltonian_partner
@@ -70,12 +56,10 @@ def _partner(j):
     return inject
 
 
-def _image(above_n: bool):
-    # x/7 exp(-x^2/4) added to L phi_n at the first survivor n <= N or > N.
+def _image(level_of):
+    # x/7 exp(-x^2/4) added to L phi_n at the level ``level_of(levels)``.
     def inject(monkeypatch, levels):
-        n = len(levels)
-        level = next(k for k in range(20) if k not in levels and (k > n) == above_n)
-        phi = _MODEL.eigenfunction(level)
+        phi = _MODEL.eigenfunction(level_of(levels))
         apply = susy.crum_krein_apply
 
         def wrong(tr, f):
@@ -86,6 +70,12 @@ def _image(above_n: bool):
     return inject
 
 
+def _survivor(above_n: bool):
+    """The first survivor n <= N or n > N."""
+    return lambda levels: next(k for k in range(20)
+                               if k not in levels and (k > len(levels)) == above_n)
+
+
 def _kernel_function(monkeypatch, levels):
     kernel = susy.kernel_functions
 
@@ -94,17 +84,6 @@ def _kernel_function(monkeypatch, levels):
         return [v[0] + GaussFun(tr.base.lift(_X7), v[0].s), *v[1:]]
 
     monkeypatch.setattr(susy, "kernel_functions", wrong)
-
-
-def _jet_cut(monkeypatch, levels):
-    # The jet reads f's numerator only up to x^N, not x^(N+1).
-    functional = AdjointJet._functional
-
-    def cut(self, k, s):
-        value, slope, den = functional(self, k, s)
-        return value[:-1], slope[:-1], den
-
-    monkeypatch.setattr(AdjointJet, "_functional", cut)
 
 
 def _verdict_forced_true(monkeypatch, levels):
@@ -125,6 +104,11 @@ def _premise_cut(monkeypatch, levels):
     monkeypatch.setattr(susy, "intertwining_proved", cut)
 
 
+def _kernel_ignored(monkeypatch, levels):
+    _image(lambda levels: levels[-1])(monkeypatch, levels)  # a nonzero L u_k, k > N
+    monkeypatch.setattr(susy, "crum_proved", lambda tr, t_zero, doublets: t_zero)
+
+
 @dataclass(frozen=True)
 class Row:
     fault: str
@@ -141,18 +125,23 @@ _ROWS = [
     # which never reads L, disagrees with it on the first image.
     Row("L coefficient", _l_coefficient, ("bordered-Wronskian and operator routes disagree",),
         None),
-    Row("L+ jet", _adjoint_jet, ("superalgebra_anticommutator",), "jet"),
     Row("hN d^0", _partner(0), ("L_L_dagger_factorization", "eigen_residuals"), "full",
         ((1, 2), (1, 2, 5, 6), *_EDGE)),
     Row("hN d^1", _partner(1), ("L_L_dagger_factorization",), "full"),
-    Row("image, level <= N", _image(False), ("eigen_residuals",), "full"),
-    Row("image, level > N", _image(True), ("superalgebra_anticommutator",), "jet"),
-    Row("kernel function v_k", _kernel_function, ("adjoint_kernel",), "jet"),
-    Row("jet cut to order N", _jet_cut, ("superalgebra_anticommutator",), "jet"),
+    Row("image, level <= N", _image(_survivor(False)), ("eigen_residuals",), "full"),
+    # Above level N the proof reads no image: only the float checks see it,
+    # and the closed forms where the selection is a juxtaposed pair.
+    Row("image, level > N", _image(_survivor(True)), ("norm_transport", "golden_closed_forms"),
+        "crum", ((1, 2),)),
+    Row("image, level > N", _image(_survivor(True)), ("norm_transport",), "crum",
+        ((1, 2, 5, 6),)),
+    Row("kernel function v_k", _kernel_function, ("adjoint_kernel",), "crum"),
     Row("intertwining verdict forced true at level N", _verdict_forced_true,
-        ("adjoint_kernel",), "jet", _EDGE, hides="eigen_residuals"),
-    Row("premise range cut to 0 .. N-1", _premise_cut, ("eigen_residuals",), "jet", _EDGE,
+        ("adjoint_kernel",), "crum", _EDGE, hides="eigen_residuals"),
+    Row("premise range cut to 0 .. N-1", _premise_cut, ("eigen_residuals",), "crum", _EDGE,
         hides="L_L_dagger_factorization"),
+    Row("selection's kernel ignored by the proof", _kernel_ignored, ("kernel_annihilation",),
+        "crum", ((2, 3), (1, 2, 5, 6)), hides="superalgebra_anticommutator"),
 ]
 _CASES = [(row, levels) for row in _ROWS for levels in row.selections]
 
@@ -173,6 +162,6 @@ def test_fault_fails_its_check(row, levels, monkeypatch, capsys):
     assert main(argv) == 1
     status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert all(status[name] == "fail" for name in row.fails)
-    assert [("jet" if report.t_zero else "full") for report in reports] == [row.route]
+    assert [("crum" if report.proved else "full") for report in reports] == [row.route]
     if row.hides:
         assert status[row.hides] == "pass"

@@ -5,25 +5,26 @@ from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from darboux import cli, susy
-from darboux.gaussian import DiffOp, GaussFun
+from darboux.gaussian import BorderedWronskian, DiffOp, GaussFun
 from darboux.oscillator import OscillatorModel
 from darboux.polynomial import Poly
 from darboux.susy import (
     Doublet,
     anticommutator_check,
     classify,
+    crum_proved,
     eigen_doublet,
     factorization_check,
     supercharge_apply,
 )
 from darboux.transform import (
+    LevelSelection,
     TransformResult,
     build_transform,
     factorization_identity_check,
+    kernel_functions,
     krein_admissible,
 )
 
@@ -134,15 +135,16 @@ class TestAnticommutator:
             assert acomm == Doublet(state.upper * factor, state.lower * factor, state.energy)
 
     def test_one_supercharge_application_per_level(self, model, tr12, monkeypatch):
-        # Levels 0 .. N prove L h0 = hN L, and every L+ identity then follows
-        # from a 1-jet: no Q+.  Without level N the premise is not covered,
-        # and each level takes one Q+, an application of the built L+.
+        # Levels 0 .. N prove L h0 = hN L, and with L u_i = 0 on the
+        # selection every L+ identity follows (``crum_proved``): no Q+.
+        # Without level N the premise is not covered, and each level takes
+        # one Q+, an application of the built L+.
         adjoint, apply = tr12.adjoint, DiffOp.__call__
         applied = []
         monkeypatch.setattr(DiffOp, "__call__",
                             lambda op, f: applied.append(op is adjoint) or apply(op, f))
         report = anticommutator_check(tr12, doublets(model, tr12, range(4)))
-        assert report.ok and report.t_zero and sum(applied) == 0
+        assert report.ok and report.proved and sum(applied) == 0
         report = anticommutator_check(tr12, doublets(model, tr12, [0, 1, 3, 4]))
         assert report.ok and not report.t_zero and sum(applied) == 4
 
@@ -161,15 +163,6 @@ class TestAnticommutator:
         assert not any(c.intertwining_ok for c in report.checks if c.factor)
         assert {c.level: c.anticommutator_ok for c in report.checks} == self._WRONG_BY_TWO
 
-    def test_wrong_jet_fails_every_doublet(self, model):
-        # The same fault on the jet route: the 1-jet of 2 L+ f.
-        tr = build_transform(model, (1, 2))
-        jet = tr.adjoint_jet
-        tr.__dict__["adjoint_jet"] = lambda f: tuple(2 * c for c in jet(f))
-        report = anticommutator_check(tr, doublets(model, tr, range(5)))
-        assert all(c.intertwining_ok for c in report.checks)
-        assert {c.level: c.anticommutator_ok for c in report.checks} == self._WRONG_BY_TWO
-
 
 def _composes(check, *args):
     """What ``check(*args)`` returns and the number of DiffOp.compose calls it took."""
@@ -185,69 +178,89 @@ def _composes(check, *args):
     return result, len(calls)
 
 
-class TestFactorizationProof:
-    """L+ L = P(h0) and L L+ = P(hN) proved from per-level results, expanding
-    nothing, and expanded when a premise of that proof is unmet."""
+_X7 = Poly((0, Fraction(1, 7)))
 
-    @settings(deadline=None, max_examples=12, derandomize=True)
-    @given(st.sampled_from(_ADMISSIBLE))
-    def test_agrees_with_full_expansion(self, levels):
+
+@pytest.fixture(scope="module")
+def tr23(model):
+    return build_transform(model, (2, 3))
+
+
+class TestFactorizationProof:
+    """L+ L = P(h0) and L L+ = P(hN) proved from L h0 = hN L and L u_i = 0,
+    expanding nothing, and expanded when a premise of that proof is unmet."""
+
+    def test_agrees_with_full_expansion(self):
+        # Every admissible selection of order <= 4 with levels <= 7, on the
+        # doublets verify builds for nmax 0: levels 0 .. N and the selection.
         model = OscillatorModel()
-        tr = build_transform(model, levels)
-        expanded = factorization_identity_check(tr)
-        report = anticommutator_check(tr, doublets(model, tr, range(2 * tr.order)))
-        proved, calls = _composes(factorization_check, tr, report)
-        assert report.t_zero and expanded.ok
-        assert (proved.residual_base, proved.residual_partner, calls) == (
-            expanded.residual_base, expanded.residual_partner, 0)
+        for levels in _ADMISSIBLE:
+            tr = build_transform(model, levels)
+            expanded = factorization_identity_check(tr)
+            report = anticommutator_check(
+                tr, doublets(model, tr, sorted({*range(tr.order + 1), *levels})))
+            proved, calls = _composes(factorization_check, tr, report)
+            assert report.proved and report.ok and expanded.ok, levels
+            assert (proved.residual_base, proved.residual_partner, calls) == (
+                expanded.residual_base, expanded.residual_partner, 0), levels
+            assert all(tr.adjoint(v).is_zero for v in kernel_functions(tr)), levels
+
+    @pytest.mark.parametrize("premise", ["distinct", "weight"])
+    def test_unchecked_premise_raises(self, premise, model, tr12):
+        # Equal alpha_i, or a family of weight 0 whose kernel functions
+        # would share its weight, void the proof: it raises, not passes.
+        if premise == "distinct":
+            tr = replace(tr12, selection=LevelSelection((1, 2), (Fraction(1), Fraction(1))))
+        else:
+            family = [GaussFun(Poly((0, 1))), GaussFun(Poly((0, 0, 1)))]
+            tr = replace(tr12, bordered=BorderedWronskian(family))
+        with pytest.raises(AssertionError, match=premise):
+            crum_proved(tr, True, doublets(model, tr12, range(3)))
 
     def test_partner_side_is_not_expanded_on_success(self, model, tr12):
         report = anticommutator_check(tr12, doublets(model, tr12, range(4)))
         proved, calls = _composes(factorization_check, tr12, report)
         assert proved.ok and calls == 0
 
-    @pytest.mark.parametrize("fixture", ["tr12", "tr01"])
-    @pytest.mark.parametrize("edge", ["anticommutator missing at 2N-1",
-                                      "anticommutator false at 2N-1",
-                                      "intertwining false at N"])
+    @pytest.mark.parametrize("fixture", ["tr12", "tr01", "tr23"])
+    @pytest.mark.parametrize("edge", ["intertwining false at N",
+                                      "selected level missing",
+                                      "selected image nonzero"])
     def test_unmet_premise_expands(self, fixture, edge, model, request, monkeypatch):
-        # R = L+ L - P(h0) has order 2N - 1, so 2N - 1 levels prove
-        # nothing; T = L h0 - hN L has order N, so N levels prove nothing.
-        # A proof that reads one level fewer, or not the report's T = 0,
-        # returns a zero residual here without expanding: the expansion is
-        # L+ L and two factors of P(h0), and L L+ and two factors of P(hN)
-        # only where the report has not proved T = 0.  T itself is never
-        # expanded.
+        # The proof reads T = 0 from levels 0 .. N and L u_i = 0 from every
+        # selected level.  A proof that reads one level fewer, or no image
+        # of the selection, returns a zero residual here without expanding:
+        # the expansion is L+ L and two factors of P(h0), and L L+ and two
+        # factors of P(hN) only where the report has not proved T = 0.  The
+        # edges take the top selected level k; T = 0 survives them only
+        # where k > N, as on (2, 3).  T itself is never expanded.
         tr = request.getfixturevalue(fixture)
-        n = tr.order
-        levels = range(2 * n - 1) if edge == "anticommutator missing at 2N-1" else range(2 * n)
+        n, k = tr.order, tr.selection.levels[-1]
+        levels = {*range(n + 1), *tr.selection.levels} - ({k} if edge == "selected level missing"
+                                                         else set())
         if edge == "intertwining false at N":
             intertwines = susy._intertwines
             monkeypatch.setattr(susy, "_intertwines", lambda h, state: (
                 state.energy != model.energy(n) and intertwines(h, state)))
-        report = anticommutator_check(tr, doublets(model, tr, levels))
-        if edge == "anticommutator false at 2N-1":
-            report = replace(report, checks=tuple(
-                replace(c, anticommutator_ok=False) if c.level == 2 * n - 1 else c
-                for c in report.checks))
-        assert report.t_zero == (edge != "intertwining false at N")
+        states = doublets(model, tr, sorted(levels))
+        if edge == "selected image nonzero":
+            wrong = states[k].lower + GaussFun(tr.base.lift(_X7), -1)
+            states[k] = replace(states[k], lower=wrong)
+        report = anticommutator_check(tr, states)
+        assert not report.proved
+        assert report.t_zero == (edge != "intertwining false at N" and k > n)
         proved, calls = _composes(factorization_check, tr, report)
         assert proved.ok and calls == (3 if report.t_zero else 6)
 
     def test_proved_intertwining_is_not_expanded_again(self, monkeypatch, capsys):
-        # The "L+ jet" mutant of test_proof_mutants.py: (L+ + x/7) f's 1-jet.
-        # T = 0 holds, the jet verdicts fail, so L+ L and P(h0)'s four
-        # factors are expanded (5 composes), and L h0 = hN L is not (7).
-        build = cli.build_transform
-
-        def perturbed_jet(model, levels):
-            tr = build(model, levels)
-            jet = tr.adjoint_jet
-            vars(tr)["adjoint_jet"] = lambda f: (
-                jet(f)[0], jet(f)[1] + (f.r(Fraction(0)) / 7 if not f.is_zero else 0))
-            return tr
-
-        monkeypatch.setattr(cli, "build_transform", perturbed_jet)
+        # x/7 exp(-x^2/4) added to L u_6 on (1, 2, 5, 6): level 6 lies
+        # above N = 4, so T = 0 holds and the selection's kernel fails.  L+ L
+        # and P(h0)'s four factors are expanded (5 composes), and
+        # L h0 = hN L is not (7).
+        apply = susy.crum_krein_apply
+        phi = OscillatorModel().eigenfunction(6)
+        monkeypatch.setattr(susy, "crum_krein_apply", lambda tr, f: (
+            apply(tr, f) + GaussFun(tr.base.lift(_X7), -1) if f == phi else apply(tr, f)))
         reports = []
         check = cli.anticommutator_check
         monkeypatch.setattr(cli, "anticommutator_check",
@@ -255,6 +268,6 @@ class TestFactorizationProof:
         code, calls = _composes(cli.main, ["verify", "--levels", "1,2,5,6", "--nmax", "8",
                                            "--points", "601"])
         status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert code == 1 and status["superalgebra_anticommutator"] == "fail"
-        assert [report.t_zero for report in reports] == [True]
+        assert code == 1 and status["kernel_annihilation"] == "fail"
+        assert [(report.t_zero, report.proved) for report in reports] == [(True, False)]
         assert calls == 5

@@ -12,13 +12,13 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import value_at
 
 import darboux.gaussian
 import darboux.polynomial
 import darboux.transform
 from darboux.cli import json_text, main, transform_to_json
 from darboux.gaussian import (
-    AdjointJet,
     BorderedWronskian,
     DiffOp,
     GaussFun,
@@ -27,7 +27,6 @@ from darboux.gaussian import (
     wronskian,
 )
 from darboux.oscillator import OscillatorModel
-from darboux.susy import eigen_doublet
 from darboux.polynomial import (
     Poly,
     WBase,
@@ -150,8 +149,8 @@ class TestBuildTransform:
         assert tr01.wronskian == GaussFun(1, -2)
 
     def test_excited_pair_values_at_origin(self, tr12):
-        assert tr12.shift(Fraction(0)) == Fraction(-2)
-        assert tr12.partner_potential(Fraction(0)) == Fraction(-5, 2)
+        assert value_at(tr12.shift, 0) == Fraction(-2)
+        assert value_at(tr12.partner_potential, 0) == Fraction(-5, 2)
         assert tr12.wronskian.r == Poly((1, 0, 1))
 
     def test_inadmissible_raises(self, model):
@@ -488,99 +487,6 @@ class TestKernelSolve:
             monkeypatch.setattr(module, name, refuse)
         assert main(["verify", "--levels", "1,2,5,6", "--nmax", "8"]) == 0
         capsys.readouterr()
-
-
-# Admissible selections up to order 6: _ADMISSIBLE and four of orders 5 and 6.
-_JET_SELECTIONS = _ADMISSIBLE + [
-    (0, 1, 2, 3, 4), (0, 2, 3, 5, 6), (1, 2, 3, 4, 5, 6), (0, 1, 4, 5, 8, 9),
-]
-_X = sympy.Symbol("x")
-
-
-def _sympy_rational(c: Fraction) -> sympy.Rational:
-    return sympy.Rational(c.numerator, c.denominator)
-
-
-def _jet_by_sympy(f: GaussFun) -> tuple[sympy.Rational, sympy.Rational]:
-    """(f(0), f'(0)) with f = (num/den) exp(s x^2/4) from its canonical
-    numerator and denominator, as sympy polynomials and the product rule."""
-    if f.is_zero:
-        return sympy.Integer(0), sympy.Integer(0)
-    num, den = (sympy.Poly([_sympy_rational(c) for c in reversed(p.coeffs)], _X)
-                for p in (f.r.num, f.r.den))
-    gauss = sympy.exp(_sympy_rational(f.s) * _X**2 / 4)
-    g0, g1 = gauss.subs(_X, 0), sympy.diff(gauss, _X).subs(_X, 0)
-    r0 = num.eval(0) / den.eval(0)
-    r1 = (num.diff(_X).eval(0) * den.eval(0) - num.eval(0) * den.diff(_X).eval(0)) / den.eval(0) ** 2
-    return r0 * g0, r1 * g0 + r0 * g1
-
-
-_JET_WEIGHTS = [-1, 1, 0, Fraction(1, 3), Fraction(-5, 2)]
-
-
-class TestAdjointJet:
-    """The 1-jet at 0 of L+ f, read off L's coefficients, against the built
-    L+ applied in full and evaluated at 0 by sympy."""
-
-    @settings(deadline=None, max_examples=30, derandomize=True)
-    @given(st.sampled_from(_JET_SELECTIONS), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
-           st.integers(0, 4), st.sampled_from(_JET_WEIGHTS))
-    @example((0, 1, 4, 5, 8, 9), list(range(-6, 6)), 3, 1)
-    @example((0, 2, 3, 5, 6), [1], 0, -1)
-    @example((1, 2), [2, -1, 3], 4, 0)
-    @example((0, 1, 2, 3, 4), list(range(-4, 5)), 4, Fraction(1, 3))
-    @example((1, 2, 5, 6), [5, 0, -7, 1], 2, Fraction(-5, 2))
-    def test_equals_the_full_adjoint_at_zero(self, levels, nums, k, s):
-        tr = _transform(levels)
-        f = GaussFun(tr.base.over(Poly(nums), k), s)
-        assert tuple(map(_sympy_rational, tr.adjoint_jet(f))) == _jet_by_sympy(tr.adjoint(f))
-
-    @settings(deadline=None, max_examples=15, derandomize=True)
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(0, 4),
-           st.sampled_from(_JET_WEIGHTS))
-    @example([1], 0, 0)
-    @example([3, -1, 0, 2], 4, Fraction(-5, 2))
-    def test_base_whose_monic_w_has_a_denominator(self, nums, k, s):
-        # W = x^2 + 1/3 is node-free with W(0) = 1/3, and its integer
-        # numerators are over 3; the operator has poles of orders 2 and 1,
-        # a zero interior coefficient and a polynomial top coefficient.
-        base = WBase(Poly((Fraction(1, 3), 0, 1)))
-        op = DiffOp((base.over(Poly((1, Fraction(1, 2))), 2), 0,
-                     base.over(Poly((Fraction(-2, 5), 1)), 1), base.lift(Poly((2, 1)))))
-        f = GaussFun(base.over(Poly(nums), k), s)
-        assert tuple(map(_sympy_rational, AdjointJet(op)(f))) == _jet_by_sympy(op.adjoint()(f))
-
-    def test_pole_below_a_polynomial_top_coefficient(self):
-        # L = (1 + 2x)/W + d over W = x^2 + 1/3: the jet runs over the base
-        # of the pole, not over the polynomial top coefficient's W = 1.
-        base = WBase(Poly((Fraction(1, 3), 0, 1)))
-        op = DiffOp((base.over(Poly((1, 2)), 1), 1))
-        f = GaussFun(Poly((1, 1)), -1)
-        assert AdjointJet(op)(f) == (2, Fraction(19, 2))
-        assert tuple(map(_sympy_rational, AdjointJet(op)(f))) == _jet_by_sympy(op.adjoint()(f))
-        # A second base with a pole is rejected, as applying L rejects it.
-        mixed = DiffOp((op.coeffs[0], WBase(Poly((2, 0, 1))).over(Poly.one(), 1)))
-        with pytest.raises(ValueError, match="different Wronskians"):
-            AdjointJet(mixed)(f)
-
-    @settings(deadline=None, max_examples=10, derandomize=True)
-    @given(st.sampled_from(_JET_SELECTIONS))
-    @example((0, 1, 4, 5, 8, 9))
-    def test_verdicts_equal_the_full_route(self, levels):
-        # Per level, L+ L phi_n = c phi_n for the right factor c = P(E_n) and
-        # a wrong one; per kernel function, L+ v_k = 0.
-        model = OscillatorModel()
-        tr = _transform(levels)
-        for n in range(2 * tr.order + 2):
-            state = eigen_doublet(model, tr, n)
-            upper = tr.base.lift(state.upper.r)
-            right = tr.selection.factor(state.energy)
-            for c in (right, right + 1):
-                by_jet = tr.adjoint_jet(state.lower) == (c * upper.p[0], c * upper.p[1])
-                by_full = tr.adjoint(state.lower) == GaussFun(upper * c, state.upper.s)
-                assert by_jet == by_full == (c == right)
-        for v in kernel_functions(tr):
-            assert tr.adjoint_jet(v) == (0, 0) and tr.adjoint(v).is_zero
 
 
 class TestFactorization:
