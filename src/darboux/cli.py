@@ -154,24 +154,30 @@ _MAX_SAMPLES = 1 << 23
 _MAX_WRONSKIAN_DEGREE = 64
 
 
-def _largest_float_norm_nmax(model: OscillatorModel, selection: LevelSelection) -> int:
-    """Largest nmax whose survivors all have a finite float norm.
+def _first_float_norm_overflow(model: OscillatorModel, selection: LevelSelection,
+                               nmax: int) -> int | None:
+    """The lowest survivor whose float norm overflows, if it is at most nmax.
 
     Every survivor has an integer energy n and |P(n)| >= 1, so the first
-    survivor from 171 on overflows, as n! alone does.  Above the top level,
-    n! and every factor n - alpha_i grow with n, so the first overflow there
-    is found by bisection; below it, each survivor is tried in turn.
+    survivor from 171 on overflows, as n! alone does.  Below the top level,
+    each survivor up to nmax is tried in turn.  Above it, n! and every
+    factor n - alpha_i grow with n, so one norm, at nmax or at the first
+    survivor sure to overflow, settles them all; only an overflow there is
+    located, by bisection.
     """
     def overflows(n: int) -> bool:
         norm = model.squared_norm(n).q * abs(selection.factor(model.energy(n)))
         return norm > _FLOAT_NORM_LIMIT
 
     top = selection.levels[-1]
-    for n in range(top):
+    for n in range(min(top, nmax + 1)):
         if n not in selection.levels and overflows(n):
-            return n - 1
-    above = range(top + 1, max(top + 1, 171) + 1)
-    return above[bisect.bisect_left(above, True, key=overflows)] - 1
+            return n
+    last = min(nmax, max(top + 1, 171))
+    if last <= top or not overflows(last):
+        return None
+    above = range(top + 1, last + 1)
+    return above[bisect.bisect_left(above, True, key=overflows)]
 
 
 def _is_int(value) -> bool:
@@ -297,12 +303,12 @@ def _merge_config(args: argparse.Namespace, model: OscillatorModel) -> RunConfig
         raise ValueError(f"--nmax {cfg.nmax} is below 0")
     selection = LevelSelection.for_model(model, cfg.levels)
     if args.command != "spectrum":
-        top = _largest_float_norm_nmax(model, selection)
-        if cfg.nmax > top:
+        overflow = _first_float_norm_overflow(model, selection, cfg.nmax)
+        if overflow is not None:
             raise ValueError(
-                f"--nmax {cfg.nmax} is above {top}, the largest for levels "
+                f"--nmax {cfg.nmax} is above {overflow - 1}, the largest for levels "
                 f"{','.join(map(str, cfg.levels))}: the float norm "
-                f"n! * sqrt(2 pi) * prod(n - k_i) of level {top + 1} overflows"
+                f"n! * sqrt(2 pi) * prod(n - k_i) of level {overflow} overflows"
             )
     columns = {"spectrum": 2, "verify": 1}.get(args.command, 0)
     if args.command == "transform" and "csv" in _transform_formats(cfg):

@@ -231,7 +231,12 @@ def _wider_than(lo: float, hi: float, tol: float) -> bool:
     return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
 
 
-def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -> list[float]:
+# The solver's default tolerance, which ``verify_spectrum`` also reads its
+# brackets with.
+_TOL = 1e-10
+
+
+def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = _TOL) -> list[float]:
     """k lowest eigenvalues in nondecreasing order, each to absolute tolerance ``tol``.
 
     Sturm counts isolate eigenvalue j in a bracket (lo, hi] with count(lo) =
@@ -256,6 +261,15 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = 1e-10) -
       already settles it: count(lo) < j, so a point at or below lo counts
       below j; count(hi) >= j, so a point at or above hi counts at least j.
     Neither changes a probe position, so the result is that of full counts.
+
+    Postcondition, which ``verify_spectrum``'s gate reads its counts from:
+    each lam_j comes from a final bracket (lo, hi] with count(lo) <= j - 1,
+    count(hi) >= j and lo <= lam_j <= hi (lam_j is lo only when the ends are
+    adjacent floats).  The bracket is at most tol wide as ``_wider_than``
+    measures it, or its ends are adjacent floats, or it lies inside the
+    certificate's [lam - tol/2, lam + tol/2] with both ends rounded; so
+    hi - lo < 2 tol whenever 4 ulp(lam_j) <= tol.  With a tol below
+    ulp(lam_j) the adjacent ends may be further apart than tol.
     References: Barth, Martin & Wilkinson, Numer. Math. 1967; Li & Zeng,
     SIAM J. Sci. Comput. 1994.
     """
@@ -434,6 +448,31 @@ class SpectrumReport:
     max_error: float
 
 
+def _count_from_brackets(eigs: list[float], lam: float, ceiling: int, tol: float = _TOL) -> int | None:
+    """The Sturm count below ``lam`` where the solver's brackets settle it, else None.
+
+    ``eigs`` is ``eigenvalues_bisection(t, len(eigs), tol)`` and ``ceiling``
+    an upper bound on count(lam), such as a count taken at or above lam.
+    For each lam_j with 4 ulp(lam_j) <= tol the bracket (lo, hi] is narrower
+    than 2 tol and holds lam_j (its postcondition), so a float difference
+    lam - lam_j above 2 tol puts lam above hi, where count(lam) >= count(hi)
+    >= j, and lam_j - lam above 2 tol puts it below lo, where count(lam) <=
+    count(lo) <= j - 1.  Both rest on the solver's premise, a count monotone
+    in lam.  The count is settled where these bounds meet; as the lam_j
+    are nondecreasing, the first one above lam sets the upper bound.
+    """
+    floor = 0
+    for j, lam_j in enumerate(eigs, 1):
+        if 4.0 * math.ulp(lam_j) > tol:
+            continue
+        if lam_j - lam > 2.0 * tol:
+            ceiling = min(ceiling, j - 1)
+            break
+        if lam - lam_j > 2.0 * tol:
+            floor = j
+    return floor if floor == ceiling else None
+
+
 def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumReport:
     """Numerically confirm that exactly the selected levels are deleted.
 
@@ -442,8 +481,17 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     order is only sound when no level is missing or spurious, so the Sturm
     count at every m + 1/2, from m = -1 (nothing below -1/2) to n_max, must
     equal the number of predicted levels up to m;
-    LevelCountMismatch names the first sector and m where it does not.  The
-    counts are cheap, so they run before the eigenvalue solves.
+    LevelCountMismatch names the first sector and m where it does not.
+
+    Each sector's count at the top point n_max + 1/2 is taken first; a grid
+    too narrow or too coarse fails there, before any eigenvalue solve.  When
+    both top counts are right, the solves run, and each lower count is read
+    from the solver's certified brackets (``_count_from_brackets``): a point
+    more than 2 tol above lam_j and more than 2 tol below lam_{j+1} counts j,
+    as the count is monotone, and one above every lam_j counts at most the
+    top count.
+    Only a point the brackets leave open takes a Sturm pass of its own, so
+    the counts, and every message, are those of a pass at each point.
     """
     v0 = sample(tr.base_potential, grid)
     vn = sample(tr.partner_potential, grid)
@@ -451,18 +499,26 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     tn = build_hamiltonian(vn, grid)
 
     survivors = tr.selection.survivors(n_max)
+    sectors = []
     for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
-        diag, off_sq = _sturm_rows(t)
+        sturm = _sturm_rows(t)
+        sectors.append((sector, t, levels, sturm, _count_below(*sturm, n_max + 0.5)))
+    solve = all(top == len(levels) for _, _, levels, _, top in sectors)
+    eigs = {sector: eigenvalues_bisection(t, len(levels)) if solve and levels else []
+            for sector, t, levels, _, _ in sectors}
+
+    for sector, _, levels, sturm, top in sectors:
         for m in range(-1, n_max + 1):
             expected = sum(1 for n in levels if n <= m)
-            found = _count_below(diag, off_sq, m + 0.5)
+            found = top if m == n_max else _count_from_brackets(eigs[sector], m + 0.5, top)
+            if found is None:
+                found = _count_below(*sturm, m + 0.5)
             if found != expected:
                 raise LevelCountMismatch(
                     f"{sector} sector has {found} levels below m + 1/2 at m = {m}, expected {expected}"
                 )
-    base_eigs = eigenvalues_bisection(t0, n_max + 1)
-    partner_eigs = eigenvalues_bisection(tn, len(survivors)) if survivors else []
-    partner_by_level = dict(zip(survivors, partner_eigs))
+    base_eigs = eigs["base"]
+    partner_by_level = dict(zip(survivors, eigs["partner"]))
 
     rows = []
     max_err = 0.0

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import math
@@ -639,16 +640,23 @@ class TestSpectrumCommand:
         doc = json.loads(out.read_text())
         assert [r["hN"] for r in doc["rows"][:2]] == ["deleted", "deleted"]
 
-    # SHA-256 of the files `spectrum --levels 1,2 --nmax 8 --out` writes,
-    # frozen before the JSON and the 17-digit cells were given one writer each.
+    # SHA-256 of the files `spectrum --out` writes: at --nmax 8, frozen before
+    # the JSON and the 17-digit cells were given one writer each; at --nmax
+    # 16, the benchmark's large rung, frozen before the level-count gate read
+    # its counts from the solver's brackets.
     @pytest.mark.parametrize("args, name, digest", [
-        ((), "x.json", "cd7f576e84868d9f311486dca162316ecc73cc4e1a45296bf670dee283bc1295"),
-        (("--format", "csv"), "x.csv",
+        (("--levels", "1,2", "--nmax", "8"), "x.json",
+         "cd7f576e84868d9f311486dca162316ecc73cc4e1a45296bf670dee283bc1295"),
+        (("--levels", "1,2", "--nmax", "8", "--format", "csv"), "x.csv",
          "757e65ad993a897f43840fa20c8fb65c2134500cbe426c6241d1162b58474719"),
-    ], ids=["json", "csv"])
+        (("--levels", "1,2", "--nmax", "16"), "x.json",
+         "5d9fc6d2859cad33f67982a0768593d70f351b38af47346c7ec76a3bdf089d47"),
+        (("--levels", "2,3", "--nmax", "16"), "x.json",
+         "c8aa748593b78419178803161bab21e100700691511e60c81504680110b51a11"),
+    ], ids=["json", "csv", "json-1,2-nmax16", "json-2,3-nmax16"])
     def test_frozen_spectrum_files(self, args, name, digest, tmp_path, capsys):
         out = tmp_path / name
-        assert run("spectrum", "--levels", "1,2", "--nmax", "8", *args, "--out", str(out)) == 0
+        assert run("spectrum", *args, "--out", str(out)) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -721,6 +729,31 @@ def _assert_float_norm_bound(command, levels, nmax, top, monkeypatch, capsys):
             ) in capsys.readouterr().err
 
 
+def _largest_float_norm_nmax(model: OscillatorModel, selection: LevelSelection) -> int:
+    """Largest nmax whose survivors all have a finite float norm: the scan
+    the CLI ran on every command before it checked only the requested nmax,
+    kept as the oracle of ``cli._first_float_norm_overflow``.
+
+    Below the top level each survivor is tried in turn; above it the first
+    overflow is found by bisection, as n! and every n - alpha_i grow with n.
+    """
+    def overflows(n: int) -> bool:
+        norm = model.squared_norm(n).q * abs(selection.factor(model.energy(n)))
+        return norm > cli._FLOAT_NORM_LIMIT
+
+    top = selection.levels[-1]
+    for n in range(top):
+        if n not in selection.levels and overflows(n):
+            return n - 1
+    above = range(top + 1, max(top + 1, 171) + 1)
+    return above[bisect.bisect_left(above, True, key=overflows)] - 1
+
+
+_float_norm_selections = st.integers(1, 4).flatmap(
+    lambda order: st.lists(st.integers(0, 39 if order <= 2 else 25),
+                           min_size=order, max_size=order, unique=True))
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -774,9 +807,7 @@ class TestConfigHandling:
             )
 
     @settings(deadline=None, max_examples=80, derandomize=True)
-    @given(st.integers(1, 4).flatmap(
-        lambda order: st.lists(st.integers(0, 39 if order <= 2 else 25),
-                               min_size=order, max_size=order, unique=True)))
+    @given(_float_norm_selections)
     @example([0])
     @example([1, 2])
     @example([38, 39])
@@ -802,7 +833,22 @@ class TestConfigHandling:
         n = 0
         while n in selection.levels or normaliser_finite(n):
             n += 1
-        assert cli._largest_float_norm_nmax(model, selection) == n - 1
+        assert _largest_float_norm_nmax(model, selection) == n - 1
+        assert cli._first_float_norm_overflow(model, selection, n - 1) is None
+        assert cli._first_float_norm_overflow(model, selection, n) == n
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(_float_norm_selections)
+    @example([200])
+    @example([168, 169])
+    @example([171, 173])
+    def test_first_float_norm_overflow_matches_the_full_scan(self, levels):
+        model = OscillatorModel()
+        selection = LevelSelection.for_model(model, sorted(levels))
+        largest = _largest_float_norm_nmax(model, selection)
+        for nmax in (0, selection.levels[-1], *range(160, 173)):
+            expected = largest + 1 if nmax > largest else None
+            assert cli._first_float_norm_overflow(model, selection, nmax) == expected
 
     @pytest.mark.parametrize("levels, nmax", [("0", 169), ("1,2", 168)])
     def test_nmax_at_float_norm_bound_accepted(self, levels, nmax, monkeypatch):

@@ -25,6 +25,7 @@ from darboux.spectral import (
     TridiagMatrix,
     _count_and_ratio,
     _count_below,
+    _count_from_brackets,
     _sturm_rows,
     _wider_than,
     build_hamiltonian,
@@ -465,14 +466,76 @@ class TestSolverBitIdentity:
             assert eigenvalues_bisection(t, k[sector]) == _reference_eigenvalues_bisection(t, k[sector])
 
 
+def _bracket_probes(eigs: list[float], tol: float) -> list[float]:
+    """Points beside each lam_j, at and beside lam_j -+ tol/2, tol and 2 tol,
+    midway between levels, and at every m + 1/2 across the levels."""
+    probes = [0.5 * (a + b) for a, b in zip(eigs, eigs[1:])]
+    for lam in eigs:
+        for d in (0.0, 0.5 * tol, tol, 2.0 * tol, 3.0 * tol):
+            for x in (lam - d, lam + d):
+                probes += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    probes += [m + 0.5 for m in range(math.floor(eigs[0]) - 1, math.ceil(eigs[-1]) + 1)]
+    return probes
+
+
+def _settled_counts(t: TridiagMatrix, eigs: list[float], probes: list[float], tol: float) -> list:
+    """Each probe's count read from the brackets, checked against a full
+    Sturm count there; None where the brackets leave it open."""
+    rows = _sturm_rows(t)
+    top = max(probes)
+    ceiling = _count_below(*rows, top)
+    settled = []
+    for lam in probes:
+        got = _count_from_brackets(eigs, lam, ceiling, tol)
+        if got is not None:
+            assert got == _count_below(*rows, lam), (lam, eigs)
+        settled.append(got)
+    return settled
+
+
+class TestCountsFromBrackets:
+    """Every count read from the solver's brackets equals the Sturm count."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        t=st.one_of(float_tridiagonals(), integer_tridiagonals()),
+        k=st.integers(1, 12),
+        tol=st.sampled_from([1e-10, 1e-3, 0.5]),
+    )
+    def test_random_tridiagonals(self, t, k, tol):
+        k = min(k, t.size)
+        eigs = eigenvalues_bisection(t, k, tol)
+        _settled_counts(t, eigs, _bracket_probes(eigs, tol), tol)
+
+    @pytest.mark.parametrize("levels", [(1, 2), (2, 3)])
+    def test_reference_grid_sectors(self, model, levels):
+        tr = build_transform(model, levels)
+        n_max = 16
+        for potential, k in ((tr.base_potential, n_max + 1),
+                             (tr.partner_potential, len(tr.selection.survivors(n_max)))):
+            t = build_hamiltonian(sample(potential, REFERENCE_GRID), REFERENCE_GRID)
+            eigs = eigenvalues_bisection(t, k)
+            # The brackets settle every gate point, given the count at the top one.
+            gate = [m + 0.5 for m in range(-1, n_max + 1)]
+            assert None not in _settled_counts(t, eigs, gate, spectral._TOL)
+            _settled_counts(t, eigs, _bracket_probes(eigs, spectral._TOL), spectral._TOL)
+
+    def test_no_levels_leave_only_the_ceiling(self):
+        assert _count_from_brackets([], 3.0, 0) == 0
+        assert _count_from_brackets([], 3.0, 1) is None
+
+
 def test_spectrum_takes_full_passes_only_in_its_level_count_gate(tr12, monkeypatch):
-    # On the reference (1,2) --nmax 8 solve, full counts at every probe and
-    # both certificates always taken made 61 uncapped counts (20 of them the
-    # gate's) and 32 certificate counts.
-    passes = Counter()
+    # On the reference (1,2) solves, full counts at every probe and both
+    # certificates always taken made 61 uncapped counts at --nmax 8 (20 of
+    # them the gate's) and 32 certificate counts.  The gate now takes one
+    # full count per sector, at n_max + 1/2, and reads the rest from the
+    # solver's brackets; the solver's own counts are those it took when the
+    # gate counted every m + 1/2 (at --nmax 16 the gate took 36).
     solve, count_below, count_and_ratio = (
         spectral.eigenvalues_bisection, spectral._count_below, spectral._count_and_ratio)
     k_lowest = []
+    passes = Counter()
 
     def solving(t, k, *args):
         k_lowest.append(k)
@@ -495,12 +558,14 @@ def test_spectrum_takes_full_passes_only_in_its_level_count_gate(tr12, monkeypat
     monkeypatch.setattr(spectral, "eigenvalues_bisection", solving)
     monkeypatch.setattr(spectral, "_count_below", counting)
     monkeypatch.setattr(spectral, "_count_and_ratio", ratio)
-    verify_spectrum(tr12, 8, REFERENCE_GRID)
-    assert k_lowest == [9, 7]
-    assert passes["uncapped"] == 20
-    assert passes["certificate"] == 16
-    assert passes["ratio"] == 61
-    assert passes["isolation"] == 41
+    for n_max, solves, isolation, certificate, newton in ((8, [9, 7], 41, 16, 61),
+                                                          (16, [17, 15], 54, 42, 98)):
+        k_lowest.clear()
+        passes.clear()
+        verify_spectrum(tr12, n_max, REFERENCE_GRID)
+        assert k_lowest == solves
+        assert passes == {"uncapped": 2, "isolation": isolation,
+                          "certificate": certificate, "ratio": newton}
 
 
 class TestInverseIteration:
@@ -603,6 +668,25 @@ class TestVerifySpectrum:
         # below every predicted level.
         with pytest.raises(LevelCountMismatch, match="partner sector has 1 levels .* m = -1, expected 0"):
             verify_spectrum(tr12, 2, Grid(-2.0, 2.0, 5))
+
+    def test_count_read_from_the_brackets_names_the_mismatch(self, tr12, monkeypatch):
+        # h0 + 2 has levels 2, 3, 4 and 5 below 5.5, as many as the partner
+        # should: both top counts pass and the solves run, so the count at
+        # 1/2 that fails is read from the brackets, not taken again.
+        shifted = replace(tr12, partner_potential=tr12.base_potential + 2)
+        full = []
+        count_below = spectral._count_below
+
+        def counting(diag, off_sq, lam, cap=None):
+            if cap is None:
+                full.append(lam)
+            return count_below(diag, off_sq, lam, cap)
+
+        monkeypatch.setattr(spectral, "_count_below", counting)
+        with pytest.raises(LevelCountMismatch,
+                           match=r"^partner sector has 0 levels below m \+ 1/2 at m = 0, expected 1$"):
+            verify_spectrum(shifted, 5, Grid(-12.0, 12.0, 1201))
+        assert full == [5.5, 5.5]
 
     def test_spurious_partner_level_detected(self, tr12):
         # The base potential keeps levels 1 and 2 the partner must not have.
