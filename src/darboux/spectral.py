@@ -15,6 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .gaussian import GaussFun
@@ -149,6 +150,17 @@ class TridiagMatrix:
         out[1:] += self.off * v[:-1]
         return out
 
+    @cached_property
+    def sturm_rows(self) -> tuple[list[float], list[float]]:
+        """The diagonal and the squared off-diagonal as Python floats, the
+        rows of every Sturm count on this matrix, converted once.
+
+        The squares are led by a 0.0, so row 0 takes the same recurrence step
+        as every other row: ``diag[0] - lam - 0.0 / d`` is ``diag[0] - lam``
+        exactly.
+        """
+        return self.diag.tolist(), [0.0] + (self.off * self.off).tolist()
+
     def inf_norm(self) -> float:
         rows = np.abs(self.diag).astype(float)
         rows[:-1] += np.abs(self.off)
@@ -169,23 +181,15 @@ def build_hamiltonian(potential: GridFunction, grid: Grid) -> TridiagMatrix:
 _PIVMIN = 1e-200
 
 
-def _sturm_rows(t: TridiagMatrix) -> tuple[list[float], list[float]]:
-    """The diagonal and the squared off-diagonal as Python floats.
-
-    The squares are led by a 0.0, so row 0 takes the same recurrence step as
-    every other row: ``diag[0] - lam - 0.0 / d`` is ``diag[0] - lam`` exactly.
-    """
-    return t.diag.tolist(), [0.0] + (t.off * t.off).tolist()
-
-
 def _count_below(diag: list[float], off_sq: list[float], lam: float, cap: int | None = None) -> int:
     """Eigenvalues below ``lam`` (Sturm count), or ``cap`` once that many are found.
 
     Counts the negative pivots of the LDL^T factorisation of T - lam*I, with
-    rows from ``_sturm_rows``.  Vanishing pivots are fenced to -pivmin (they
-    signal an eigenvalue of a leading minor at lam and must count as negative
-    for monotonicity).  Plain floats round as numpy float64 scalars do, so the
-    count is that of the same recurrence run on the arrays.
+    rows from ``TridiagMatrix.sturm_rows``.  Vanishing pivots are fenced to
+    -pivmin (they signal an eigenvalue of a leading minor at lam and must
+    count as negative for monotonicity).  Plain floats round as numpy
+    float64 scalars do, so the count is that of the same recurrence run on
+    the arrays.
     """
     count = 0
     d = 1.0
@@ -280,7 +284,7 @@ def eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float = _TOL) ->
     radius = np.abs(t.off)
     lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
     hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
-    diag, off_sq = _sturm_rows(t)
+    diag, off_sq = t.sturm_rows
     # Every count taken, capped at k_lowest + 1, in increasing lam.  Counts
     # rise with lam, so one probe bounds every later level too.
     cap = k_lowest + 1
@@ -501,18 +505,17 @@ def verify_spectrum(tr: TransformResult, n_max: int, grid: Grid) -> SpectrumRepo
     survivors = tr.selection.survivors(n_max)
     sectors = []
     for sector, t, levels in (("base", t0, range(n_max + 1)), ("partner", tn, survivors)):
-        sturm = _sturm_rows(t)
-        sectors.append((sector, t, levels, sturm, _count_below(*sturm, n_max + 0.5)))
-    solve = all(top == len(levels) for _, _, levels, _, top in sectors)
+        sectors.append((sector, t, levels, _count_below(*t.sturm_rows, n_max + 0.5)))
+    solve = all(top == len(levels) for _, _, levels, top in sectors)
     eigs = {sector: eigenvalues_bisection(t, len(levels)) if solve and levels else []
-            for sector, t, levels, _, _ in sectors}
+            for sector, t, levels, _ in sectors}
 
-    for sector, _, levels, sturm, top in sectors:
+    for sector, t, levels, top in sectors:
         for m in range(-1, n_max + 1):
             expected = sum(1 for n in levels if n <= m)
             found = top if m == n_max else _count_from_brackets(eigs[sector], m + 0.5, top)
             if found is None:
-                found = _count_below(*sturm, m + 0.5)
+                found = _count_below(*t.sturm_rows, m + 0.5)
             if found != expected:
                 raise LevelCountMismatch(
                     f"{sector} sector has {found} levels below m + 1/2 at m = {m}, expected {expected}"

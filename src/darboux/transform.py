@@ -7,14 +7,17 @@ eigenfunctions u_i and eigenvalues alpha_i, this module builds
   (the Krein integer criterion and an exact Sturm root count),
 * the potential difference A(x) = -2 [log W]'' and the partner potential,
 * the intertwining operator L of order N, realised both by one
-  fraction-free solve of L u_i = 0 at one integer point
-  (``cramer_numerators``) and as Crum's bordered-Wronskian quotient
+  fraction-free solve at one integer point (``cramer_numerators``) on the
+  plain derivatives of the family's polynomial parts p_i, u_i =
+  p_i exp(s x^2/4), for the monic operator in d that kills every p_i,
+  conjugated back to L by d = D - s x/2, D = d + s x/2 (the derivative the
+  weight carries), and as Crum's bordered-Wronskian quotient
   W(u_1, ..., u_N, phi)/W (Crum 1955), run as a chain of two-by-two
   Wronskians over the family's sub-Wronskians by Jacobi's (Sylvester's)
   Wronskian identity; the chain never reads L, and the two routes are
   checked against each other on every image,
 * the kernel functions of the adjoint operator, by the same solve on the
-  Wronskian matrix, and
+  Wronskian matrix of the p_i (the weight only scales each Wronskian), and
 * exact checks of the factorisation identities
   L+ L = prod_i (h0 - alpha_i)  and  L L+ = prod_i (hN - alpha_i) by
   expansion: the first expanded and the second derived from it and
@@ -44,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun
+from .gaussian import BorderedWronskian, DegenerateTransformation, DiffOp, GaussFun, common_weight
 from .polynomial import Poly, WBase, WFun, cramer_numerators
 
 
@@ -218,34 +221,96 @@ def build_transform(model: SolvableModel, levels: Sequence[int]) -> TransformRes
 
 
 def _derivative_rows(functions: Sequence[GaussFun], order: int) -> list[list[Poly]]:
-    """Row i: the polynomial parts of u_i, u_i', ..., u_i^(order), the
-    weighted derivatives ``GaussFun.derivatives`` takes (the factor
-    exp(s x^2/4) is kept out).  Raises ValueError on a rational part that
-    is not a polynomial, as ``BorderedWronskian`` does."""
+    """Row i: p_i, p_i', ..., p_i^(order), the plain derivatives of u_i's
+    polynomial part p_i.  By the Wronskian identity
+    W(f g_1, ..., f g_N) = f^N W(g_1, ..., g_N) with f = exp(s x^2/4),
+    the rows give the Wronskian's polynomial part W(p_1, ..., p_N) as the
+    weighted derivatives (d + s x/2)^m p_i do, at lower degree, as in
+    ``BorderedWronskian``.  Raises ValueError on a rational part that is
+    not a polynomial, as ``BorderedWronskian`` does."""
     if any(u.r.k for u in functions):
         raise ValueError("the family's rational parts must be polynomials")
-    return [[g.r.p for g in u.derivatives(order)] for u in functions]
+    rows = []
+    for u in functions:
+        row = [u.r.p]
+        for _ in range(order):
+            row.append(row[-1].derivative())
+        rows.append(row)
+    return rows
 
 
 def crum_krein_operator(functions: Sequence[GaussFun], base: WBase) -> DiffOp:
     """Intertwining operator L = d^N + sum_{m<N} a_m d^m from L u_i = 0.
 
-    The N equations sum_m a_m u_i^(m) = -u_i^(N) are written over the
-    polynomial parts of the derivatives (the shared exponential factor
-    cancels) and solved by ``cramer_numerators``: y_i = det * a_i, det the
-    Wronskian's polynomial part, so each a_i is built over ``base``, the
-    powers of W, with exponent 1.
+    With u_i = p_i exp(s x^2/4) and D = d + s x/2, u_i^(m) = exp(s x^2/4)
+    D^m p_i, so L u_i = 0 says sum_m a_m D^m p_i = 0: the monic order-N
+    operator in D that kills every p_i.  The one in d that does,
+    L~ = d^N + sum_{j<N} b_j d^j, is solved from the plain rows
+    (``_derivative_rows``) by ``cramer_numerators``: y_j = det * b_j, det
+    the Wronskian's polynomial part.  A monic operator with these N
+    independent solutions is unique, so sum_m a_m D^m = L~, rewritten in
+    powers of D by d = D - s x/2 and D^m x = x D^m + m D^(m-1)
+    (``_conjugate_to_weight``); at s = 0 that is the identity.  The solve's
+    det is the same W(p_1, ..., p_N) as the weighted rows' would be, and
+    each a_m is built over ``base``, the powers of W, with exponent 1.
     """
     n = len(functions)
     rows = _derivative_rows(functions, n)
     for row in rows:
         row[n] = -row[n]
-    return DiffOp(_solve_over_wronskian(rows, base) + [base.lift(1)])
+    det, ys = _solve_over_wronskian(rows, base)
+    nums, den = _conjugate_to_weight(ys, det, common_weight(functions))
+    return DiffOp([base.over(Poly._of(c, den), 1) for c in nums[:-1]] + [base.lift(1)])
 
 
-def _solve_over_wronskian(rows: list[list[Poly]], base: WBase) -> list[WFun]:
-    """The solution y_i / det of a system whose determinant is the
-    Wronskian's polynomial part lead * W, each over W with exponent 1.
+def _conjugate_to_weight(
+    ys: list[Poly], det: Poly, weight: Fraction
+) -> tuple[list[list[int]], int]:
+    """The operator det d^N + sum_{j<N} y_j d^j, for integer polynomials
+    det and y_j, in powers of D = d + h x, h = weight / 2: integer
+    numerators c_m and one denominator e with
+
+        (det d^N + sum_j y_j d^j) / lead = sum_m (c_m / e) D^m,
+
+    lead the leading coefficient of det, so that det = lead W makes
+    c_m / (e W) the coefficient of D^m in the monic operator.
+
+    Horner from the top on integer lists: C = d^N, then
+    C <- C (D - h x) + y_j / det for j = N-1, ..., 0, where
+    (sum_m c_m D^m) x = sum_m c_m (x D^m + m D^(m-1)).  With h = a/b in
+    lowest terms, the k-th step's C is kept times det b^k, so each step
+    is c_m <- b c_(m-1) - a (x c_m + (m+1) c_(m+1)) with b^k y_j added at
+    m = 0, all in integers, and e = lead b^N.  At weight 0 (D = d, a = 0,
+    b = 1) the steps return the y_j as they are.
+    """
+    h = weight / 2
+    a, b = h.numerator, h.denominator
+    c = [list(det.nums)]
+    scale = 1
+    for y in reversed(ys):
+        scale *= b
+        out = [[]] + [[b * v for v in cm] for cm in c]  # C D
+        for m, cm in enumerate(c):  # - a C x
+            _add_into(out[m], [0] + [-a * v for v in cm])
+            if m:
+                _add_into(out[m - 1], [-a * m * v for v in cm])
+        _add_into(out[0], [scale * v for v in y.nums])
+        c = out
+    return c, scale * det.nums[-1]
+
+
+def _add_into(acc: list[int], term: list[int]) -> None:
+    """acc += term, coefficientwise, extending acc as needed."""
+    if len(acc) < len(term):
+        acc.extend([0] * (len(term) - len(acc)))
+    for i, v in enumerate(term):
+        acc[i] += v
+
+
+def _solve_over_wronskian(rows: list[list[Poly]], base: WBase) -> tuple[Poly, list[Poly]]:
+    """The determinant det and the Cramer numerators y_i of a system whose
+    determinant is the Wronskian's polynomial part lead * W, all integer
+    polynomials: the solution y_i / det lies over W with exponent 1.
 
     Raises DegenerateTransformation on a zero leading minor (a dependent
     family) and ValueError when det is not a multiple of W.
@@ -254,10 +319,9 @@ def _solve_over_wronskian(rows: list[list[Poly]], base: WBase) -> list[WFun]:
         det, ys = cramer_numerators(rows)
     except ZeroDivisionError as err:
         raise DegenerateTransformation("transformation functions are linearly dependent") from err
-    lead = det.lead()
-    if det != base.W * lead:
+    if det != base.W * det.lead():
         raise ValueError("the solve's determinant is not the Wronskian's polynomial part")
-    return [base.over(y * (1 / lead), 1) for y in ys]
+    return det, ys
 
 
 def crum_krein_apply(tr: TransformResult, phi: GaussFun) -> GaussFun:
@@ -287,6 +351,10 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
     empty Wronskian is 1).  By Cramer's rule on the Wronskian matrix M
     (row m the m-th derivatives), W_k / W = (-1)^(N-1-k) (M^-1)_{k,N-1}, so
     one solve of M z = e_{N-1} (``cramer_numerators``) gives every v_k.
+    M is built from the plain derivatives of the polynomial parts p_i
+    (``_derivative_rows``): by W(f g_1, ..., f g_N) = f^N W(g_1, ..., g_N),
+    W(p without p_k) / W(p) is W_k / W with the factor exp(-s x^2/4) taken
+    out, which is the weight -s every v_k carries, so no conjugation.
     Each v_k satisfies L+ v_k = 0 and is a formal eigenfunction of the
     partner Hamiltonian at the deleted energy alpha_k; its weight is
     opposite to the family's, so it is not normalisable.
@@ -297,10 +365,12 @@ def kernel_functions(tr: TransformResult) -> list[GaussFun]:
         [col[m] for col in columns] + [Poly.one() if m == n - 1 else Poly.zero()]
         for m in range(n)
     ]
+    det, ys = _solve_over_wronskian(rows, tr.base)
+    scale = 1 / det.lead()
     weight = -tr.bordered.weight
     return [
-        GaussFun(v if (n - 1 - k) % 2 == 0 else -v, weight)
-        for k, v in enumerate(_solve_over_wronskian(rows, tr.base))
+        GaussFun(tr.base.over(y * (scale if (n - 1 - k) % 2 == 0 else -scale), 1), weight)
+        for k, y in enumerate(ys)
     ]
 
 

@@ -6,9 +6,10 @@ from unittest.mock import patch
 import pytest
 
 from darboux import polynomial
+from darboux.gaussian import DiffOp, GaussFun
 from darboux.oscillator import OscillatorModel
-from darboux.polynomial import Poly, WFun
-from darboux.transform import build_transform
+from darboux.polynomial import Poly, WBase, WFun, cramer_numerators
+from darboux.transform import TransformResult, build_transform
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +86,44 @@ def value_at(f: Poly | WFun, x) -> Fraction:
         return acc
 
     return horner(num) / horner(den)
+
+
+def _weighted_rows(functions, order: int) -> list[list[Poly]]:
+    """Row i: the polynomial parts of u_i, u_i', ..., u_i^(order), the
+    weighted derivatives (d + s x/2)^m p_i that ``GaussFun.derivatives``
+    takes, of degree deg p_i + m."""
+    return [[g.r.p for g in u.derivatives(order)] for u in functions]
+
+
+def _weighted_solve(rows, base: WBase) -> list[WFun]:
+    det, ys = cramer_numerators(rows)
+    lead = det.lead()
+    assert det == base.W * lead
+    return [base.over(y * (1 / lead), 1) for y in ys]
+
+
+def weighted_operator(functions, base: WBase) -> DiffOp:
+    """L from L u_i = 0 solved on the weighted rows, sum_m a_m u_i^(m) =
+    -u_i^(N) over the shared exp(s x^2/4): no change of derivative, so the
+    oracle for ``crum_krein_operator``'s plain rows and conjugation."""
+    n = len(functions)
+    rows = _weighted_rows(functions, n)
+    for row in rows:
+        row[n] = -row[n]
+    return DiffOp(_weighted_solve(rows, base) + [base.lift(1)])
+
+
+def weighted_kernel(tr: TransformResult) -> list[GaussFun]:
+    """v_k = W(u without u_k) / W(u) by Cramer's rule on the weighted
+    Wronskian matrix: the oracle for ``kernel_functions``' plain one."""
+    n = tr.order
+    columns = _weighted_rows(tr.functions, n - 1)
+    rows = [
+        [col[m] for col in columns] + [Poly.one() if m == n - 1 else Poly.zero()]
+        for m in range(n)
+    ]
+    weight = -tr.bordered.weight
+    return [
+        GaussFun(v if (n - 1 - k) % 2 == 0 else -v, weight)
+        for k, v in enumerate(_weighted_solve(rows, tr.base))
+    ]

@@ -17,11 +17,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import weighted_kernel, weighted_operator
 
 import darboux
 from darboux.cli import main
 from darboux.oscillator import OscillatorModel
-from darboux.transform import build_transform
+from darboux.transform import build_transform, kernel_functions
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -139,3 +140,16 @@ def test_transform_gate_passes(workloads, rung_index, tmp_path, capsys):
     outcome = workloads.check(workloads.Command(rung_index, levels, rung.nmax, argv), code,
                               stdout, tmp_path)
     assert outcome.error is None
+
+
+def test_plain_rows_match_the_weighted_rows_on_every_pool(workloads):
+    # Every selection the benchmark times, orders 2 to 8: L and the adjoint
+    # kernel solved on plain derivatives equal the weighted-row solve.
+    model = OscillatorModel()
+    pools = {levels for w in workloads.WORKLOADS.values() for rung in w.rungs
+             for levels in rung.pool}
+    assert sorted({len(levels) for levels in pools}) == [2, 4, 6, 8]
+    for levels in sorted(pools):
+        tr = build_transform(model, levels)
+        assert tr.operator == weighted_operator(tr.functions, tr.base), levels
+        assert kernel_functions(tr) == weighted_kernel(tr), levels

@@ -96,6 +96,21 @@ class TestTransformCommand:
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
 
+    # SHA-256 of the JSON that `transform --out` writes at orders 10 and 12,
+    # frozen before L and the adjoint kernel were solved on plain
+    # derivatives; the benchmark's frozen digests (bench/workloads.py) stop
+    # at order 8.
+    @pytest.mark.parametrize("levels, digest", [
+        ("3,4,7,8,9,10,11,12,13,14",
+         "5f14995887fc2428f9f9038ce3a2b6db92e9b069fb3317d2a3e72b8d2dadc9d3"),
+        ("5,6,7,8,9,10,11,12,13,14,17,18",
+         "67d385239d0aba414ecb18bcfa83aa7a27298191e0b3063531021a9493caf192"),
+    ], ids=["order10", "order12"])
+    def test_frozen_json_above_the_benchmark(self, levels, digest, tmp_path, capsys):
+        assert run("transform", "--levels", levels, "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "run.json").read_bytes()).hexdigest() == digest
+
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(st.recursive(
         st.one_of(st.integers(), st.text(max_size=6), st.none(), st.floats()),

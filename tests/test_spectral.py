@@ -26,7 +26,6 @@ from darboux.spectral import (
     _count_and_ratio,
     _count_below,
     _count_from_brackets,
-    _sturm_rows,
     _wider_than,
     build_hamiltonian,
     eigenvalues_bisection,
@@ -289,7 +288,7 @@ class TestSturmCount:
         lam = twice_lam / 2
         eigs = eigvalsh_tridiagonal(t.diag, t.off)
         assume(np.min(np.abs(eigs - lam)) >= 1e-6)
-        rows = _sturm_rows(t)
+        rows = t.sturm_rows
         full = _count_below(*rows, lam)
         assert full == int(np.sum(eigs < lam))
         assert _count_below(*rows, lam, cap=cap) == min(full, cap)
@@ -358,7 +357,7 @@ class TestNewtonRefinement:
         # -1.25, outside, so the next pass is at -0.75, the midpoint of
         # (-1, -0.5].
         t = TridiagMatrix(np.array([0.0, 0.0]), np.array([1.0]))
-        count, ratio = spectral._count_and_ratio(*_sturm_rows(t), -0.5)
+        count, ratio = spectral._count_and_ratio(*t.sturm_rows, -0.5)
         assert (count, -0.5 - 1.0 / ratio) == (1, -1.25)
         passes, patch = _bounded_passes(100)
         with patch:
@@ -388,7 +387,7 @@ def _reference_eigenvalues_bisection(t: TridiagMatrix, k_lowest: int, tol: float
     radius = np.abs(t.off)
     lo_bound = float(np.min(t.diag - np.concatenate([[0.0], radius]) - np.concatenate([radius, [0.0]])))
     hi_bound = float(np.max(t.diag + np.concatenate([[0.0], radius]) + np.concatenate([radius, [0.0]])))
-    diag, off_sq = _sturm_rows(t)
+    diag, off_sq = t.sturm_rows
     lams, counts = [lo_bound, hi_bound], [0, t.size]
 
     def record(lam: float, count: int) -> None:
@@ -481,7 +480,7 @@ def _bracket_probes(eigs: list[float], tol: float) -> list[float]:
 def _settled_counts(t: TridiagMatrix, eigs: list[float], probes: list[float], tol: float) -> list:
     """Each probe's count read from the brackets, checked against a full
     Sturm count there; None where the brackets leave it open."""
-    rows = _sturm_rows(t)
+    rows = t.sturm_rows
     top = max(probes)
     ceiling = _count_below(*rows, top)
     settled = []

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import value_at
+from conftest import value_at, weighted_kernel, weighted_operator
 
 import darboux.gaussian
 import darboux.polynomial
@@ -39,6 +39,7 @@ from darboux.transform import (
     DegenerateTransformation,
     InadmissibleSelection,
     LevelSelection,
+    _conjugate_to_weight,
     build_transform,
     crum_krein_apply,
     crum_krein_operator,
@@ -487,6 +488,49 @@ class TestKernelSolve:
             monkeypatch.setattr(module, name, refuse)
         assert main(["verify", "--levels", "1,2,5,6", "--nmax", "8"]) == 0
         capsys.readouterr()
+
+
+# Krein-admissible selections of order <= 6: a prefix 0..j-1 and juxtaposed
+# pairs above it (overlapping pairs make odd runs, which the filter drops).
+_ADMISSIBLE_UP_TO_6 = st.builds(
+    lambda prefix, pairs: tuple(sorted(set(range(prefix)).union(*({k, k + 1} for k in pairs)))),
+    st.integers(0, 3),
+    st.lists(st.integers(1, 11), max_size=3),
+).filter(lambda levels: 0 < len(levels) <= 6 and krein_admissible(levels))
+
+
+class TestPlainRows:
+    """L and the adjoint kernel, solved on the plain derivatives of the
+    family's polynomial parts, against the weighted-row solve (the oracle in
+    conftest) and the conjugation d = D - s x/2 on its own."""
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(_ADMISSIBLE_UP_TO_6)
+    @example((3, 4, 7, 8, 9, 10, 11, 12, 13, 14))
+    def test_matches_the_weighted_rows(self, levels):
+        tr = _transform(levels)
+        assert tr.operator == weighted_operator(tr.functions, tr.base)
+        assert kernel_functions(tr) == weighted_kernel(tr)
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(0)]),
+        st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+        st.lists(st.integers(-5, 5), max_size=5),
+    )
+    def test_conjugation_keeps_the_action(self, weight, ys, det, p):
+        # L~ = (det d^N + sum_j y_j d^j) / lead(det) on the polynomial p equals
+        # sum_m a_m D^m on p exp(s x^2/4), D = d + s x/2, with a_m read from
+        # the conjugated numerators: the operator in d on the weighted p.
+        ys, det, p = [Poly(y) for y in ys], Poly(det), Poly(p)
+        nums, den = _conjugate_to_weight(ys, det, weight)
+        operator = DiffOp(Poly(Fraction(c, den) for c in cs) for cs in nums)
+        derivs = [p]
+        for _ in ys:
+            derivs.append(derivs[-1].derivative())
+        plain = sum((y * q for y, q in zip(ys, derivs)), det * derivs[-1]) * (1 / det.lead())
+        assert operator(GaussFun(p, weight)) == GaussFun(plain, weight)
 
 
 class TestFactorization:
